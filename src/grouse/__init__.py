@@ -23,7 +23,7 @@ from .bounds import (
     mc_zeta_ratio_check,
     mu0,
 )
-from .checks import PropertyResult, VerifyReport, verify
+from .checks import SUITES, PropertyResult, VerifyReport, verify
 from .core import (
     OracleInfo,
     StepConfig,
@@ -47,6 +47,7 @@ from .data import (
 )
 from .harness import (
     ExperimentConfig,
+    SweepConfigSummary,
     TrajectoryRow,
     TrialResult,
     bounds_table,

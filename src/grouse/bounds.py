@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -227,34 +227,46 @@ class RateCheck:
     passed: bool
 
 
-def _oracle_step_stats(
+def _oracle_steps(
     model: PlantedModel,
     basis: np.ndarray,
     n_draws: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Next-step metrics over fresh draws at a fixed iterate, oracle schedule.
+    metric: Callable[[np.ndarray, np.ndarray], float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Next-step metric over fresh draws at a fixed iterate, oracle schedule.
 
-    Returns per-draw arrays of the next similarity, next discrepancy, and
-    the realized gain term ``(1 - alpha)^2 ||r||^2 / ||p||^2``.
+    Returns per-draw arrays of ``metric(next iterate, ubar)`` and of the
+    realized gain term ``(1 - alpha)^2 ||r||^2 / ||p||^2``.
     """
     cfg = StepConfig(mode=StepMode.ORACLE_NOISY, sigma_sq=model.sigma_sq)
-    zetas = np.empty(n_draws)
-    epss = np.empty(n_draws)
+    values = np.empty(n_draws)
     gains = np.empty(n_draws)
     for i in range(n_draws):
         sample = draw_sample(model, rng)
-        v_par = basis @ (basis.T @ sample.v)
-        v_perp = sample.v - v_par
-        oracle = OracleInfo(v_perp_norm_sq=float(v_perp @ v_perp))
-        out = grouse_step(basis, sample.x, cfg, oracle=oracle)
-        zetas[i] = determinant_similarity(out.updated, model.ubar)
-        epss[i] = frobenius_discrepancy(out.updated, model.ubar)
+        out = grouse_step(basis, sample.x, cfg, oracle=OracleInfo.from_signal(basis, sample.v))
+        values[i] = metric(out.updated, model.ubar)
         if out.skipped:
             gains[i] = 0.0
         else:
             gains[i] = (1.0 - out.alpha) ** 2 * float(out.r @ out.r) / float(out.p @ out.p)
-    return zetas, epss, gains
+    return values, gains
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
+def _rate_check(mean: float, se: float, bound: float, n_draws: int, *, above: bool) -> RateCheck:
+    """Compare a sample mean to its bound at three standard errors.
+
+    ``above`` requires the mean to be at least the bound, otherwise at most.
+    """
+    margin = mean - bound if above else bound - mean
+    slack = margin / se if se > 0 else math.inf
+    passed = mean >= bound - 3 * se if above else mean <= bound + 3 * se
+    return RateCheck(observed_mean=mean, std_err=se, bound=bound, n_draws=n_draws,
+                     slack_se=float(slack), passed=bool(passed))
 
 
 def mc_zeta_rate_check(
@@ -272,12 +284,8 @@ def mc_zeta_rate_check(
     """
     zeta_now = determinant_similarity(basis, model.ubar)
     bound = expected_zeta_rate_bound(zeta_now, params)
-    zetas, _, _ = _oracle_step_stats(model, basis, n_draws, rng)
-    mean = float(zetas.mean())
-    se = float(zetas.std(ddof=1) / math.sqrt(n_draws))
-    slack = (mean - bound) / se if se > 0 else math.inf
-    return RateCheck(observed_mean=mean, std_err=se, bound=bound, n_draws=n_draws,
-                     slack_se=float(slack), passed=bool(mean >= bound - 3 * se))
+    zetas, _ = _oracle_steps(model, basis, n_draws, rng, determinant_similarity)
+    return _rate_check(*_mean_se(zetas), bound, n_draws, above=True)
 
 
 def mc_eps_rate_check(
@@ -291,12 +299,8 @@ def mc_eps_rate_check(
     eps_now = frobenius_discrepancy(basis, model.ubar)
     cos_sq = float(np.min(principal_angles(basis, model.ubar)) ** 2)
     bound = expected_eps_rate_bound(eps_now, cos_sq, params)
-    _, epss, _ = _oracle_step_stats(model, basis, n_draws, rng)
-    mean = float(epss.mean())
-    se = float(epss.std(ddof=1) / math.sqrt(n_draws))
-    slack = (bound - mean) / se if se > 0 else math.inf
-    return RateCheck(observed_mean=mean, std_err=se, bound=bound, n_draws=n_draws,
-                     slack_se=float(slack), passed=bool(mean <= bound + 3 * se))
+    epss, _ = _oracle_steps(model, basis, n_draws, rng, frobenius_discrepancy)
+    return _rate_check(*_mean_se(epss), bound, n_draws, above=False)
 
 
 def mc_zeta_ratio_check(
@@ -312,16 +316,10 @@ def mc_zeta_ratio_check(
     means are compared at three combined standard errors.
     """
     zeta_now = determinant_similarity(basis, model.ubar)
-    zetas, _, gains = _oracle_step_stats(model, basis, n_draws, rng)
+    zetas, gains = _oracle_steps(model, basis, n_draws, rng, determinant_similarity)
     ratios = zetas / zeta_now
-    mean = float(ratios.mean())
-    bound = 1.0 + float(gains.mean())
-    se = float(
-        math.sqrt(ratios.var(ddof=1) / n_draws + gains.var(ddof=1) / n_draws)
-    )
-    slack = (mean - bound) / se if se > 0 else math.inf
-    return RateCheck(observed_mean=mean, std_err=se, bound=bound, n_draws=n_draws,
-                     slack_se=float(slack), passed=bool(mean >= bound - 3 * se))
+    se = math.sqrt(ratios.var(ddof=1) / n_draws + gains.var(ddof=1) / n_draws)
+    return _rate_check(float(ratios.mean()), se, 1.0 + float(gains.mean()), n_draws, above=True)
 
 
 def mc_eps_decrease_check(
@@ -343,10 +341,5 @@ def mc_eps_decrease_check(
             f"iterate is inside the noise ball: eps={eps_now:.3e} < d^2 sigma^2="
             f"{d**2 * model.sigma_sq:.3e}"
         )
-    _, epss, _ = _oracle_step_stats(model, basis, n_draws, rng)
-    decreases = eps_now - epss
-    mean = float(decreases.mean())
-    se = float(decreases.std(ddof=1) / math.sqrt(n_draws))
-    slack = mean / se if se > 0 else math.inf
-    return RateCheck(observed_mean=mean, std_err=se, bound=0.0, n_draws=n_draws,
-                     slack_se=float(slack), passed=bool(mean >= -3 * se))
+    epss, _ = _oracle_steps(model, basis, n_draws, rng, frobenius_discrepancy)
+    return _rate_check(*_mean_se(eps_now - epss), 0.0, n_draws, above=True)

@@ -28,7 +28,7 @@ from .bounds import (
     mu0,
 )
 from .core import OracleInfo, StepConfig, StepMode, compute_theta, grouse_step, project, rotate_update
-from .data import draw_batch, draw_sample, make_planted
+from .data import _sparse_density, _sparse_matrix, draw_batch, draw_sample, make_planted
 from .subspaces import (
     basis_with_similarity,
     determinant_similarity,
@@ -394,18 +394,10 @@ def signal_energy_unnormalized_mc(rng: np.random.Generator, draws: int) -> Prope
 def sparse_density_mc(rng: np.random.Generator, models: int = 100) -> PropertyResult:
     """Fraction of structurally nonzero entries matches the generation density."""
     n, d = 1000, 5
-    density = max(np.log(n) / n, 2 * d / n)
+    density = _sparse_density(n, d)
     fractions = np.empty(models)
     for i in range(models):
-        mask = rng.random((n, d)) < density
-        m = rng.standard_normal((n, d)) * mask
-        empty = ~mask.any(axis=0)
-        while empty.any():
-            k = int(empty.sum())
-            mask_k = rng.random((n, k)) < density
-            m[:, empty] = rng.standard_normal((n, k)) * mask_k
-            empty[np.flatnonzero(empty)] = ~mask_k.any(axis=0)
-        fractions[i] = np.count_nonzero(m) / (n * d)
+        fractions[i] = np.count_nonzero(_sparse_matrix(n, d, density, rng)) / (n * d)
     se = math.sqrt(density * (1 - density) / (n * d * models))
     z = abs(fractions.mean() - density) / se
     return _result("sparse_density_mc", "data", z, 3.0, f"density={density:.4f}")

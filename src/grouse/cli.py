@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .bounds import BoundParams
@@ -38,7 +39,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sparse", action="store_true", help="sparse ground-truth basis")
     parser.add_argument("--c", type=float, default=1.0, help="practical step-size constant")
     parser.add_argument("--record-every", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=None, help="output path")
 
 
@@ -55,7 +55,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         sparse_ubar=args.sparse,
         c=args.c,
         record_every=args.record_every,
-        threads=args.threads,
         out_path=args.out,
     )
 
@@ -92,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _trial_out_path(out_path: str | None, trial_id: int, trials: int) -> str | None:
     if out_path is None or trials == 1:
         return out_path
-    stem, dot, ext = out_path.rpartition(".")
-    return f"{stem}-trial{trial_id}.{ext}" if dot else f"{out_path}-trial{trial_id}"
+    stem, ext = os.path.splitext(out_path)  # the extension of the file name only
+    return f"{stem}-trial{trial_id}{ext}"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -103,19 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cfg, out_path=_trial_out_path(cfg.out_path, trial_id, cfg.trials)
         )
         result = run_single(trial_cfg, trial_id)
-        summary = {
-            "trial_id": result.trial_id,
-            "derived_seed": result.derived_seed,
-            "k1": result.phase.k1,
-            "k2": result.phase.k2,
-            "target_zeta": result.phase.target_zeta,
-            "target_eps": result.phase.target_eps,
-            "final_zeta": result.final_zeta,
-            "final_eps": result.final_eps,
-            "iters_run": result.iters_run,
-            "skipped_steps": result.skipped_steps,
-        }
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(result.to_dict(), sort_keys=True))
     return 0
 
 

@@ -93,6 +93,12 @@ class OracleInfo:
         if self.v_perp_norm_sq < 0:
             raise ValueError(f"v_perp_norm_sq must be >= 0, got {self.v_perp_norm_sq}")
 
+    @classmethod
+    def from_signal(cls, U: np.ndarray, v: np.ndarray) -> OracleInfo:
+        """Oracle energy of the clean signal ``v`` outside ``span(U)``: ``||v - U U^T v||^2``."""
+        v_perp = v - U @ (U.T @ v)
+        return cls(v_perp_norm_sq=float(v_perp @ v_perp))
+
 
 @dataclass(frozen=True)
 class StepOutcome:

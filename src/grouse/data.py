@@ -82,18 +82,30 @@ class SampleBatch:
     xi: np.ndarray
 
 
+def _sparse_density(n: int, d: int) -> float:
+    """Entry density of a sparse ground truth: ``max(log(n)/n, 2d/n)``, at most 1."""
+    return min(max(np.log(n) / n, 2 * d / n), 1.0)
+
+
+def _sparse_matrix(n: int, d: int, density: float, rng: np.random.Generator) -> np.ndarray:
+    """(n, d) matrix of standard normal entries, each kept with probability ``density``.
+
+    Columns that come out identically zero are re-drawn, so none is empty.
+    """
+    mask = rng.random((n, d)) < density
+    m = rng.standard_normal((n, d)) * mask
+    empty = ~mask.any(axis=0)
+    while empty.any():
+        k = int(empty.sum())
+        mask_k = rng.random((n, k)) < density
+        m[:, empty] = rng.standard_normal((n, k)) * mask_k
+        empty[np.flatnonzero(empty)] = ~mask_k.any(axis=0)
+    return m
+
+
 def _sparse_orthonormal(n: int, d: int, density: float, rng: np.random.Generator) -> np.ndarray:
     for _ in range(_MAX_SPARSE_ATTEMPTS):
-        mask = rng.random((n, d)) < density
-        m = rng.standard_normal((n, d)) * mask
-        # re-draw columns that came out identically zero
-        empty = ~mask.any(axis=0)
-        while empty.any():
-            k = int(empty.sum())
-            mask_k = rng.random((n, k)) < density
-            m[:, empty] = rng.standard_normal((n, k)) * mask_k
-            empty[np.flatnonzero(empty)] = ~mask_k.any(axis=0)
-        q, r = np.linalg.qr(m)
+        q, r = np.linalg.qr(_sparse_matrix(n, d, density, rng))
         diag = np.abs(np.diag(r))
         if np.min(diag) > n * np.finfo(float).eps * np.max(diag):
             return q
@@ -123,7 +135,7 @@ def make_planted(
     if sigma_sq < 0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
     if sparse:
-        density = min(max(np.log(n) / n, 2 * d / n), 1.0)
+        density = _sparse_density(n, d)
         ubar = _sparse_orthonormal(n, d, density, rng)
         return PlantedModel(ubar=ubar, sigma_sq=sigma_sq, normalize_signal=normalize_signal,
                             sparsity=float(density))

@@ -27,6 +27,7 @@ from .subspaces import MetricSample, metric_sample, random_orthonormal
 
 __all__ = [
     "ExperimentConfig",
+    "SweepConfigSummary",
     "TrajectoryRow",
     "TrialResult",
     "bounds_table",
@@ -135,6 +136,12 @@ class TrialResult:
     iters_run: int
     skipped_steps: int
 
+    def to_dict(self) -> dict:
+        """Flat JSON-ready record: ids, phase split, final metrics and step counts."""
+        out = dataclasses.asdict(self)
+        out.update(out.pop("phase"))
+        return out
+
 
 @dataclass(frozen=True)
 class TrajectoryRow:
@@ -186,9 +193,7 @@ def run_trajectory(
             sample = draw_sample(model, rng)
             oracle = None
             if cfg.mode is StepMode.ORACLE_NOISY:
-                v_par = basis @ (basis.T @ sample.v)
-                v_perp = sample.v - v_par
-                oracle = OracleInfo(v_perp_norm_sq=float(v_perp @ v_perp))
+                oracle = OracleInfo.from_signal(basis, sample.v)
             out = grouse_step(basis, sample.x, step_cfg, oracle=oracle, nonskipped_steps=nonskipped)
             basis = out.updated
             if out.skipped:
@@ -362,21 +367,7 @@ def write_sweep_json(path: str, summaries: Sequence[SweepConfigSummary]) -> None
                 "config": summary.cfg.to_dict(),
                 "n_converged": summary.n_converged,
                 "errors": summary.errors,
-                "trials": [
-                    {
-                        "trial_id": r.trial_id,
-                        "derived_seed": r.derived_seed,
-                        "k1": r.phase.k1,
-                        "k2": r.phase.k2,
-                        "target_zeta": r.phase.target_zeta,
-                        "target_eps": r.phase.target_eps,
-                        "final_zeta": r.final_zeta,
-                        "final_eps": r.final_eps,
-                        "iters_run": r.iters_run,
-                        "skipped_steps": r.skipped_steps,
-                    }
-                    for r in summary.results
-                ],
+                "trials": [r.to_dict() for r in summary.results],
             }
             for summary in summaries
         ],

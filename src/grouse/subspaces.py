@@ -38,14 +38,25 @@ __all__ = [
 ORTHONORMALITY_TOL = 1e-10
 
 
-def _as_basis_pair(U: np.ndarray, Ubar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross_gram(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
+    """The (d, d) cross-Gram matrix ``Ubar^T U`` of two bases of identical shape."""
     U = np.asarray(U, dtype=float)
     Ubar = np.asarray(Ubar, dtype=float)
     if U.ndim != 2 or Ubar.ndim != 2:
         raise ValueError("bases must be 2-D arrays")
     if U.shape != Ubar.shape:
         raise ValueError(f"basis shapes must match, got {U.shape} and {Ubar.shape}")
-    return U, Ubar
+    return Ubar.T @ U
+
+
+def _cosines(gram: np.ndarray) -> np.ndarray:
+    return np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0)
+
+
+def _discrepancy(gram: np.ndarray) -> float:
+    d = gram.shape[1]
+    value = d - np.linalg.norm(gram) ** 2
+    return float(min(max(value, 0.0), d))
 
 
 def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
@@ -74,9 +85,7 @@ def principal_angles(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
     ``arccos`` are non-decreasing.  Both bases must have orthonormal
     columns and identical shape ``(n, d)``; the result has length ``d``.
     """
-    U, Ubar = _as_basis_pair(U, Ubar)
-    s = np.linalg.svd(Ubar.T @ U, compute_uv=False)
-    return np.clip(s, 0.0, 1.0)
+    return _cosines(_cross_gram(U, Ubar))
 
 
 def determinant_similarity(U: np.ndarray, Ubar: np.ndarray) -> float:
@@ -92,10 +101,7 @@ def determinant_similarity(U: np.ndarray, Ubar: np.ndarray) -> float:
 
 def frobenius_discrepancy(U: np.ndarray, Ubar: np.ndarray) -> float:
     """Sum of squared principal-angle sines: ``d - ||Ubar^T U||_F^2``, in [0, d]."""
-    U, Ubar = _as_basis_pair(U, Ubar)
-    d = U.shape[1]
-    value = d - np.linalg.norm(Ubar.T @ U) ** 2
-    return float(min(max(value, 0.0), d))
+    return _discrepancy(_cross_gram(U, Ubar))
 
 
 def random_orthonormal(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -214,14 +220,16 @@ def metric_sample(
     residual_norm_sq: float = 0.0,
     projection_norm_sq: float = 0.0,
 ) -> MetricSample:
-    """Evaluate both convergence metrics of ``U`` against ``Ubar`` at iteration ``t``."""
-    cosines = principal_angles(U, Ubar)
-    zeta = float(np.prod(cosines * cosines))
-    epsilon = frobenius_discrepancy(U, Ubar)
+    """Evaluate both convergence metrics of ``U`` against ``Ubar`` at iteration ``t``.
+
+    The cross-Gram matrix is formed once and shared by the two metrics.
+    """
+    gram = _cross_gram(U, Ubar)
+    cosines = _cosines(gram)
     return MetricSample(
         t=t,
-        zeta=zeta,
-        epsilon=epsilon,
+        zeta=float(np.prod(cosines * cosines)),
+        epsilon=_discrepancy(gram),
         cos_angles=cosines,
         residual_norm_sq=float(residual_norm_sq),
         projection_norm_sq=float(projection_norm_sq),

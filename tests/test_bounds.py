@@ -5,6 +5,7 @@ import pytest
 
 from grouse.bounds import (
     BoundParams,
+    RateCheck,
     detect_phases,
     expected_eps_rate_bound,
     expected_zeta_rate_bound,
@@ -17,7 +18,8 @@ from grouse.bounds import (
     mc_zeta_ratio_check,
     mu0,
 )
-from grouse.data import make_planted
+from grouse.core import OracleInfo, StepConfig, StepMode, grouse_step
+from grouse.data import draw_sample, make_planted
 from grouse.subspaces import (
     MetricSample,
     basis_with_angles,
@@ -284,3 +286,81 @@ def test_eps_decrease_check_rejects_inside_noise_ball():
     basis = basis_with_similarity(model.ubar, 0.999, rng)
     with pytest.raises(ValueError):
         mc_eps_decrease_check(model, basis, 100, rng)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-draw loop and statistics the mc_* checks must reproduce
+
+
+def _reference_step_stats(model, basis, n_draws, rng):
+    cfg = StepConfig(mode=StepMode.ORACLE_NOISY, sigma_sq=model.sigma_sq)
+    zetas = np.empty(n_draws)
+    epss = np.empty(n_draws)
+    gains = np.empty(n_draws)
+    for i in range(n_draws):
+        sample = draw_sample(model, rng)
+        v_perp = sample.v - basis @ (basis.T @ sample.v)
+        oracle = OracleInfo(v_perp_norm_sq=float(v_perp @ v_perp))
+        out = grouse_step(basis, sample.x, cfg, oracle=oracle)
+        zetas[i] = determinant_similarity(out.updated, model.ubar)
+        epss[i] = frobenius_discrepancy(out.updated, model.ubar)
+        if out.skipped:
+            gains[i] = 0.0
+        else:
+            gains[i] = (1.0 - out.alpha) ** 2 * float(out.r @ out.r) / float(out.p @ out.p)
+    return zetas, epss, gains
+
+
+def _reference_checks(model, basis, params, n_draws, seed):
+    ubar, d = model.ubar, model.d
+    zeta_now = determinant_similarity(basis, ubar)
+    eps_now = frobenius_discrepancy(basis, ubar)
+
+    zetas, _, _ = _reference_step_stats(model, basis, n_draws, np.random.default_rng(seed))
+    mean = float(zetas.mean())
+    se = float(zetas.std(ddof=1) / math.sqrt(n_draws))
+    bound = expected_zeta_rate_bound(zeta_now, params)
+    slack = (mean - bound) / se if se > 0 else math.inf
+    zeta_rate = RateCheck(mean, se, bound, n_draws, float(slack), bool(mean >= bound - 3 * se))
+
+    _, epss, _ = _reference_step_stats(model, basis, n_draws, np.random.default_rng(seed))
+    cos_sq = float(np.min(principal_angles(basis, ubar)) ** 2)
+    bound = expected_eps_rate_bound(eps_now, cos_sq, params)
+    mean = float(epss.mean())
+    se = float(epss.std(ddof=1) / math.sqrt(n_draws))
+    slack = (bound - mean) / se if se > 0 else math.inf
+    eps_rate = RateCheck(mean, se, bound, n_draws, float(slack), bool(mean <= bound + 3 * se))
+
+    zetas, _, gains = _reference_step_stats(model, basis, n_draws, np.random.default_rng(seed))
+    ratios = zetas / zeta_now
+    mean = float(ratios.mean())
+    bound = 1.0 + float(gains.mean())
+    se = float(math.sqrt(ratios.var(ddof=1) / n_draws + gains.var(ddof=1) / n_draws))
+    slack = (mean - bound) / se if se > 0 else math.inf
+    zeta_ratio = RateCheck(mean, se, bound, n_draws, float(slack), bool(mean >= bound - 3 * se))
+
+    assert eps_now >= d**2 * model.sigma_sq
+    _, epss, _ = _reference_step_stats(model, basis, n_draws, np.random.default_rng(seed))
+    decreases = eps_now - epss
+    mean = float(decreases.mean())
+    se = float(decreases.std(ddof=1) / math.sqrt(n_draws))
+    slack = mean / se if se > 0 else math.inf
+    eps_decrease = RateCheck(mean, se, 0.0, n_draws, float(slack), bool(mean >= -3 * se))
+    return zeta_rate, eps_rate, zeta_ratio, eps_decrease
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_mc_checks_equal_reference_loop(seed):
+    n, d, sigma_sq, n_draws = 120, 4, 1e-3, 150
+    rng = np.random.default_rng(seed)
+    model = make_planted(n, d, sigma_sq, sparse=True, rng=rng)
+    basis = basis_with_similarity(model.ubar, 0.4, rng)
+    params = BoundParams(n=n, d=d, sigma_sq=sigma_sq)
+    expected = _reference_checks(model, basis, params, n_draws, seed + 100)
+    got = (
+        mc_zeta_rate_check(model, basis, params, n_draws, np.random.default_rng(seed + 100)),
+        mc_eps_rate_check(model, basis, params, n_draws, np.random.default_rng(seed + 100)),
+        mc_zeta_ratio_check(model, basis, n_draws, np.random.default_rng(seed + 100)),
+        mc_eps_decrease_check(model, basis, n_draws, np.random.default_rng(seed + 100)),
+    )
+    assert got == expected

@@ -4,7 +4,7 @@ import pytest
 
 import grouse.checks
 from grouse.checks import PropertyResult, VerifyReport
-from grouse.cli import main
+from grouse.cli import _trial_out_path, main
 
 
 def test_run_writes_trajectory_and_prints_summary(tmp_path, capsys):
@@ -38,6 +38,32 @@ def test_run_multiple_trials(tmp_path, capsys):
     assert len(set(s["derived_seed"] for s in summaries)) == 3
     for trial_id in range(3):
         assert (tmp_path / f"multi-trial{trial_id}.csv").exists()
+
+
+@pytest.mark.parametrize("out, expected", [
+    ("multi.csv", "multi-trial1.csv"),
+    ("./traj", "./traj-trial1"),
+    ("runs.v2/traj", "runs.v2/traj-trial1"),
+    ("runs.v2/traj.csv", "runs.v2/traj-trial1.csv"),
+])
+def test_trial_out_path_splits_file_name_only(out, expected):
+    assert _trial_out_path(out, 1, 2) == expected
+    assert _trial_out_path(out, 0, 1) == out
+
+
+def test_run_multiple_trials_dotted_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    for out in ("./traj", "runs.v2/traj"):
+        code = main(["run", "--n", "30", "--d", "2", "--trials", "2", "--seed", "1",
+                     "--max-iters", "10", "--out", out])
+        assert code == 0
+        for trial_id in range(2):
+            assert (tmp_path / f"{out}-trial{trial_id}").exists()
+
+
+def test_run_rejects_threads_flag():
+    assert main(["run", "--n", "30", "--d", "2", "--max-iters", "10", "--threads", "4"]) == 1
 
 
 def test_sweep_from_config_file(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 
 from grouse.data import (
     PlantedModel,
+    _sparse_density,
+    _sparse_matrix,
     draw_batch,
     draw_sample,
     export_basis_csv,
@@ -76,6 +78,15 @@ def test_sparse_density_matches_target():
         fractions.append(np.count_nonzero(m) / (n * d))
     se = math.sqrt(density * (1 - density) / (n * d * models))
     assert abs(np.mean(fractions) - density) <= 3 * se
+
+
+def test_sparse_model_is_qr_of_sparse_draw():
+    for seed, (n, d) in enumerate(((4, 3), (30, 3), (200, 5), (1000, 20))):
+        model = make_planted(n, d, 0.0, sparse=True, rng=np.random.default_rng(seed))
+        density = _sparse_density(n, d)
+        q, _ = np.linalg.qr(_sparse_matrix(n, d, density, np.random.default_rng(seed)))
+        np.testing.assert_array_equal(model.ubar, q)
+        assert model.sparsity == density
 
 
 def test_noise_energy_ratio_is_sigma_sq():

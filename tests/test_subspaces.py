@@ -280,6 +280,18 @@ def test_metric_sample_internal_consistency():
     assert 1.0 - sample.zeta <= sample.epsilon + 1e-9
 
 
+def test_metric_sample_equals_separate_metrics():
+    rng = np.random.default_rng(26)
+    for n, d in ((6, 1), (30, 4), (200, 10)):
+        for _ in range(5):
+            u = random_orthonormal(n, d, rng)
+            ubar = random_orthonormal(n, d, rng)
+            sample = metric_sample(0, u, ubar)
+            np.testing.assert_array_equal(sample.cos_angles, principal_angles(u, ubar))
+            assert sample.zeta == determinant_similarity(u, ubar)
+            assert sample.epsilon == frobenius_discrepancy(u, ubar)
+
+
 def test_trace_expectation_identity():
     """Mean of x^T Q x / x^T x over isotropic vectors is tr(Q)/d."""
     rng = np.random.default_rng(19)
