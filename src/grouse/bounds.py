@@ -253,6 +253,21 @@ def _oracle_steps(
     return values, gains
 
 
+def _resolved_zeta(basis: np.ndarray, ubar: np.ndarray) -> float:
+    """Similarity of a fixed iterate that rounding has not decided.
+
+    Same arithmetic as ``determinant_similarity``.  Raises ``ValueError``
+    when the smallest principal-angle cosine is at most ``n`` machine
+    epsilons: a rate or ratio against such a similarity measures rounding.
+    """
+    cosines = principal_angles(basis, ubar)
+    floor = basis.shape[0] * np.finfo(float).eps
+    if cosines[-1] <= floor:  # principal_angles sorts the cosines non-increasing
+        raise ValueError(f"iterate is unresolved: smallest principal-angle cosine "
+                         f"{cosines[-1]:.3e} <= n * eps = {floor:.3e}")
+    return float(np.prod(cosines * cosines))
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
@@ -280,10 +295,11 @@ def mc_zeta_rate_check(
 
     Runs ``n_draws`` oracle-schedule steps on fresh draws and requires the
     sample mean of the next similarity to stay above
-    ``expected_zeta_rate_bound`` minus three standard errors.
+    ``expected_zeta_rate_bound`` minus three standard errors.  Raises
+    ``ValueError`` when the smallest principal-angle cosine of ``basis`` is
+    at most ``n * eps``, where the current similarity is rounding.
     """
-    zeta_now = determinant_similarity(basis, model.ubar)
-    bound = expected_zeta_rate_bound(zeta_now, params)
+    bound = expected_zeta_rate_bound(_resolved_zeta(basis, model.ubar), params)
     zetas, _ = _oracle_steps(model, basis, n_draws, rng, determinant_similarity)
     return _rate_check(*_mean_se(zetas), bound, n_draws, above=True)
 
@@ -313,9 +329,11 @@ def mc_zeta_ratio_check(
 
     The expected one-step similarity ratio must be at least one plus the
     expected realized gain ``(1 - alpha)^2 ||r||^2 / ||p||^2``; the two
-    means are compared at three combined standard errors.
+    means are compared at three combined standard errors.  Raises
+    ``ValueError`` when the smallest principal-angle cosine of ``basis`` is
+    at most ``n * eps``, where the current similarity is rounding.
     """
-    zeta_now = determinant_similarity(basis, model.ubar)
+    zeta_now = _resolved_zeta(basis, model.ubar)
     zetas, gains = _oracle_steps(model, basis, n_draws, rng, determinant_similarity)
     ratios = zetas / zeta_now
     se = math.sqrt(ratios.var(ddof=1) / n_draws + gains.var(ddof=1) / n_draws)

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import (
     BoundParams,
+    _mean_se,
     expected_zeta_rate_bound,
     k1_bound,
     k2_bound,
@@ -27,7 +29,7 @@ from .bounds import (
     mc_zeta_ratio_check,
     mu0,
 )
-from .core import OracleInfo, StepConfig, StepMode, compute_theta, grouse_step, project, rotate_update
+from .core import OracleInfo, StepConfig, StepMode, StepOutcome, compute_theta, grouse_step, project
 from .data import _sparse_density, _sparse_matrix, draw_batch, draw_sample, make_planted
 from .subspaces import (
     basis_with_similarity,
@@ -50,8 +52,6 @@ _COUNTS = {
         "noise_draws": 50_000,
         "step_cases": 100,
         "rate_draws": 2_000,
-        "rate_n": 500,
-        "rate_d": 10,
     },
     "full": {
         "pairs": 200,
@@ -60,10 +60,13 @@ _COUNTS = {
         "noise_draws": 100_000,
         "step_cases": 300,
         "rate_draws": 10_000,
-        "rate_n": 500,
-        "rate_d": 10,
     },
 }
+
+# the rates suite runs at one problem size and noise level for every intensity
+_RATE_N = 500
+_RATE_D = 10
+_RATE_SIGMA_SQ = 1e-3
 
 
 @dataclass(frozen=True)
@@ -100,15 +103,17 @@ class VerifyReport:
         return [r.name for r in self.results if not r.passed]
 
 
-def _result(name: str, suite: str, measured: float, tolerated: float, detail: str = "") -> PropertyResult:
-    return PropertyResult(
-        name=name,
-        suite=suite,
-        measured=float(measured),
-        tolerated=float(tolerated),
-        passed=bool(measured <= tolerated),
-        detail=detail,
-    )
+def _result(name: str, suite: str, measured: float | None, tolerated: float, detail: str = "") -> PropertyResult:
+    """``measured=None`` means no case was evaluated: the property fails with ``measured=inf``."""
+    if measured is None:
+        measured, detail = math.inf, "; ".join(filter(None, ("no case evaluated", detail)))
+    return PropertyResult(name, suite, float(measured), float(tolerated), bool(measured <= tolerated), detail)
+
+
+def _z(values: np.ndarray, target: float) -> float:
+    """Distance of the sample mean of ``values`` from ``target`` in standard errors."""
+    mean, se = _mean_se(values)
+    return abs(mean - target) / se
 
 
 def _random_pair(rng: np.random.Generator, n_max: int = 50) -> tuple[np.ndarray, np.ndarray]:
@@ -168,33 +173,21 @@ def trace_expectation_mc(rng: np.random.Generator, draws: int, d: int = 6) -> Pr
     q = (q + q.T) / 2.0
     x = rng.standard_normal((draws, d))
     vals = np.einsum("ni,ij,nj->n", x, q, x) / np.einsum("ni,ni->n", x, x)
-    z = abs(vals.mean() - np.trace(q) / d) / (vals.std(ddof=1) / math.sqrt(draws))
-    return _result("trace_expectation_mc", "metrics", z, 3.0, f"target={np.trace(q) / d:.5f}")
+    return _result("trace_expectation_mc", "metrics", _z(vals, np.trace(q) / d), 3.0,
+                   f"target={np.trace(q) / d:.5f}")
 
 
 def random_init_similarity_mc(rng: np.random.Generator, draws: int, n: int = 20, d: int = 2) -> PropertyResult:
     """Mean initial similarity of random bases equals the exact value 1/binom(n, d)."""
     ubar = random_orthonormal(n, d, rng)
-    sqsum = 0.0
-    total = 0.0
+    dets = np.empty(draws)
     chunk = 10_000
-    done = 0
-    while done < draws:
-        k = min(chunk, draws - done)
-        gauss = rng.standard_normal((k, n, d))
-        q = np.linalg.qr(gauss)[0]
-        m = np.swapaxes(q, 1, 2) @ ubar
-        dets = np.linalg.det(m) ** 2
-        total += dets.sum()
-        sqsum += (dets**2).sum()
-        done += k
-    mean = total / draws
-    var = sqsum / draws - mean**2
-    se = math.sqrt(var / draws)
+    for done in range(0, draws, chunk):
+        q = np.linalg.qr(rng.standard_normal((min(chunk, draws - done), n, d)))[0]
+        dets[done:done + len(q)] = np.linalg.det(np.swapaxes(q, 1, 2) @ ubar) ** 2
     target = expected_initial_similarity_exact(n, d)
-    z = abs(mean - target) / se
-    return _result("random_init_similarity_mc", "metrics", z, 3.0,
-                   f"mean={mean:.4e} exact={target:.4e}")
+    return _result("random_init_similarity_mc", "metrics", _z(dets, target), 3.0,
+                   f"mean={dets.mean():.4e} exact={target:.4e}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,74 +203,72 @@ def _noiseless_case(rng: np.random.Generator, n: int = 40, d: int = 4):
     return ubar, u, v
 
 
-def step_orthonormality(rng: np.random.Generator, cases: int) -> PropertyResult:
-    """A non-skipped update of an orthonormal basis stays orthonormal to 1e-9."""
-    cfg = StepConfig(reorth_period=None)
-    worst = 0.0
+_NO_REORTH = StepConfig(reorth_period=None)
+
+
+def _worst_step(rng: np.random.Generator, cases: int,
+                deviation: Callable[[np.ndarray, np.ndarray, np.ndarray, StepOutcome], float | None],
+                cfg: StepConfig = _NO_REORTH, oracle: OracleInfo | None = None,
+                n: int = 40, d: int = 4) -> float | None:
+    """Largest ``deviation(ubar, u, v, out)`` over noise-free cases and their steps, or ``None``.
+
+    A case is evaluated when its step is not skipped and ``deviation`` does not return ``None``.
+    """
+    worst, evaluated = 0.0, 0
     for _ in range(cases):
-        ubar, u, v = _noiseless_case(rng)
-        out = grouse_step(u, v, cfg)
+        ubar, u, v = _noiseless_case(rng, n, d)
+        out = grouse_step(u, v, cfg, oracle=oracle)
         if out.skipped:
             continue
-        d = u.shape[1]
-        worst = max(worst, float(np.max(np.abs(out.updated.T @ out.updated - np.eye(d)))))
-    return _result("step_orthonormality", "step", worst, 1e-9)
+        value = deviation(ubar, u, v, out)
+        if value is not None:
+            worst, evaluated = max(worst, value), evaluated + 1
+    return worst if evaluated else None
+
+
+def step_orthonormality(rng: np.random.Generator, cases: int) -> PropertyResult:
+    """A non-skipped update of an orthonormal basis stays orthonormal to 1e-9."""
+    def deviation(ubar, u, v, out):
+        return float(np.max(np.abs(out.updated.T @ out.updated - np.eye(u.shape[1]))))
+    return _result("step_orthonormality", "step", _worst_step(rng, cases, deviation), 1e-9)
 
 
 def rank_one_structure(rng: np.random.Generator, cases: int) -> PropertyResult:
     """The update maps w/||w|| to y/||y|| and fixes every in-span direction orthogonal to w."""
-    cfg = StepConfig(reorth_period=None)
-    worst = 0.0
-    for _ in range(cases):
-        ubar, u, v = _noiseless_case(rng, n=30, d=4)
-        out = grouse_step(u, v, cfg)
-        if out.skipped:
-            continue
+    def deviation(ubar, u, v, out):
         w_hat = out.w / np.linalg.norm(out.w)
         p_norm = np.linalg.norm(out.p)
         r_norm = np.linalg.norm(out.r)
         y_hat = np.cos(out.theta) * out.p / p_norm + np.sin(out.theta) * out.r / r_norm
-        worst = max(worst, float(np.max(np.abs(out.updated @ w_hat - y_hat))))
         z = rng.standard_normal(u.shape[1])
         z -= (z @ w_hat) * w_hat
-        worst = max(worst, float(np.max(np.abs(out.updated @ z - u @ z))))
-    return _result("rank_one_structure", "step", worst, 1e-10)
+        return max(float(np.max(np.abs(out.updated @ w_hat - y_hat))),
+                   float(np.max(np.abs(out.updated @ z - u @ z))))
+    return _result("rank_one_structure", "step", _worst_step(rng, cases, deviation, n=30, d=4), 1e-10)
 
 
 def monotonic_zeta_identity(rng: np.random.Generator, cases: int) -> PropertyResult:
     """Noiseless greedy similarity ratio equals 1 + ||v_perp||^2 / ||v_par||^2."""
-    cfg = StepConfig(reorth_period=None)
-    worst = 0.0
-    for _ in range(cases):
-        ubar, u, v = _noiseless_case(rng)
+    def deviation(ubar, u, v, out):
         z0 = determinant_similarity(u, ubar)
         v_par = u @ (u.T @ v)
         v_perp = v - v_par
-        out = grouse_step(u, v, cfg)
-        if out.skipped:
-            continue
         z1 = determinant_similarity(out.updated, ubar)
         predicted = 1.0 + float(v_perp @ v_perp) / float(v_par @ v_par)
-        worst = max(worst, abs(z1 / z0 / predicted - 1.0))
-    return _result("monotonic_zeta_identity", "step", worst, 1e-8)
+        return abs(z1 / z0 / predicted - 1.0)
+    return _result("monotonic_zeta_identity", "step", _worst_step(rng, cases, deviation), 1e-8)
 
 
 def monotonic_eps_identity(rng: np.random.Generator, cases: int) -> PropertyResult:
     """Noiseless greedy discrepancy decrease equals 1 - ||P_bar v_par||^2 / ||v_par||^2."""
-    cfg = StepConfig(reorth_period=None)
-    worst = 0.0
-    for _ in range(cases):
-        ubar, u, v = _noiseless_case(rng)
+    def deviation(ubar, u, v, out):
         e0 = frobenius_discrepancy(u, ubar)
         v_par = u @ (u.T @ v)
-        out = grouse_step(u, v, cfg)
-        if out.skipped:
-            continue
         e1 = frobenius_discrepancy(out.updated, ubar)
         proj = ubar @ (ubar.T @ v_par)
         predicted = 1.0 - float(proj @ proj) / float(v_par @ v_par)
-        worst = max(worst, abs((e0 - e1) - predicted))
-    return _result("monotonic_eps_identity", "step", worst, 1e-8)
+        return abs((e0 - e1) - predicted)
+    return _result("monotonic_eps_identity", "step", _worst_step(rng, cases, deviation), 1e-8)
 
 
 def greedy_optimality(
@@ -292,7 +283,7 @@ def greedy_optimality(
     deliberately mis-scales the angle actually applied (negative-control
     hook); any value other than 1 makes the property fail.
     """
-    worst = -math.inf
+    worst, evaluated = -math.inf, 0
     for _ in range(max(cases, 100)):
         ubar, u, v = _noiseless_case(rng)
         w, p, r = project(u, v)
@@ -307,37 +298,30 @@ def greedy_optimality(
             return (math.cos(theta) + q * math.sin(theta)) ** 2
 
         best_perturbed = max(gain(0.9 * theta_used), gain(1.1 * theta_used))
-        worst = max(worst, best_perturbed - gain(theta_used))
-    return _result("greedy_optimality", "step", worst, -1e-15,
+        worst, evaluated = max(worst, best_perturbed - gain(theta_used)), evaluated + 1
+    return _result("greedy_optimality", "step", worst if evaluated else None, -1e-15,
                    detail=f"theta_scale={theta_scale}")
 
 
 def step_equivariance(rng: np.random.Generator, cases: int) -> PropertyResult:
     """Rotating the basis representation does not change the updated subspace."""
-    cfg = StepConfig(reorth_period=None)
-    worst = 0.0
-    for _ in range(cases):
-        ubar, u, v = _noiseless_case(rng)
+    def deviation(ubar, u, v, out):
         d = u.shape[1]
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
-        out_a = grouse_step(u, v, cfg)
-        out_b = grouse_step(u @ q, v, cfg)
-        if out_a.skipped or out_b.skipped:
-            continue
-        worst = max(worst, 1.0 - determinant_similarity(out_a.updated, out_b.updated))
-    return _result("step_equivariance", "step", worst, 1e-9)
+        out_b = grouse_step(u @ q, v, _NO_REORTH)
+        if out_b.skipped:
+            return None
+        return 1.0 - determinant_similarity(out.updated, out_b.updated)
+    return _result("step_equivariance", "step", _worst_step(rng, cases, deviation), 1e-9)
 
 
 def alpha_one_fixed_point(rng: np.random.Generator, cases: int) -> PropertyResult:
     """With full damping the rotation angle is zero and the basis is unchanged."""
     cfg = StepConfig(mode=StepMode.ORACLE_NOISY, sigma_sq=1.0, reorth_period=None)
-    worst = 0.0
-    for _ in range(cases):
-        ubar, u, v = _noiseless_case(rng)
-        out = grouse_step(u, v, cfg, oracle=OracleInfo(v_perp_norm_sq=0.0))
-        if out.skipped:
-            continue
-        worst = max(worst, abs(out.alpha - 1.0), abs(out.theta), float(np.max(np.abs(out.updated - u))))
+
+    def deviation(ubar, u, v, out):
+        return max(abs(out.alpha - 1.0), abs(out.theta), float(np.max(np.abs(out.updated - u))))
+    worst = _worst_step(rng, cases, deviation, cfg, oracle=OracleInfo(v_perp_norm_sq=0.0))
     return _result("alpha_one_fixed_point", "step", worst, 1e-12)
 
 
@@ -362,8 +346,7 @@ def noise_energy_mc(rng: np.random.Generator, draws: int, sigma_sq: float = 0.04
     model = make_planted(100, 5, sigma_sq, sparse=False, rng=rng)
     batch = draw_batch(model, draws, rng)
     ratios = np.einsum("ni,ni->n", batch.xi, batch.xi)
-    z = abs(ratios.mean() - sigma_sq) / (ratios.std(ddof=1) / math.sqrt(draws))
-    return _result("noise_energy_mc", "data", z, 3.0)
+    return _result("noise_energy_mc", "data", _z(ratios, sigma_sq), 3.0)
 
 
 def noise_split_mc(rng: np.random.Generator, draws: int, sigma_sq: float = 0.04) -> PropertyResult:
@@ -376,9 +359,8 @@ def noise_split_mc(rng: np.random.Generator, draws: int, sigma_sq: float = 0.04)
     perp = batch.xi - par
     par_sq = np.einsum("ni,ni->n", par, par)
     perp_sq = np.einsum("ni,ni->n", perp, perp)
-    z_par = abs(par_sq.mean() - d / n * sigma_sq) / (par_sq.std(ddof=1) / math.sqrt(draws))
-    z_perp = abs(perp_sq.mean() - (1 - d / n) * sigma_sq) / (perp_sq.std(ddof=1) / math.sqrt(draws))
-    return _result("noise_split_mc", "data", max(z_par, z_perp), 3.0)
+    z_par = _z(par_sq, d / n * sigma_sq)
+    return _result("noise_split_mc", "data", max(z_par, _z(perp_sq, (1 - d / n) * sigma_sq)), 3.0)
 
 
 def signal_energy_unnormalized_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
@@ -387,8 +369,7 @@ def signal_energy_unnormalized_mc(rng: np.random.Generator, draws: int) -> Prope
     model = make_planted(n, d, 0.0, sparse=False, rng=rng, normalize_signal=False)
     batch = draw_batch(model, draws, rng)
     sq = np.einsum("ni,ni->n", batch.v, batch.v)
-    z = abs(sq.mean() - d) / (sq.std(ddof=1) / math.sqrt(draws))
-    return _result("signal_energy_unnormalized_mc", "data", z, 3.0)
+    return _result("signal_energy_unnormalized_mc", "data", _z(sq, d), 3.0)
 
 
 def sparse_density_mc(rng: np.random.Generator, models: int = 100) -> PropertyResult:
@@ -423,39 +404,35 @@ def stream_determinism(rng_seed: int) -> PropertyResult:
 # rates suite
 
 
-def _rate_fixture(rng: np.random.Generator, n: int, d: int, sigma_sq: float, zeta: float):
-    model = make_planted(n, d, sigma_sq, sparse=True, rng=rng)
+def _rate_fixture(rng: np.random.Generator, n: int, d: int, zeta: float):
+    model = make_planted(n, d, _RATE_SIGMA_SQ, sparse=True, rng=rng)
     basis = basis_with_similarity(model.ubar, zeta, rng)
     return model, basis
 
 
 def zeta_rate_bound_mc(rng: np.random.Generator, n: int, d: int, draws: int) -> PropertyResult:
-    sigma_sq = 1e-3
-    model, basis = _rate_fixture(rng, n, d, sigma_sq, zeta=0.1)
-    params = BoundParams(n=n, d=d, sigma_sq=sigma_sq)
-    check = mc_zeta_rate_check(model, basis, params, draws, rng)
+    model, basis = _rate_fixture(rng, n, d, zeta=0.1)
+    check = mc_zeta_rate_check(model, basis, BoundParams(n=n, d=d, sigma_sq=_RATE_SIGMA_SQ), draws, rng)
     return _result("zeta_rate_bound_mc", "rates", -check.slack_se, 3.0,
                    f"mean={check.observed_mean:.5f} bound={check.bound:.5f}")
 
 
 def eps_rate_bound_mc(rng: np.random.Generator, n: int, d: int, draws: int) -> PropertyResult:
-    sigma_sq = 1e-3
-    model, basis = _rate_fixture(rng, n, d, sigma_sq, zeta=0.6)
-    params = BoundParams(n=n, d=d, sigma_sq=sigma_sq)
-    check = mc_eps_rate_check(model, basis, params, draws, rng)
+    model, basis = _rate_fixture(rng, n, d, zeta=0.6)
+    check = mc_eps_rate_check(model, basis, BoundParams(n=n, d=d, sigma_sq=_RATE_SIGMA_SQ), draws, rng)
     return _result("eps_rate_bound_mc", "rates", -check.slack_se, 3.0,
                    f"mean={check.observed_mean:.5f} bound={check.bound:.5f}")
 
 
 def zeta_ratio_identity_mc(rng: np.random.Generator, n: int, d: int, draws: int) -> PropertyResult:
-    model, basis = _rate_fixture(rng, n, d, 1e-3, zeta=0.3)
+    model, basis = _rate_fixture(rng, n, d, zeta=0.3)
     check = mc_zeta_ratio_check(model, basis, draws, rng)
     return _result("zeta_ratio_identity_mc", "rates", -check.slack_se, 3.0,
                    f"mean_ratio={check.observed_mean:.5f} bound={check.bound:.5f}")
 
 
 def eps_decrease_mc(rng: np.random.Generator, n: int, d: int, draws: int) -> PropertyResult:
-    model, basis = _rate_fixture(rng, n, d, 1e-3, zeta=0.6)
+    model, basis = _rate_fixture(rng, n, d, zeta=0.6)
     check = mc_eps_decrease_check(model, basis, draws, rng)
     return _result("eps_decrease_mc", "rates", -check.slack_se, 3.0,
                    f"mean_decrease={check.observed_mean:.3e}")
@@ -499,32 +476,22 @@ def verify(suite: str = "all", seed: int = 0, intensity: str = "quick") -> Verif
     results: list[PropertyResult] = []
 
     if suite in ("metrics", "all"):
-        results.append(zeta_determinant_agreement(rng, counts["pairs"]))
-        results.append(zeta_eps_inequalities(rng, counts["pairs"]))
-        results.append(metric_rotation_invariance(rng, counts["pairs"]))
+        for check in (zeta_determinant_agreement, zeta_eps_inequalities, metric_rotation_invariance):
+            results.append(check(rng, counts["pairs"]))
         results.append(trace_expectation_mc(rng, counts["trace_draws"]))
         results.append(random_init_similarity_mc(rng, counts["init_draws"]))
     if suite in ("step", "all"):
-        results.append(step_orthonormality(rng, counts["step_cases"]))
-        results.append(rank_one_structure(rng, counts["step_cases"]))
-        results.append(monotonic_zeta_identity(rng, counts["step_cases"]))
-        results.append(monotonic_eps_identity(rng, counts["step_cases"]))
-        results.append(greedy_optimality(rng, counts["step_cases"]))
-        results.append(step_equivariance(rng, counts["step_cases"]))
-        results.append(alpha_one_fixed_point(rng, counts["step_cases"]))
+        for check in (step_orthonormality, rank_one_structure, monotonic_zeta_identity, monotonic_eps_identity,
+                      greedy_optimality, step_equivariance, alpha_one_fixed_point):
+            results.append(check(rng, counts["step_cases"]))
     if suite in ("data", "all"):
-        results.append(sample_invariants(rng, counts["noise_draws"]))
-        results.append(noise_energy_mc(rng, counts["noise_draws"]))
-        results.append(noise_split_mc(rng, counts["noise_draws"]))
-        results.append(signal_energy_unnormalized_mc(rng, counts["noise_draws"]))
+        for check in (sample_invariants, noise_energy_mc, noise_split_mc, signal_energy_unnormalized_mc):
+            results.append(check(rng, counts["noise_draws"]))
         results.append(sparse_density_mc(rng))
         results.append(stream_determinism(seed))
     if suite in ("rates", "all"):
-        n, d, draws = counts["rate_n"], counts["rate_d"], counts["rate_draws"]
-        results.append(zeta_rate_bound_mc(rng, n, d, draws))
-        results.append(eps_rate_bound_mc(rng, n, d, draws))
-        results.append(zeta_ratio_identity_mc(rng, n, d, draws))
-        results.append(eps_decrease_mc(rng, n, d, draws))
+        for check in (zeta_rate_bound_mc, eps_rate_bound_mc, zeta_ratio_identity_mc, eps_decrease_mc):
+            results.append(check(rng, _RATE_N, _RATE_D, counts["rate_draws"]))
         results.append(bound_formula_sanity())
 
     return VerifyReport(results=results, runtime_s=time.perf_counter() - started)

@@ -106,13 +106,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.config, encoding="utf-8") as fh:
+def _load_dicts(path: str) -> list[dict]:
+    """Entries of a JSON file holding one dict or a list of dicts."""
+    with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if isinstance(raw, dict):
-        raw = [raw]
+    return [raw] if isinstance(raw, dict) else raw
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
     configs = []
-    for entry in raw:
+    for entry in _load_dicts(args.config):
         if args.threads is not None:
             entry = {**entry, "threads": args.threads}
         configs.append(config_from_dict(entry))
@@ -124,11 +127,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.params:
-        with open(args.params, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if isinstance(raw, dict):
-            raw = [raw]
-        params = [BoundParams(**entry) for entry in raw]
+        params = [BoundParams(**entry) for entry in _load_dicts(args.params)]
     else:
         if args.n is None or args.d is None:
             raise ValueError("bounds needs either --params or both --n and --d")

@@ -75,25 +75,23 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.d < self.n:
-            raise ValueError(f"need 0 < d < n, got n={self.n}, d={self.d}")
+        # BoundParams checks d < n, sigma_sq and eps_star; StepConfig checks c
+        self.bound_params()
+        self.step_config()
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1 or None, got {self.max_iters}")
-        if not 0 < self.eps_star < self.d:
-            raise ValueError(f"eps_star must lie in (0, d), got {self.eps_star}")
         if self.record_every is not None and self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.c <= 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
-        if self.sigma_sq < 0:
-            raise ValueError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
 
     def bound_params(self) -> BoundParams:
         return BoundParams(n=self.n, d=self.d, sigma_sq=self.sigma_sq, eps_star=self.eps_star)
+
+    def step_config(self) -> StepConfig:
+        return StepConfig(mode=self.mode, sigma_sq=self.sigma_sq, c=self.c)
 
     def resolved_record_every(self) -> int:
         if self.record_every is not None:
@@ -179,13 +177,12 @@ def run_trajectory(
     model = make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng)
     basis = initial_basis if initial_basis is not None else random_orthonormal(cfg.n, cfg.d, rng)
 
-    step_cfg = StepConfig(mode=cfg.mode, sigma_sq=cfg.sigma_sq, c=cfg.c)
+    step_cfg = cfg.step_config()
     record_every = cfg.resolved_record_every()
     max_iters = cfg.resolved_max_iters()
     noisy = cfg.sigma_sq > 0
 
     rows = [TrajectoryRow(sample=metric_sample(0, basis, model.ubar))]
-    skipped_steps = 0
     nonskipped = 0
     t = 0
     if rows[0].sample.epsilon > cfg.eps_star:
@@ -196,10 +193,7 @@ def run_trajectory(
                 oracle = OracleInfo.from_signal(basis, sample.v)
             out = grouse_step(basis, sample.x, step_cfg, oracle=oracle, nonskipped_steps=nonskipped)
             basis = out.updated
-            if out.skipped:
-                skipped_steps += 1
-            else:
-                nonskipped += 1
+            nonskipped += not out.skipped
             t += 1
             if t % record_every == 0 or t == max_iters:
                 row = TrajectoryRow(
@@ -227,7 +221,7 @@ def run_trajectory(
         final_zeta=samples[-1].zeta,
         final_eps=samples[-1].epsilon,
         iters_run=t,
-        skipped_steps=skipped_steps,
+        skipped_steps=t - nonskipped,
     )
     return result, rows
 
@@ -301,28 +295,16 @@ class SweepConfigSummary:
 
 
 def _run_config_trials(cfg: ExperimentConfig) -> SweepConfigSummary:
-    results: dict[int, TrialResult] = {}
-    errors: dict[int, str] = {}
-
-    def one(trial_id: int) -> tuple[int, TrialResult | None, str | None]:
+    def one(trial_id: int) -> TrialResult | str:
         try:
-            result, _ = run_trajectory(cfg, trial_id)
-            return trial_id, result, None
+            return run_trajectory(cfg, trial_id)[0]
         except Exception as exc:  # keep the sweep alive on per-trial failures
-            return trial_id, None, f"{type(exc).__name__}: {exc}"
+            return f"{type(exc).__name__}: {exc}"
 
-    if cfg.threads == 1:
-        outcomes = [one(i) for i in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(one, range(cfg.trials)))
-    for trial_id, result, error in outcomes:
-        if error is not None:
-            errors[trial_id] = error
-        else:
-            results[trial_id] = result
-
-    ordered = [results[i] for i in sorted(results)]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        outcomes = list(pool.map(one, range(cfg.trials)))  # in trial order
+    ordered = [o for o in outcomes if isinstance(o, TrialResult)]
+    errors = {i: o for i, o in enumerate(outcomes) if isinstance(o, str)}
     k1_den = cfg.d**3 * math.log(cfg.n)
     k2_den = cfg.d * math.log(1.0 / cfg.eps_star)
     k1_ratios = [r.phase.k1 / k1_den for r in ordered if r.phase.k1 is not None]

@@ -288,6 +288,17 @@ def test_eps_decrease_check_rejects_inside_noise_ball():
         mc_eps_decrease_check(model, basis, 100, rng)
 
 
+def test_zeta_checks_reject_unresolved_iterate():
+    """A 90-degree principal angle leaves a similarity of pure rounding (about 1e-32)."""
+    rng = np.random.default_rng(0)
+    model = make_planted(50, 3, 1e-3, sparse=False, rng=rng)
+    basis = basis_with_angles(model.ubar, np.array([0.9, 0.8, 0.0]), rng)
+    with pytest.raises(ValueError, match="unresolved"):
+        mc_zeta_ratio_check(model, basis, 50, rng)
+    with pytest.raises(ValueError, match="unresolved"):
+        mc_zeta_rate_check(model, basis, BoundParams(n=50, d=3, sigma_sq=1e-3), 50, rng)
+
+
 # ---------------------------------------------------------------------------
 # reference: the per-draw loop and statistics the mc_* checks must reproduce
 

@@ -1,14 +1,23 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
+import grouse.checks
 from grouse.checks import (
     PropertyResult,
     SUITES,
+    alpha_one_fixed_point,
     greedy_optimality,
+    monotonic_eps_identity,
+    monotonic_zeta_identity,
+    rank_one_structure,
+    step_equivariance,
+    step_orthonormality,
     verify,
 )
+from grouse.core import StepOutcome
 
 
 def test_quick_suite_passes_within_time_budget():
@@ -60,3 +69,19 @@ def test_report_failure_accounting():
     report = verify(suite="metrics", seed=2, intensity="quick")
     assert report.failed_names == []
     assert report.runtime_s > 0
+
+
+def test_property_without_evaluated_case_fails(monkeypatch):
+    """Negative control: a step property whose every step is skipped checked nothing."""
+    def skipped_step(U, x, cfg, oracle=None, nonskipped_steps=0):
+        zero = np.zeros(U.shape[1])
+        return StepOutcome(w=zero, p=x * 0, r=x * 0, alpha=0.0, theta=0.0, updated=U, skipped=True)
+
+    monkeypatch.setattr(grouse.checks, "grouse_step", skipped_step)
+    monkeypatch.setattr(grouse.checks, "project", lambda U, x: (np.zeros(U.shape[1]), x * 0, x * 0))
+    for prop in (step_orthonormality, rank_one_structure, monotonic_zeta_identity,
+                 monotonic_eps_identity, greedy_optimality, step_equivariance, alpha_one_fixed_point):
+        result = prop(np.random.default_rng(0), 20)
+        assert not result.passed, result.line()
+        assert result.measured == math.inf
+        assert "no case evaluated" in result.detail

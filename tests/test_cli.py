@@ -107,6 +107,13 @@ def test_bounds_from_params_file(tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
 
+def test_bounds_single_dict_params(tmp_path, capsys):
+    params_path = tmp_path / "one.json"
+    params_path.write_text(json.dumps({"n": 100, "d": 5}))
+    assert main(["bounds", "--params", str(params_path)]) == 0
+    assert capsys.readouterr().out.startswith("100,5,")
+
+
 def test_verify_quick_suite(capsys):
     code = main(["verify", "--suite", "metrics", "--seed", "0", "--intensity", "quick"])
     assert code == 0
