@@ -14,15 +14,17 @@ Logarithms are natural throughout.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import OracleInfo, StepConfig, StepMode, grouse_step
-from .data import PlantedModel, draw_sample
-from .subspaces import MetricSample, determinant_similarity, frobenius_discrepancy, principal_angles
+from .core import StepConfig
+from .data import PlantedModel
+from .subspaces import (MetricSample, _cosines, determinant_similarity, frobenius_discrepancy,
+                         principal_angles)
 
 __all__ = [
     "BoundParams",
@@ -227,6 +229,92 @@ class RateCheck:
     passed: bool
 
 
+# A stack holds the draws whose updated bases fill about 2**16 elements (0.5 MB; 13 draws
+# at (500, 10) ran fastest), and a few draws at least, so large bases share the per-stack cost.
+_CHUNK_ELEMENTS = 2**16
+_MIN_CHUNK = 4
+
+
+def _squares(a: np.ndarray) -> np.ndarray:
+    """``t ** 2`` of each element as a float64 scalar: the libm ``pow`` of a per-draw step.
+
+    ``pow(t, 2)`` and ``t * t`` differ in the last bit for a few values in a thousand.
+    """
+    return np.array([t**2 for t in a])
+
+
+def _dots(a: np.ndarray) -> np.ndarray:
+    """Row-wise ``a[i] @ a[i]`` of a (b, k) array, one BLAS dot per row like the 1-D product."""
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+
+
+def _stacked_similarity(gram: np.ndarray) -> np.ndarray:
+    cosines = _cosines(gram)
+    return np.prod(cosines * cosines, axis=-1)
+
+
+def _stacked_discrepancy(gram: np.ndarray) -> np.ndarray:
+    d = gram.shape[-1]
+    value = d - _squares(np.sqrt(_dots(gram.reshape(len(gram), d * d))))
+    return np.minimum(np.maximum(value, 0.0), d)
+
+
+# The per-basis metrics the ``mc_*`` checks pass, and their forms on a stack of Gram matrices.
+_STACKED_METRICS = {
+    determinant_similarity: _stacked_similarity,
+    frobenius_discrepancy: _stacked_discrepancy,
+}
+
+
+def _stacked_draws(model: PlantedModel, b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``x`` and ``v`` of ``b`` successive ``draw_sample`` calls, with its arithmetic.
+
+    One ``standard_normal`` call for all rows consumes the generator as the
+    ``b`` calls do: each row holds a draw's ``d`` coefficients, then its
+    ``n`` noise entries when there is noise.
+    """
+    n, d = model.n, model.d
+    normals = rng.standard_normal((b, d + n) if model.sigma_sq > 0 else (b, d))
+    v = np.matmul(model.ubar, normals[:, :d, None])[:, :, 0]
+    if model.normalize_signal:
+        v = v / np.sqrt(_dots(v))[:, None]
+    if model.sigma_sq > 0:
+        return v + normals[:, d:] * np.sqrt(model.sigma_sq / n), v
+    return v + 0.0, v  # v + zeros: a -0.0 entry of v becomes 0.0 in x
+
+
+def _stacked_oracle_steps(basis: np.ndarray, x: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``grouse_step`` on each row of ``x`` with the oracle energy of ``v``, bit for bit.
+
+    Writes the updated bases into ``out`` (``basis`` itself for a skipped
+    step) and returns the gains ``(1 - alpha)^2 ||r||^2 / ||p||^2`` (0 for a
+    skipped step).
+    """
+    if not np.all(np.isfinite(x)):
+        raise ValueError("observation contains non-finite entries")
+    v_perp = v - np.matmul(basis, np.matmul(basis.T, v[:, :, None]))[:, :, 0]
+    w = np.matmul(basis.T, x[:, :, None])
+    p = np.matmul(basis, w)[:, :, 0]
+    w = w[:, :, 0]
+    r = x - p
+    p_sq, r_sq = _dots(p), _dots(r)
+    w_norm, p_norm, r_norm = np.sqrt(_dots(w)), np.sqrt(p_sq), np.sqrt(r_sq)
+    tol = StepConfig().skip_norm_tol
+    skipped = (w_norm <= tol) | (p_norm <= tol) | (r_norm <= tol)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the skipped rows divide by zero
+        alpha = np.minimum(np.maximum(1.0 - _dots(v_perp) / _squares(r_norm), 0.0), 1.0)
+        theta = np.arctan((1.0 - alpha) * r_norm / p_norm)
+        p_hat = p / p_norm[:, None]
+        y_hat = np.cos(theta)[:, None] * p_hat + np.sin(theta)[:, None] * (r / r_norm[:, None])
+        np.multiply((y_hat - p_hat)[:, :, None], (w / w_norm[:, None])[:, None, :], out=out)
+        gains = _squares(1.0 - alpha) * r_sq / p_sq
+    np.add(basis, out, out=out)
+    out[skipped] = basis
+    if not np.all(np.isfinite(out)):
+        raise ValueError("update produced non-finite entries")
+    return np.where(skipped, 0.0, gains)
+
+
 def _oracle_steps(
     model: PlantedModel,
     basis: np.ndarray,
@@ -237,19 +325,31 @@ def _oracle_steps(
     """Next-step metric over fresh draws at a fixed iterate, oracle schedule.
 
     Returns per-draw arrays of ``metric(next iterate, ubar)`` and of the
-    realized gain term ``(1 - alpha)^2 ||r||^2 / ||p||^2``.
+    realized gain term ``(1 - alpha)^2 ||r||^2 / ||p||^2``; ``metric`` is
+    ``determinant_similarity`` or ``frobenius_discrepancy``, or a
+    ``functools.wraps`` wrapper of one (a tracer's or profiler's).
+
+    The draws run in stacks on ``draw_sample``'s stream, and every value is
+    bit-identical to one ``draw_sample``, ``grouse_step`` and ``metric``
+    per draw: the per-draw products are stacked ``matmul`` calls, which run
+    the same BLAS routine on each slice as the 2-D products do, and the
+    squares a step takes with the scalar ``pow`` are taken with it here.
+    Raises ``ValueError`` for fewer than two draws, before drawing, and for
+    a non-finite observation or update.
     """
-    cfg = StepConfig(mode=StepMode.ORACLE_NOISY, sigma_sq=model.sigma_sq)
+    if n_draws < 2:
+        raise ValueError(f"n_draws must be >= 2 for a standard error, got {n_draws}")
+    stacked_metric = _STACKED_METRICS[inspect.unwrap(metric)]
+    chunk = min(n_draws, max(_MIN_CHUNK, _CHUNK_ELEMENTS // basis.size))
+    updated = np.empty((chunk, *basis.shape))
     values = np.empty(n_draws)
     gains = np.empty(n_draws)
-    for i in range(n_draws):
-        sample = draw_sample(model, rng)
-        out = grouse_step(basis, sample.x, cfg, oracle=OracleInfo.from_signal(basis, sample.v))
-        values[i] = metric(out.updated, model.ubar)
-        if out.skipped:
-            gains[i] = 0.0
-        else:
-            gains[i] = (1.0 - out.alpha) ** 2 * float(out.r @ out.r) / float(out.p @ out.p)
+    for start in range(0, n_draws, chunk):
+        stop = min(start + chunk, n_draws)
+        x, v = _stacked_draws(model, stop - start, rng)
+        upd = updated[:stop - start]
+        gains[start:stop] = _stacked_oracle_steps(basis, x, v, upd)
+        values[start:stop] = stacked_metric(np.matmul(model.ubar.T, upd))
     return values, gains
 
 

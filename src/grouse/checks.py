@@ -135,7 +135,7 @@ def zeta_determinant_agreement(rng: np.random.Generator, pairs: int) -> Property
         m = ubar.T @ u
         z_det = float(np.linalg.det(m @ m.T))
         worst = max(worst, abs(z - z_det))
-    return _result("zeta_matches_determinant", "metrics", worst, 1e-9)
+    return _result("zeta_matches_determinant", "metrics", worst if pairs > 0 else None, 1e-9)
 
 
 def zeta_eps_inequalities(rng: np.random.Generator, pairs: int) -> PropertyResult:
@@ -152,7 +152,7 @@ def zeta_eps_inequalities(rng: np.random.Generator, pairs: int) -> PropertyResul
         worst = max(worst, (1.0 - z) - e)
         if z >= 0.5:
             worst = max(worst, e - 2.0 * (1.0 - z))
-    return _result("zeta_eps_inequalities", "metrics", worst, 1e-9)
+    return _result("zeta_eps_inequalities", "metrics", worst if pairs > 0 else None, 1e-9)
 
 
 def metric_rotation_invariance(rng: np.random.Generator, pairs: int) -> PropertyResult:
@@ -164,7 +164,7 @@ def metric_rotation_invariance(rng: np.random.Generator, pairs: int) -> Property
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         worst = max(worst, abs(determinant_similarity(u @ q, ubar) - determinant_similarity(u, ubar)))
         worst = max(worst, abs(frobenius_discrepancy(u, ubar @ q) - frobenius_discrepancy(u, ubar)))
-    return _result("metric_rotation_invariance", "metrics", worst, 1e-10)
+    return _result("metric_rotation_invariance", "metrics", worst if pairs > 0 else None, 1e-10)
 
 
 def trace_expectation_mc(rng: np.random.Generator, draws: int, d: int = 6) -> PropertyResult:

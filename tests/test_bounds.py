@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from grouse import bounds
 from grouse.bounds import (
     BoundParams,
     RateCheck,
@@ -375,3 +377,98 @@ def test_mc_checks_equal_reference_loop(seed):
         mc_eps_decrease_check(model, basis, n_draws, np.random.default_rng(seed + 100)),
     )
     assert got == expected
+
+
+def _assert_kernel_equals_reference_loop(model, basis, n_draws, seed):
+    rng = np.random.default_rng(seed)
+    zetas, epss, gains = _reference_step_stats(model, basis, n_draws, rng)
+    for metric, expected in ((determinant_similarity, zetas), (frobenius_discrepancy, epss)):
+        kernel_rng = np.random.default_rng(seed)
+        values, kernel_gains = bounds._oracle_steps(model, basis, n_draws, kernel_rng, metric)
+        assert np.array_equal(values, expected)
+        assert np.array_equal(kernel_gains, gains)
+        assert kernel_rng.bit_generator.state == rng.bit_generator.state
+
+
+def _chunk(n, d):
+    return max(bounds._MIN_CHUNK, bounds._CHUNK_ELEMENTS // (n * d))
+
+
+@pytest.mark.parametrize("sigma_sq, sparse, normalize_signal", [
+    (0.0, False, True),  # noise-free dense model: the draw takes d normals only
+    (1e-2, True, False),
+    (1e-3, True, True),
+])
+def test_oracle_steps_equal_reference_loop(sigma_sq, sparse, normalize_signal):
+    """The stacked kernel reproduces the per-draw loop bit for bit on every chunk layout."""
+    n, d = 120, 4
+    rng = np.random.default_rng(3)
+    model = make_planted(n, d, sigma_sq, sparse=sparse, rng=rng, normalize_signal=normalize_signal)
+    basis = basis_with_similarity(model.ubar, 0.3, rng)
+    chunk = _chunk(n, d)
+    for n_draws in (5, chunk, 2 * chunk + 7):
+        _assert_kernel_equals_reference_loop(model, basis, n_draws, seed=n_draws)
+
+
+def test_oracle_steps_equal_reference_loop_at_large_size():
+    n, d = 2000, 20
+    rng = np.random.default_rng(4)
+    model = make_planted(n, d, 1e-3, sparse=False, rng=rng)
+    basis = basis_with_similarity(model.ubar, 0.2, rng)
+    assert _chunk(n, d) == bounds._MIN_CHUNK
+    _assert_kernel_equals_reference_loop(model, basis, 2 * bounds._MIN_CHUNK + 1, seed=5)
+
+
+def test_oracle_steps_all_skipped():
+    """At the true subspace without noise every residual vanishes: every step is skipped."""
+    rng = np.random.default_rng(6)
+    model = make_planted(60, 3, 0.0, sparse=True, rng=rng)
+    _assert_kernel_equals_reference_loop(model, model.ubar, 30, seed=7)
+    values, gains = bounds._oracle_steps(model, model.ubar, 30, rng, determinant_similarity)
+    assert np.all(gains == 0.0)
+    assert np.all(values == determinant_similarity(model.ubar, model.ubar))
+
+
+def test_oracle_steps_accept_wrapped_metric():
+    """A tracer or profiler rebinds the metric to a ``functools.wraps`` wrapper."""
+    rng = np.random.default_rng(11)
+    model = make_planted(40, 3, 1e-3, sparse=False, rng=rng)
+    basis = basis_with_similarity(model.ubar, 0.3, rng)
+
+    @functools.wraps(frobenius_discrepancy)
+    def wrapped(U, Ubar):
+        return frobenius_discrepancy(U, Ubar)
+
+    expected = bounds._oracle_steps(model, basis, 10, np.random.default_rng(12), frobenius_discrepancy)
+    got = bounds._oracle_steps(model, basis, 10, np.random.default_rng(12), wrapped)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_oracle_steps_reject_non_finite_update():
+    rng = np.random.default_rng(8)
+    model = make_planted(50, 3, 1e-3, sparse=False, rng=rng)
+    basis = basis_with_similarity(model.ubar, 0.3, rng) * 1e200
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            _reference_step_stats(model, basis, 10, np.random.default_rng(9))
+        for metric in (determinant_similarity, frobenius_discrepancy):
+            with pytest.raises(ValueError, match="non-finite"):
+                bounds._oracle_steps(model, basis, 10, np.random.default_rng(9), metric)
+
+
+@pytest.mark.parametrize("n_draws", [0, 1])
+def test_mc_checks_need_two_draws(n_draws):
+    """A mean with a standard error needs two draws; fewer fail before the generator is used."""
+    rng = np.random.default_rng(10)
+    n, d, sigma_sq = 50, 3, 1e-3
+    model = make_planted(n, d, sigma_sq, sparse=False, rng=rng)
+    basis = basis_with_similarity(model.ubar, 0.3, rng)
+    params = BoundParams(n=n, d=d, sigma_sq=sigma_sq)
+    state = rng.bit_generator.state
+    for check in (lambda: mc_zeta_rate_check(model, basis, params, n_draws, rng),
+                  lambda: mc_eps_rate_check(model, basis, params, n_draws, rng),
+                  lambda: mc_zeta_ratio_check(model, basis, n_draws, rng),
+                  lambda: mc_eps_decrease_check(model, basis, n_draws, rng)):
+        with pytest.raises(ValueError, match="n_draws"):
+            check()
+        assert rng.bit_generator.state == state

@@ -10,12 +10,15 @@ from grouse.checks import (
     SUITES,
     alpha_one_fixed_point,
     greedy_optimality,
+    metric_rotation_invariance,
     monotonic_eps_identity,
     monotonic_zeta_identity,
     rank_one_structure,
     step_equivariance,
     step_orthonormality,
     verify,
+    zeta_determinant_agreement,
+    zeta_eps_inequalities,
 )
 from grouse.core import StepOutcome
 
@@ -85,3 +88,10 @@ def test_property_without_evaluated_case_fails(monkeypatch):
         assert not result.passed, result.line()
         assert result.measured == math.inf
         assert "no case evaluated" in result.detail
+
+
+def test_metric_property_without_pairs_fails():
+    for prop in (zeta_determinant_agreement, metric_rotation_invariance, zeta_eps_inequalities):
+        result = prop(np.random.default_rng(0), 0)
+        assert not result.passed, result.line()
+        assert result.measured == math.inf
