@@ -21,10 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import StepConfig
-from .data import PlantedModel
-from .subspaces import (MetricSample, _cosines, determinant_similarity, frobenius_discrepancy,
-                         principal_angles)
+from .core import StepConfig, StepMode, _energy_outside, _step
+from .data import PlantedModel, draw_batch
+from .subspaces import (MetricSample, _check_finite, _cosines, _squares, determinant_similarity,
+                         frobenius_discrepancy, principal_angles)
 
 __all__ = [
     "BoundParams",
@@ -82,6 +82,7 @@ class BoundParams:
             object.__setattr__(self, "tau1", math.log(self.d))
         if self.tau2 is None:
             object.__setattr__(self, "tau2", math.log(self.d))
+        _check_finite(sigma_sq=self.sigma_sq, c0=self.c0, tau1=self.tau1, tau2=self.tau2)
 
 
 @dataclass(frozen=True)
@@ -235,27 +236,16 @@ _CHUNK_ELEMENTS = 2**16
 _MIN_CHUNK = 4
 
 
-def _squares(a: np.ndarray) -> np.ndarray:
-    """``t ** 2`` of each element as a float64 scalar: the libm ``pow`` of a per-draw step.
-
-    ``pow(t, 2)`` and ``t * t`` differ in the last bit for a few values in a thousand.
-    """
-    return np.array([t**2 for t in a])
-
-
-def _dots(a: np.ndarray) -> np.ndarray:
-    """Row-wise ``a[i] @ a[i]`` of a (b, k) array, one BLAS dot per row like the 1-D product."""
-    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
-
-
 def _stacked_similarity(gram: np.ndarray) -> np.ndarray:
     cosines = _cosines(gram)
     return np.prod(cosines * cosines, axis=-1)
 
 
 def _stacked_discrepancy(gram: np.ndarray) -> np.ndarray:
+    """``frobenius_discrepancy``'s bits: the norm is the root of a BLAS dot, squared as a float64 scalar."""
     d = gram.shape[-1]
-    value = d - _squares(np.sqrt(_dots(gram.reshape(len(gram), d * d))))
+    flat = gram.reshape(*gram.shape[:-2], d * d)
+    value = d - _squares(np.sqrt(np.vecdot(flat, flat)))
     return np.minimum(np.maximum(value, 0.0), d)
 
 
@@ -264,55 +254,6 @@ _STACKED_METRICS = {
     determinant_similarity: _stacked_similarity,
     frobenius_discrepancy: _stacked_discrepancy,
 }
-
-
-def _stacked_draws(model: PlantedModel, b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``x`` and ``v`` of ``b`` successive ``draw_sample`` calls, with its arithmetic.
-
-    One ``standard_normal`` call for all rows consumes the generator as the
-    ``b`` calls do: each row holds a draw's ``d`` coefficients, then its
-    ``n`` noise entries when there is noise.
-    """
-    n, d = model.n, model.d
-    normals = rng.standard_normal((b, d + n) if model.sigma_sq > 0 else (b, d))
-    v = np.matmul(model.ubar, normals[:, :d, None])[:, :, 0]
-    if model.normalize_signal:
-        v = v / np.sqrt(_dots(v))[:, None]
-    if model.sigma_sq > 0:
-        return v + normals[:, d:] * np.sqrt(model.sigma_sq / n), v
-    return v + 0.0, v  # v + zeros: a -0.0 entry of v becomes 0.0 in x
-
-
-def _stacked_oracle_steps(basis: np.ndarray, x: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``grouse_step`` on each row of ``x`` with the oracle energy of ``v``, bit for bit.
-
-    Writes the updated bases into ``out`` (``basis`` itself for a skipped
-    step) and returns the gains ``(1 - alpha)^2 ||r||^2 / ||p||^2`` (0 for a
-    skipped step).
-    """
-    if not np.all(np.isfinite(x)):
-        raise ValueError("observation contains non-finite entries")
-    v_perp = v - np.matmul(basis, np.matmul(basis.T, v[:, :, None]))[:, :, 0]
-    w = np.matmul(basis.T, x[:, :, None])
-    p = np.matmul(basis, w)[:, :, 0]
-    w = w[:, :, 0]
-    r = x - p
-    p_sq, r_sq = _dots(p), _dots(r)
-    w_norm, p_norm, r_norm = np.sqrt(_dots(w)), np.sqrt(p_sq), np.sqrt(r_sq)
-    tol = StepConfig().skip_norm_tol
-    skipped = (w_norm <= tol) | (p_norm <= tol) | (r_norm <= tol)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the skipped rows divide by zero
-        alpha = np.minimum(np.maximum(1.0 - _dots(v_perp) / _squares(r_norm), 0.0), 1.0)
-        theta = np.arctan((1.0 - alpha) * r_norm / p_norm)
-        p_hat = p / p_norm[:, None]
-        y_hat = np.cos(theta)[:, None] * p_hat + np.sin(theta)[:, None] * (r / r_norm[:, None])
-        np.multiply((y_hat - p_hat)[:, :, None], (w / w_norm[:, None])[:, None, :], out=out)
-        gains = _squares(1.0 - alpha) * r_sq / p_sq
-    np.add(basis, out, out=out)
-    out[skipped] = basis
-    if not np.all(np.isfinite(out)):
-        raise ValueError("update produced non-finite entries")
-    return np.where(skipped, 0.0, gains)
 
 
 def _oracle_steps(
@@ -329,27 +270,27 @@ def _oracle_steps(
     ``determinant_similarity`` or ``frobenius_discrepancy``, or a
     ``functools.wraps`` wrapper of one (a tracer's or profiler's).
 
-    The draws run in stacks on ``draw_sample``'s stream, and every value is
-    bit-identical to one ``draw_sample``, ``grouse_step`` and ``metric``
-    per draw: the per-draw products are stacked ``matmul`` calls, which run
-    the same BLAS routine on each slice as the 2-D products do, and the
-    squares a step takes with the scalar ``pow`` are taken with it here.
-    Raises ``ValueError`` for fewer than two draws, before drawing, and for
-    a non-finite observation or update.
+    The draws run in stacks through ``draw_batch`` and ``core._step`` (the
+    step ``grouse_step`` runs on one row), and every value is bit-identical
+    to one ``draw_sample``, ``grouse_step`` and ``metric`` per draw.  Raises
+    ``ValueError`` for fewer than two draws, before drawing, and for a
+    non-finite update.
     """
     if n_draws < 2:
         raise ValueError(f"n_draws must be >= 2 for a standard error, got {n_draws}")
     stacked_metric = _STACKED_METRICS[inspect.unwrap(metric)]
     chunk = min(n_draws, max(_MIN_CHUNK, _CHUNK_ELEMENTS // basis.size))
-    updated = np.empty((chunk, *basis.shape))
+    cfg = StepConfig(mode=StepMode.ORACLE_NOISY)
     values = np.empty(n_draws)
     gains = np.empty(n_draws)
     for start in range(0, n_draws, chunk):
         stop = min(start + chunk, n_draws)
-        x, v = _stacked_draws(model, stop - start, rng)
-        upd = updated[:stop - start]
-        gains[start:stop] = _stacked_oracle_steps(basis, x, v, upd)
-        values[start:stop] = stacked_metric(np.matmul(model.ubar.T, upd))
+        batch = draw_batch(model, stop - start, rng)
+        _, _, _, p_sq, r_sq, alpha, _, updated, skipped = _step(
+            basis, batch.x, cfg, _energy_outside(basis, batch.v))
+        values[start:stop] = stacked_metric(np.matmul(model.ubar.T, updated))
+        gains[start:stop] = np.divide(_squares(1.0 - alpha) * r_sq, p_sq,
+                                      out=np.zeros(stop - start), where=~skipped)
     return values, gains
 
 

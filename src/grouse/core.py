@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .subspaces import reorthonormalize
+from .subspaces import _check_finite, _squares, reorthonormalize
 
 __all__ = [
     "OracleInfo",
@@ -69,6 +69,7 @@ class StepConfig:
     reorth_period: int | None = 100
 
     def __post_init__(self) -> None:
+        _check_finite(sigma_sq=self.sigma_sq, c=self.c, skip_norm_tol=self.skip_norm_tol)
         if self.sigma_sq < 0:
             raise ValueError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
         if self.c <= 0:
@@ -90,14 +91,14 @@ class OracleInfo:
     v_perp_norm_sq: float
 
     def __post_init__(self) -> None:
+        _check_finite(v_perp_norm_sq=self.v_perp_norm_sq)
         if self.v_perp_norm_sq < 0:
             raise ValueError(f"v_perp_norm_sq must be >= 0, got {self.v_perp_norm_sq}")
 
     @classmethod
     def from_signal(cls, U: np.ndarray, v: np.ndarray) -> OracleInfo:
         """Oracle energy of the clean signal ``v`` outside ``span(U)``: ``||v - U U^T v||^2``."""
-        v_perp = v - U @ (U.T @ v)
-        return cls(v_perp_norm_sq=float(v_perp @ v_perp))
+        return cls(v_perp_norm_sq=float(_energy_outside(U, v)))
 
 
 @dataclass(frozen=True)
@@ -119,24 +120,53 @@ class StepOutcome:
     skipped: bool
 
 
+def _checked(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``U`` and ``x`` as float arrays; raises unless they are an (n, d) basis and a finite (n,) vector."""
+    U = np.asarray(U, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or U.ndim != 2 or x.shape[0] != U.shape[0]:
+        raise ValueError(f"incompatible shapes: basis {U.shape}, vector {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("observation contains non-finite entries")
+    return U, x
+
+
+def _project(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``w = U^T x``, ``p = U w`` and ``r = x - p`` over the leading axes of ``x``, by BLAS gemv per row."""
+    w = np.matmul(U.T, x[..., None])[..., 0]
+    p = np.matmul(U, w[..., None])[..., 0]
+    return w, p, x - p
+
+
+def _energy_outside(U: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``||v - U U^T v||^2`` over the leading axes of ``v``."""
+    v_perp = _project(U, v)[2]
+    return np.vecdot(v_perp, v_perp)
+
+
 def project(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares coefficients, projection, and residual of ``x`` against ``U``.
 
     Because ``U`` has orthonormal columns the unique minimizer of
     ``||U w - x||`` is ``w = U^T x``, with projection ``p = U w`` and residual
-    ``r = x - p``.  Raises ``ValueError`` on dimension mismatch or non-finite
-    input.
+    ``r = x - p``.  Raises ``ValueError`` on dimension mismatch or a
+    non-finite basis or observation.
     """
-    U = np.asarray(U, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or U.ndim != 2 or x.shape[0] != U.shape[0]:
-        raise ValueError(f"incompatible shapes: basis {U.shape}, vector {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("observation contains non-finite entries")
-    w = U.T @ x
-    p = U @ w
-    r = x - p
-    return w, p, r
+    U, x = _checked(U, x)
+    if not np.isfinite(U).all():
+        raise ValueError("basis contains non-finite entries")
+    return _project(U, x)
+
+
+def _alpha(cfg: StepConfig, x_norm_sq, r_norm_sq, n: int, d: int, v_perp_norm_sq):
+    """``compute_alpha`` of a noisy schedule, elementwise over arrays of squared norms and oracle energies."""
+    if cfg.mode is StepMode.PRACTICAL_NOISY:
+        raw = cfg.c * cfg.sigma_sq / (1.0 + cfg.sigma_sq) * (1.0 - d / n) * x_norm_sq / r_norm_sq
+    elif v_perp_norm_sq is None:
+        raise ValueError("oracle mode requires OracleInfo")
+    else:
+        raw = 1.0 - v_perp_norm_sq / r_norm_sq
+    return np.minimum(np.maximum(raw, 0.0), 1.0)
 
 
 def compute_alpha(
@@ -156,22 +186,25 @@ def compute_alpha(
     """
     if cfg.mode is StepMode.GREEDY_NOISELESS:
         return 0.0
-    if cfg.mode is StepMode.PRACTICAL_NOISY:
-        raw = cfg.c * cfg.sigma_sq / (1.0 + cfg.sigma_sq) * (1.0 - d / n) * x_norm_sq / r_norm_sq
-    elif cfg.mode is StepMode.ORACLE_NOISY:
-        if oracle is None:
-            raise ValueError("oracle mode requires OracleInfo")
-        raw = 1.0 - oracle.v_perp_norm_sq / r_norm_sq
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown step mode {cfg.mode!r}")
-    return float(min(max(raw, 0.0), 1.0))
+    return float(_alpha(cfg, x_norm_sq, r_norm_sq, n, d, None if oracle is None else oracle.v_perp_norm_sq))
+
+
+def _theta(alpha, r_norm, p_norm):
+    return np.arctan((1.0 - alpha) * r_norm / p_norm)
 
 
 def compute_theta(alpha: float, r_norm: float, p_norm: float) -> float:
     """Rotation angle ``arctan((1 - alpha) * r_norm / p_norm)`` in [0, pi/2)."""
     if p_norm <= 0:
         raise ValueError("projection norm is degenerate; the step must be skipped")
-    return float(np.arctan((1.0 - alpha) * r_norm / p_norm))
+    return float(_theta(alpha, r_norm, p_norm))
+
+
+def _rotate(U: np.ndarray, w_hat: np.ndarray, p_hat: np.ndarray, r_hat: np.ndarray, theta) -> np.ndarray:
+    """``U + (cos(theta) p_hat + sin(theta) r_hat - p_hat) w_hat^T`` over the leading axes of ``p_hat``."""
+    y_hat = np.cos(theta)[..., None] * p_hat + np.sin(theta)[..., None] * r_hat
+    update = np.multiply((y_hat - p_hat)[..., :, None], w_hat[..., None, :])
+    return np.add(U, update, out=update)
 
 
 def rotate_update(
@@ -186,14 +219,41 @@ def rotate_update(
     All of ``w``, ``p``, ``r`` must be nonzero.  In exact arithmetic the
     result has orthonormal columns whenever ``U`` does.
     """
-    w_norm = np.linalg.norm(w)
-    p_norm = np.linalg.norm(p)
-    r_norm = np.linalg.norm(r)
+    w_norm, p_norm, r_norm = (np.linalg.norm(a) for a in (w, p, r))
     if min(w_norm, p_norm, r_norm) <= 0:
         raise ValueError("rank-one update is undefined for zero coefficient, projection, or residual")
-    p_hat = p / p_norm
-    y_hat = np.cos(theta) * p_hat + np.sin(theta) * (r / r_norm)
-    return U + np.outer(y_hat - p_hat, w / w_norm)
+    return _rotate(U, w / w_norm, p / p_norm, r / r_norm, theta)
+
+
+def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None) -> tuple:
+    """The step of ``U`` over the leading axes of ``x``: one observation ``(n,)`` or a stack ``(b, n)``.
+
+    ``v_perp_norm_sq`` holds the oracle energy of each row.  Returns ``w``,
+    ``p``, ``r``, the squared norms of ``p`` and ``r``, ``alpha``, ``theta``,
+    the updated bases and the skipped flags.  A skipped row's basis is ``U``
+    and its ``alpha`` and ``theta`` are meaningless (0.0 when every row is
+    skipped, and then ``U`` itself is the update).  Each row gets the bits it
+    gets alone.  Raises ``ValueError`` on a non-finite update.
+    """
+    w, p, r = _project(U, x)
+    p_sq, r_sq = np.vecdot(p, p), np.vecdot(r, r)
+    w_norm, p_norm, r_norm = np.sqrt(np.vecdot(w, w)), np.sqrt(p_sq), np.sqrt(r_sq)
+    tol = cfg.skip_norm_tol
+    skipped = (w_norm <= tol) | (p_norm <= tol) | (r_norm <= tol)
+    if skipped.all():
+        return w, p, r, p_sq, r_sq, 0.0, 0.0, U, skipped
+    # a skipped row of a stack divides by its norms plus 1, so it raises no division warning
+    w_norm, p_norm, r_norm = w_norm + skipped, p_norm + skipped, r_norm + skipped
+    alpha = 0.0
+    if cfg.mode is not StepMode.GREEDY_NOISELESS:
+        alpha = _alpha(cfg, np.vecdot(x, x), _squares(r_norm), *U.shape, v_perp_norm_sq)
+    theta = _theta(alpha, r_norm, p_norm)
+    updated = _rotate(U, w / w_norm[..., None], p / p_norm[..., None], r / r_norm[..., None], theta)
+    if skipped.any():
+        updated[skipped] = U
+    if not np.isfinite(updated).all():
+        raise ValueError("update produced non-finite entries")
+    return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped
 
 
 def grouse_step(
@@ -214,23 +274,15 @@ def grouse_step(
     ``reorth_period``-th non-skipped step is re-orthonormalized before it
     is returned.  The function itself keeps no state.
     """
-    w, p, r = project(U, x)
-    w_norm = np.linalg.norm(w)
-    p_norm = np.linalg.norm(p)
-    r_norm = np.linalg.norm(r)
-    tol = cfg.skip_norm_tol
-    if w_norm <= tol or p_norm <= tol or r_norm <= tol:
-        return StepOutcome(w=w, p=p, r=r, alpha=0.0, theta=0.0, updated=U, skipped=True)
-
-    alpha = compute_alpha(cfg, float(x @ x), float(r_norm**2), U.shape[0], U.shape[1], oracle)
-    theta = compute_theta(alpha, r_norm, p_norm)
-    updated = rotate_update(U, w, p, r, theta)
-    if not np.all(np.isfinite(updated)):
-        raise ValueError("update produced non-finite entries")
+    U, x = _checked(U, x)
+    energy = None if oracle is None else oracle.v_perp_norm_sq
+    w, p, r, _, _, alpha, theta, updated, skipped = _step(U, x, cfg, energy)
     if (
-        cfg.reorth_period is not None
+        not skipped
+        and cfg.reorth_period is not None
         and nonskipped_steps is not None
         and (nonskipped_steps + 1) % cfg.reorth_period == 0
     ):
         updated = reorthonormalize(updated)
-    return StepOutcome(w=w, p=p, r=r, alpha=alpha, theta=theta, updated=updated, skipped=False)
+    return StepOutcome(w=w, p=p, r=r, alpha=float(alpha), theta=float(theta), updated=updated,
+                       skipped=bool(skipped))

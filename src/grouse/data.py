@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subspaces import check_orthonormal, random_orthonormal
+from .subspaces import _check_finite, check_orthonormal, random_orthonormal
 
 __all__ = [
     "PlantedModel",
@@ -44,6 +44,7 @@ class PlantedModel:
 
     def __post_init__(self) -> None:
         check_orthonormal(self.ubar)
+        _check_finite(sigma_sq=self.sigma_sq)
         if self.sigma_sq < 0:
             raise ValueError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
         if self.sparsity is not None and not 0 < self.sparsity <= 1:
@@ -60,7 +61,7 @@ class PlantedModel:
 
 @dataclass(frozen=True)
 class Sample:
-    """One observation ``x = v + xi`` with its clean decomposition.
+    """One observation ``x = v + xi`` with its clean decomposition, or a stack of them in rows.
 
     ``v``, ``s`` and ``xi`` are exposed for metrics and oracle step sizes
     only; estimators must consume nothing but ``x``.
@@ -72,14 +73,7 @@ class Sample:
     xi: np.ndarray
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Vectorized draws: rows of ``x``, ``v``, ``xi`` are samples, rows of ``s`` coefficients."""
-
-    x: np.ndarray
-    v: np.ndarray
-    s: np.ndarray
-    xi: np.ndarray
+SampleBatch = Sample  # what ``draw_batch`` returns: rows of x, v, xi are samples, rows of s coefficients
 
 
 def _sparse_density(n: int, d: int) -> float:
@@ -132,6 +126,7 @@ def make_planted(
     """
     if not 0 < d < n:
         raise ValueError(f"need 0 < d < n, got n={n}, d={d}")
+    _check_finite(sigma_sq=sigma_sq)
     if sigma_sq < 0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
     if sparse:
@@ -143,6 +138,25 @@ def make_planted(
     return PlantedModel(ubar=ubar, sigma_sq=sigma_sq, normalize_signal=normalize_signal)
 
 
+def _draw(model: PlantedModel, rows: tuple[int, ...], rng: np.random.Generator) -> Sample:
+    """One draw (``rows=()``) or a stack of draws (``rows=(b,)``).
+
+    One ``standard_normal`` call holds each draw's ``d`` coefficients, then its
+    ``n`` noise entries if noisy: a stack consumes the generator, and gets the
+    bits, of successive single draws.
+    """
+    n, d = model.n, model.d
+    normals = rng.standard_normal((*rows, d + n) if model.sigma_sq > 0 else (*rows, d))
+    s = normals[..., :d]
+    v = np.matmul(model.ubar, s[..., None])[..., 0]
+    if model.normalize_signal:
+        scale = np.sqrt(np.vecdot(v, v))[..., None]
+        v = v / scale
+        s = s / scale
+    xi = normals[..., d:] * np.sqrt(model.sigma_sq / n) if model.sigma_sq > 0 else np.zeros(v.shape)
+    return Sample(x=v + xi, v=v, s=s, xi=xi)
+
+
 def draw_sample(model: PlantedModel, rng: np.random.Generator) -> Sample:
     """Draw one observation from the stream.
 
@@ -150,41 +164,18 @@ def draw_sample(model: PlantedModel, rng: np.random.Generator) -> Sample:
     signals, ``v`` and ``s`` are rescaled together so ``||v|| = 1``.  Noise
     entries are iid ``N(0, sigma^2 / n)``.
     """
-    n, d = model.n, model.d
-    s = rng.standard_normal(d)
-    v = model.ubar @ s
-    if model.normalize_signal:
-        scale = np.linalg.norm(v)
-        v = v / scale
-        s = s / scale
-    if model.sigma_sq > 0:
-        xi = rng.standard_normal(n) * np.sqrt(model.sigma_sq / n)
-    else:
-        xi = np.zeros(n)
-    return Sample(x=v + xi, v=v, s=s, xi=xi)
+    return _draw(model, (), rng)
 
 
 def draw_batch(model: PlantedModel, size: int, rng: np.random.Generator) -> SampleBatch:
     """Draw ``size`` observations at once (row per sample).
 
-    Consumes the generator in a different order than ``size`` calls of
-    ``draw_sample``, so batched and one-at-a-time streams with the same
-    seed are each reproducible but not equal to one another.
+    Row ``i`` equals the ``i``-th of ``size`` successive ``draw_sample``
+    calls, bit for bit, and the generator ends in the same state.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    n, d = model.n, model.d
-    s = rng.standard_normal((size, d))
-    v = s @ model.ubar.T
-    if model.normalize_signal:
-        scale = np.linalg.norm(v, axis=1, keepdims=True)
-        v = v / scale
-        s = s / scale
-    if model.sigma_sq > 0:
-        xi = rng.standard_normal((size, n)) * np.sqrt(model.sigma_sq / n)
-    else:
-        xi = np.zeros((size, n))
-    return SampleBatch(x=v + xi, v=v, s=s, xi=xi)
+    return _draw(model, (size,), rng)
 
 
 def _write_csv_matrix(path: str, model: PlantedModel, matrix: np.ndarray) -> None:

@@ -49,6 +49,14 @@ def _cross_gram(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
     return Ubar.T @ U
 
 
+def _squares(a):
+    """``t ** 2`` of each element with libm ``pow``, as a float64 scalar squares.
+
+    An array's ``** 2`` is ``t * t``, which differs in the last bit for a few values in a thousand.
+    """
+    return np.float_power(a, 2)
+
+
 def _cosines(gram: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0)
 
@@ -57,6 +65,13 @@ def _discrepancy(gram: np.ndarray) -> float:
     d = gram.shape[1]
     value = d - np.linalg.norm(gram) ** 2
     return float(min(max(value, 0.0), d))
+
+
+def _check_finite(**values: float) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is non-finite: {value}")
 
 
 def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:

@@ -472,3 +472,10 @@ def test_mc_checks_need_two_draws(n_draws):
         with pytest.raises(ValueError, match="n_draws"):
             check()
         assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("field", ["sigma_sq", "c0", "tau1", "tau2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bound_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        BoundParams(n=100, d=5, **{field: value})

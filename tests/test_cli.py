@@ -153,3 +153,18 @@ def test_io_error_exit_code(tmp_path):
     ])
     assert code == 3
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 3
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["run", "--n", "40", "--d", "3", "--max-iters", "5", "--sigma2", "nan"], "sigma_sq"),
+    (["run", "--n", "40", "--d", "3", "--max-iters", "5", "--sigma2", "nan", "--mode", "practical"], "sigma_sq"),
+    (["run", "--n", "40", "--d", "3", "--max-iters", "5", "--sigma2", "1e-3", "--c", "inf",
+      "--mode", "practical"], "c"),
+    (["bounds", "--n", "40", "--d", "3", "--sigma2", "nan"], "sigma_sq"),
+    (["bounds", "--n", "40", "--d", "3", "--sigma2", "inf"], "sigma_sq"),
+])
+def test_non_finite_values_exit_with_usage_error(argv, field, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} is non-finite" in captured.err

@@ -340,3 +340,25 @@ def test_step_config_validation():
         StepConfig(reorth_period=0)
     with pytest.raises(ValueError):
         OracleInfo(v_perp_norm_sq=-0.5)
+
+
+@pytest.mark.parametrize("field", ["sigma_sq", "c", "skip_norm_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_step_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        StepConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_oracle_info_rejects_non_finite_energy(value):
+    with pytest.raises(ValueError, match="v_perp_norm_sq"):
+        OracleInfo(v_perp_norm_sq=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_project_rejects_non_finite_basis(value):
+    rng = np.random.default_rng(14)
+    u = random_orthonormal(10, 3, rng)
+    u[4, 1] = value
+    with pytest.raises(ValueError, match="basis contains non-finite"):
+        project(u, rng.standard_normal(10))

@@ -183,3 +183,15 @@ def test_csv_exports(tmp_path):
     assert len(lines) == 2 + 7
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
     np.testing.assert_allclose(parsed, batch.x, atol=1e-15)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_noise(value):
+    rng = np.random.default_rng(12)
+    ubar = random_orthonormal(20, 3, rng)
+    with pytest.raises(ValueError, match="sigma_sq"):
+        PlantedModel(ubar=ubar, sigma_sq=value)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="sigma_sq"):
+        make_planted(20, 3, value, sparse=False, rng=rng)
+    assert rng.bit_generator.state == state  # rejected before any draw

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -25,3 +26,14 @@ def test_standard_error_has_one_owner():
             for line in path.read_text(encoding="utf-8").splitlines() if "std(ddof=1)" in line]
     assert len(hits) == 1, hits
     assert hits[0][1].strip() in inspect.getsource(_mean_se)
+
+
+def test_traced_layers_resolve_to_package_functions():
+    """Every ``<layer>.<function>`` the benchmark tracer wraps exists in ``grouse.<layer>``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{layer}.{name}" for layer, names in tracer.LAYERS.items()
+               for name in names if not callable(getattr(importlib.import_module(f"grouse.{layer}"), name, None))]
+    assert tracer.LAYERS and missing == []
