@@ -20,7 +20,7 @@ for row in bounds_table(params):
     print(row)
 
 configs = [ExperimentConfig(n=p.n, d=p.d, sigma_sq=0.0, trials=20, seed=42,
-                            eps_star=1e-4, sparse_ubar=True, threads=8)
+                            eps_star=1e-4, sparse_ubar=True)
            for p in params]
 print("\nmeasured phase lengths over 20 trials each:")
 print(f"{'n':>5} {'d':>3} {'K1/d^3logn':>12} {'K2/dlog(1/e*)':>14}")

@@ -23,8 +23,8 @@ import numpy as np
 
 from .core import StepConfig, StepMode, _energy_outside, _step
 from .data import PlantedModel, draw_batch
-from .subspaces import (MetricSample, _check_finite, _cosines, _squares, determinant_similarity,
-                         frobenius_discrepancy, principal_angles)
+from .subspaces import (MetricSample, _check_finite, _cosines, _cross_gram, _discrepancy, _similarity,
+                         _squares, determinant_similarity, frobenius_discrepancy, principal_angles)
 
 __all__ = [
     "BoundParams",
@@ -236,23 +236,10 @@ _CHUNK_ELEMENTS = 2**16
 _MIN_CHUNK = 4
 
 
-def _stacked_similarity(gram: np.ndarray) -> np.ndarray:
-    cosines = _cosines(gram)
-    return np.prod(cosines * cosines, axis=-1)
-
-
-def _stacked_discrepancy(gram: np.ndarray) -> np.ndarray:
-    """``frobenius_discrepancy``'s bits: the norm is the root of a BLAS dot, squared as a float64 scalar."""
-    d = gram.shape[-1]
-    flat = gram.reshape(*gram.shape[:-2], d * d)
-    value = d - _squares(np.sqrt(np.vecdot(flat, flat)))
-    return np.minimum(np.maximum(value, 0.0), d)
-
-
 # The per-basis metrics the ``mc_*`` checks pass, and their forms on a stack of Gram matrices.
 _STACKED_METRICS = {
-    determinant_similarity: _stacked_similarity,
-    frobenius_discrepancy: _stacked_discrepancy,
+    determinant_similarity: lambda gram: _similarity(_cosines(gram)),
+    frobenius_discrepancy: _discrepancy,
 }
 
 
@@ -289,6 +276,7 @@ def _oracle_steps(
         _, _, _, p_sq, r_sq, alpha, _, updated, skipped = _step(
             basis, batch.x, cfg, _energy_outside(basis, batch.v))
         values[start:stop] = stacked_metric(np.matmul(model.ubar.T, updated))
+        del updated  # the next stack's update is built without this one held
         gains[start:stop] = np.divide(_squares(1.0 - alpha) * r_sq, p_sq,
                                       out=np.zeros(stop - start), where=~skipped)
     return values, gains
@@ -306,7 +294,7 @@ def _resolved_zeta(basis: np.ndarray, ubar: np.ndarray) -> float:
     if cosines[-1] <= floor:  # principal_angles sorts the cosines non-increasing
         raise ValueError(f"iterate is unresolved: smallest principal-angle cosine "
                          f"{cosines[-1]:.3e} <= n * eps = {floor:.3e}")
-    return float(np.prod(cosines * cosines))
+    return float(_similarity(cosines))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -353,9 +341,9 @@ def mc_eps_rate_check(
     rng: np.random.Generator,
 ) -> RateCheck:
     """Check the expected-discrepancy upper bound at a fixed iterate."""
-    eps_now = frobenius_discrepancy(basis, model.ubar)
-    cos_sq = float(np.min(principal_angles(basis, model.ubar)) ** 2)
-    bound = expected_eps_rate_bound(eps_now, cos_sq, params)
+    gram = _cross_gram(basis, model.ubar)
+    cos_sq = float(_cosines(gram)[-1] ** 2)  # the smallest cosine, a float64 scalar squared
+    bound = expected_eps_rate_bound(float(_discrepancy(gram)), cos_sq, params)
     epss, _ = _oracle_steps(model, basis, n_draws, rng, frobenius_discrepancy)
     return _rate_check(*_mean_se(epss), bound, n_draws, above=False)
 

@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a config grid and write the summary table")
     sweep_p.add_argument("--config", required=True, help="JSON file: config dict or list of dicts")
     sweep_p.add_argument("--out", default=None, help="summary CSV path (JSON written alongside)")
-    sweep_p.add_argument("--threads", type=int, default=None, help="override threads of every config")
 
     bounds_p = sub.add_parser("bounds", help="evaluate the iteration-bound formulas")
     bounds_p.add_argument("--params", default=None, help="JSON file: params dict or list of dicts")
@@ -114,11 +113,7 @@ def _load_dicts(path: str) -> list[dict]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    configs = []
-    for entry in _load_dicts(args.config):
-        if args.threads is not None:
-            entry = {**entry, "threads": args.threads}
-        configs.append(config_from_dict(entry))
+    configs = [config_from_dict(entry) for entry in _load_dicts(args.config)]
     summaries = run_sweep(configs, out_path=args.out)
     for summary in summaries:
         print(summary.csv_row())

@@ -1,11 +1,11 @@
 """Reproducible experiment harness: single trajectories, sweeps, bound tables.
 
 Every trial derives its own random stream from ``(master seed, trial_id)``
-through a counter-based ``SeedSequence`` spawn, so results are independent
-of scheduling and identical for any worker-thread count.  Trajectories are
-persisted as CSV with a ``#``-prefixed metadata header embedding the full
-configuration; sweep summaries are written as CSV plus a JSON document
-carrying per-trial detail.
+through a counter-based ``SeedSequence`` spawn, so a trial's result depends
+only on its config and id.  A sweep runs the trials of a config one after
+another in the calling thread.  Trajectories are persisted as CSV with a
+``#``-prefixed metadata header embedding the full configuration; sweep
+summaries are written as CSV plus a JSON document carrying per-trial detail.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 from .bounds import BoundParams, PhaseReport, detect_phases, k1_bound, k2_bound, mu0
 from .core import OracleInfo, StepConfig, StepMode, grouse_step
 from .data import make_planted, draw_sample
-from .subspaces import MetricSample, metric_sample, random_orthonormal
+from .subspaces import MetricSample, check_orthonormal, metric_sample, random_orthonormal
 
 __all__ = [
     "ExperimentConfig",
@@ -58,6 +57,8 @@ class ExperimentConfig:
     checks against the bound can fail meaningfully instead of timing out.
     ``record_every=None`` resolves to 1 when ``n * d <= 1e5`` and 10
     otherwise; metrics cost one small SVD per recorded step.
+    ``threads`` must be >= 1 and has no effect: a sweep always runs the
+    trials of a config one after another in the calling thread.
     """
 
     n: int
@@ -170,8 +171,13 @@ def run_trajectory(
     initial and final iterates always included) and the recorded sequence
     is phase-split against the config's targets.  ``initial_basis``
     overrides the random start (pass the model's own basis to simulate a
-    converged start).
+    converged start); it must be an orthonormal ``(n, d)`` basis, else
+    ``ValueError`` is raised before any draw.
     """
+    if initial_basis is not None:
+        if np.shape(initial_basis) != (cfg.n, cfg.d):
+            raise ValueError(f"initial_basis must have shape {(cfg.n, cfg.d)}, got {np.shape(initial_basis)}")
+        initial_basis = check_orthonormal(initial_basis)
     ss, derived_seed = derive_trial_seed(cfg.seed, trial_id)
     rng = np.random.default_rng(ss)
     model = make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng)
@@ -295,16 +301,13 @@ class SweepConfigSummary:
 
 
 def _run_config_trials(cfg: ExperimentConfig) -> SweepConfigSummary:
-    def one(trial_id: int) -> TrialResult | str:
+    ordered: list[TrialResult] = []
+    errors: dict[int, str] = {}
+    for trial_id in range(cfg.trials):
         try:
-            return run_trajectory(cfg, trial_id)[0]
+            ordered.append(run_trajectory(cfg, trial_id)[0])
         except Exception as exc:  # keep the sweep alive on per-trial failures
-            return f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        outcomes = list(pool.map(one, range(cfg.trials)))  # in trial order
-    ordered = [o for o in outcomes if isinstance(o, TrialResult)]
-    errors = {i: o for i, o in enumerate(outcomes) if isinstance(o, str)}
+            errors[trial_id] = f"{type(exc).__name__}: {exc}"
     k1_den = cfg.d**3 * math.log(cfg.n)
     k2_den = cfg.d * math.log(1.0 / cfg.eps_star)
     k1_ratios = [r.phase.k1 / k1_den for r in ordered if r.phase.k1 is not None]

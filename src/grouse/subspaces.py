@@ -61,10 +61,20 @@ def _cosines(gram: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0)
 
 
-def _discrepancy(gram: np.ndarray) -> float:
-    d = gram.shape[1]
-    value = d - np.linalg.norm(gram) ** 2
-    return float(min(max(value, 0.0), d))
+def _similarity(cosines: np.ndarray) -> np.ndarray:
+    """Product of squared cosines over the last axis: one basis's cosines or a stack."""
+    return np.prod(cosines * cosines, axis=-1)
+
+
+def _discrepancy(gram: np.ndarray) -> np.ndarray:
+    """``d - ||gram||_F^2`` clamped to [0, d], over the leading axes: one Gram or a stack.
+
+    The norm is the root of a BLAS dot, squared as a float64 scalar squares.  ``d``
+    minus a square never exceeds ``d``, so only the clamp at 0 needs code.
+    """
+    d = gram.shape[-1]
+    flat = gram.reshape(*gram.shape[:-2], d * d)
+    return np.maximum(d - _squares(np.sqrt(np.vecdot(flat, flat))), 0.0)
 
 
 def _check_finite(**values: float) -> None:
@@ -86,6 +96,8 @@ def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndar
     n, d = U.shape
     if not 0 < d < n:
         raise ValueError(f"need 0 < d < n, got shape {U.shape}")
+    if not np.isfinite(U).all():
+        raise ValueError("basis contains non-finite entries")
     gram_err = np.max(np.abs(U.T @ U - np.eye(d)))
     if gram_err > tol:
         raise ValueError(f"columns are not orthonormal: max|U^T U - I| = {gram_err:.3e}")
@@ -110,13 +122,12 @@ def determinant_similarity(U: np.ndarray, Ubar: np.ndarray) -> float:
     squared singular values of ``Ubar^T U``, which does not lose accuracy
     the way an explicit LU determinant of the product matrix can.
     """
-    cosines = principal_angles(U, Ubar)
-    return float(np.prod(cosines * cosines))
+    return float(_similarity(principal_angles(U, Ubar)))
 
 
 def frobenius_discrepancy(U: np.ndarray, Ubar: np.ndarray) -> float:
     """Sum of squared principal-angle sines: ``d - ||Ubar^T U||_F^2``, in [0, d]."""
-    return _discrepancy(_cross_gram(U, Ubar))
+    return float(_discrepancy(_cross_gram(U, Ubar)))
 
 
 def random_orthonormal(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -243,8 +254,8 @@ def metric_sample(
     cosines = _cosines(gram)
     return MetricSample(
         t=t,
-        zeta=float(np.prod(cosines * cosines)),
-        epsilon=_discrepancy(gram),
+        zeta=float(_similarity(cosines)),
+        epsilon=float(_discrepancy(gram)),
         cos_angles=cosines,
         residual_norm_sq=float(residual_norm_sq),
         projection_norm_sq=float(projection_norm_sq),

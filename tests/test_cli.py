@@ -88,6 +88,12 @@ def test_sweep_single_dict_config(tmp_path):
     assert main(["sweep", "--config", str(config_path)]) == 0
 
 
+def test_sweep_rejects_threads_flag(tmp_path):
+    config_path = tmp_path / "one.json"
+    config_path.write_text(json.dumps({"n": 60, "d": 3, "trials": 1, "seed": 2}))
+    assert main(["sweep", "--config", str(config_path), "--threads", "2"]) == 1
+
+
 def test_bounds_from_flags(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     code = main([

@@ -1,9 +1,11 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import grouse.harness
 from grouse.bounds import BoundParams, k1_bound, k2_bound
 from grouse.core import StepMode
 from grouse.harness import (
@@ -102,6 +104,28 @@ def test_trajectory_with_injected_converged_start():
     assert result.phase.k2 == 0
     assert rows[0].sample.epsilon == pytest.approx(0.0, abs=1e-12)
     assert result.iters_run == 0
+
+
+def _converged_start(cfg):
+    """The planted basis ``run_trajectory`` draws for trial 0 of ``cfg``."""
+    from grouse.data import make_planted
+
+    rng = np.random.default_rng(derive_trial_seed(cfg.seed, 0)[0])
+    return make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng).ubar
+
+
+@pytest.mark.parametrize("transform, message", [
+    (lambda q: 2 * q, "not orthonormal"),
+    (np.zeros_like, "not orthonormal"),
+    (lambda q: np.full_like(q, np.nan), "non-finite"),
+    (lambda q: q[:, :-1], "initial_basis must have shape"),
+    (lambda q: q.T, "initial_basis must have shape"),
+])
+def test_trajectory_rejects_bad_initial_basis(transform, message):
+    """A scaled, zero, NaN or wrongly shaped start raises before any step."""
+    cfg = ExperimentConfig(n=50, d=3, sigma_sq=0.0, seed=3)
+    with pytest.raises(ValueError, match=message):
+        run_trajectory(cfg, 0, initial_basis=transform(_converged_start(cfg)))
 
 
 def test_noisy_trajectory_floors_eps_while_zeta_improves():
@@ -204,6 +228,43 @@ def test_sweep_thread_count_invariance(tmp_path):
         run_sweep(cfgs, out_path=str(out))
         results[threads] = csv_body(out)
     assert results[1] == results[8]
+
+
+def test_sweep_runs_trials_in_calling_thread(monkeypatch):
+    """Every trial of a sweep runs in the caller's thread, whatever ``threads`` says."""
+    seen = []
+    original = grouse.harness.run_trajectory
+
+    def recording(cfg, trial_id, *args, **kwargs):
+        seen.append((trial_id, threading.get_ident()))
+        return original(cfg, trial_id, *args, **kwargs)
+
+    monkeypatch.setattr(grouse.harness, "run_trajectory", recording)
+    cfg = ExperimentConfig(n=60, d=3, seed=19, trials=5, sparse_ubar=True, threads=4)
+    summary = run_sweep([cfg])[0]
+    assert seen == [(trial_id, threading.get_ident()) for trial_id in range(5)]
+    assert [r.trial_id for r in summary.results] == list(range(5))
+
+
+def test_sweep_records_failed_trial_and_continues(monkeypatch):
+    original = grouse.harness.run_trajectory
+
+    def failing_second(cfg, trial_id, *args, **kwargs):
+        if trial_id == 1:
+            raise FloatingPointError("trial blew up")
+        return original(cfg, trial_id, *args, **kwargs)
+
+    monkeypatch.setattr(grouse.harness, "run_trajectory", failing_second)
+    summary = run_sweep([ExperimentConfig(n=60, d=3, seed=19, trials=3, sparse_ubar=True)])[0]
+    assert summary.errors == {1: "FloatingPointError: trial blew up"}
+    assert [r.trial_id for r in summary.results] == [0, 2]
+
+
+def test_config_threads_is_accepted_and_validated():
+    cfg = config_from_dict({"n": 60, "d": 3, "threads": 2})
+    assert cfg.threads == 2 and cfg.to_dict()["threads"] == 2
+    with pytest.raises(ValueError, match="threads"):
+        ExperimentConfig(n=60, d=3, threads=0)
 
 
 def test_sweep_json_detail(tmp_path):

@@ -28,6 +28,26 @@ def test_standard_error_has_one_owner():
     assert hits[0][1].strip() in inspect.getsource(_mean_se)
 
 
+def test_similarity_formula_has_one_owner():
+    """The product of squared cosines is written once, in ``subspaces._similarity``."""
+    from grouse.subspaces import _similarity
+
+    package = Path(grouse.__file__).parent
+    hits = [(path.name, line) for path in sorted(package.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines() if "np.prod(cosines * cosines" in line]
+    assert len(hits) == 1, hits
+    assert hits[0][1].strip() in inspect.getsource(_similarity)
+
+
+def test_package_runs_no_threads():
+    """Trials run one after another: no module of the package imports a thread or process pool."""
+    package = Path(grouse.__file__).parent
+    hits = [(path.name, line) for path in sorted(package.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.lstrip().startswith(("import ", "from ")) and ("concurrent" in line or "threading" in line)]
+    assert hits == []
+
+
 def test_traced_layers_resolve_to_package_functions():
     """Every ``<layer>.<function>`` the benchmark tracer wraps exists in ``grouse.<layer>``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -248,6 +248,14 @@ def test_check_orthonormal_rejects_drift():
         check_orthonormal(u * 1.001)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_orthonormal_rejects_non_finite(bad):
+    u = random_orthonormal(10, 3, np.random.default_rng(15))
+    u[4, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        check_orthonormal(u)
+
+
 # ---------------------------------------------------------------------------
 # constructed bases and metric samples
 
@@ -290,6 +298,19 @@ def test_metric_sample_equals_separate_metrics():
             np.testing.assert_array_equal(sample.cos_angles, principal_angles(u, ubar))
             assert sample.zeta == determinant_similarity(u, ubar)
             assert sample.epsilon == frobenius_discrepancy(u, ubar)
+
+
+def test_metric_owners_on_a_stack_equal_single_grams():
+    """Row ``i`` of the stacked similarity and discrepancy is the one-basis metric, bit for bit."""
+    from grouse.subspaces import _cosines, _discrepancy, _similarity
+
+    rng = np.random.default_rng(27)
+    for n, d in ((6, 1), (30, 4), (200, 10), (299, 25)):
+        ubar = random_orthonormal(n, d, rng)
+        bases = [random_orthonormal(n, d, rng) for _ in range(3)]
+        grams = np.stack([ubar.T @ u for u in bases])
+        assert _discrepancy(grams).tolist() == [frobenius_discrepancy(u, ubar) for u in bases]
+        assert _similarity(_cosines(grams)).tolist() == [determinant_similarity(u, ubar) for u in bases]
 
 
 def test_trace_expectation_identity():
