@@ -132,8 +132,11 @@ def _checked(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _project(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``w = U^T x``, ``p = U w`` and ``r = x - p`` over the leading axes of ``x``, by BLAS gemv per row."""
-    w = np.matmul(U.T, x[..., None])[..., 0]
+    """``w = U^T x``, ``p = U w`` and ``r = x - p`` over the leading axes of ``x``, by BLAS gemv per row.
+
+    ``U`` is one basis ``(n, d)`` for every row or one basis per row ``(b, n, d)``.
+    """
+    w = np.matmul(U.swapaxes(-1, -2), x[..., None])[..., 0]
     p = np.matmul(U, w[..., None])[..., 0]
     return w, p, x - p
 
@@ -226,14 +229,16 @@ def rotate_update(
 
 
 def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None) -> tuple:
-    """The step of ``U`` over the leading axes of ``x``: one observation ``(n,)`` or a stack ``(b, n)``.
+    """The step over the leading axes of ``x``: one observation ``(n,)`` or a stack ``(b, n)``.
 
-    ``v_perp_norm_sq`` holds the oracle energy of each row.  Returns ``w``,
-    ``p``, ``r``, the squared norms of ``p`` and ``r``, ``alpha``, ``theta``,
-    the updated bases and the skipped flags.  A skipped row's basis is ``U``
-    and its ``alpha`` and ``theta`` are meaningless (0.0 when every row is
-    skipped, and then ``U`` itself is the update).  Each row gets the bits it
-    gets alone.  Raises ``ValueError`` on a non-finite update.
+    ``U`` is one basis ``(n, d)`` shared by every row, or one basis per row
+    ``(b, n, d)`` (the lock-step trials of a sweep).  ``v_perp_norm_sq``
+    holds the oracle energy of each row.  Returns ``w``, ``p``, ``r``, the
+    squared norms of ``p`` and ``r``, ``alpha``, ``theta``, the updated bases
+    and the skipped flags.  A skipped row's basis is its input basis and its
+    ``alpha`` and ``theta`` are meaningless (0.0 when every row is skipped,
+    and then ``U`` itself is the update).  Each row gets the bits it gets
+    alone.  Raises ``ValueError`` on a non-finite update.
     """
     w, p, r = _project(U, x)
     p_sq, r_sq = np.vecdot(p, p), np.vecdot(r, r)
@@ -246,11 +251,11 @@ def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None) ->
     w_norm, p_norm, r_norm = w_norm + skipped, p_norm + skipped, r_norm + skipped
     alpha = 0.0
     if cfg.mode is not StepMode.GREEDY_NOISELESS:
-        alpha = _alpha(cfg, np.vecdot(x, x), _squares(r_norm), *U.shape, v_perp_norm_sq)
+        alpha = _alpha(cfg, np.vecdot(x, x), _squares(r_norm), *U.shape[-2:], v_perp_norm_sq)
     theta = _theta(alpha, r_norm, p_norm)
     updated = _rotate(U, w / w_norm[..., None], p / p_norm[..., None], r / r_norm[..., None], theta)
     if skipped.any():
-        updated[skipped] = U
+        np.copyto(updated, U, where=skipped[..., None, None])
     if not np.isfinite(updated).all():
         raise ValueError("update produced non-finite entries")
     return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped

@@ -10,6 +10,7 @@ noise-to-signal energy ratio is exactly ``sigma^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -138,23 +139,51 @@ def make_planted(
     return PlantedModel(ubar=ubar, sigma_sq=sigma_sq, normalize_signal=normalize_signal)
 
 
-def _draw(model: PlantedModel, rows: tuple[int, ...], rng: np.random.Generator) -> Sample:
-    """One draw (``rows=()``) or a stack of draws (``rows=(b,)``).
+def _from_normals(ubar: np.ndarray, sigma_sq: float, normalize_signal: bool, normals: np.ndarray) -> Sample:
+    """The draws of the stream spanned by ``ubar`` whose standard normals are the last axis of ``normals``.
 
-    One ``standard_normal`` call holds each draw's ``d`` coefficients, then its
-    ``n`` noise entries if noisy: a stack consumes the generator, and gets the
-    bits, of successive single draws.
+    Each draw's normals are its ``d`` coefficients, then its ``n`` noise
+    entries if ``sigma_sq > 0``.  ``ubar`` is one ground truth ``(n, d)`` or
+    one per row ``(b, n, d)``.
     """
-    n, d = model.n, model.d
-    normals = rng.standard_normal((*rows, d + n) if model.sigma_sq > 0 else (*rows, d))
+    n, d = ubar.shape[-2:]
     s = normals[..., :d]
-    v = np.matmul(model.ubar, s[..., None])[..., 0]
-    if model.normalize_signal:
+    v = np.matmul(ubar, s[..., None])[..., 0]
+    if normalize_signal:
         scale = np.sqrt(np.vecdot(v, v))[..., None]
         v = v / scale
         s = s / scale
-    xi = normals[..., d:] * np.sqrt(model.sigma_sq / n) if model.sigma_sq > 0 else np.zeros(v.shape)
+    xi = normals[..., d:] * np.sqrt(sigma_sq / n) if sigma_sq > 0 else np.zeros(v.shape)
     return Sample(x=v + xi, v=v, s=s, xi=xi)
+
+
+def _normal_count(n: int, d: int, sigma_sq: float) -> int:
+    """Standard normals per draw: the ``d`` coefficients, then the ``n`` noise entries if noisy."""
+    return d + n if sigma_sq > 0 else d
+
+
+def _draw(model: PlantedModel, rows: tuple[int, ...], rng: np.random.Generator) -> Sample:
+    """One draw (``rows=()``) or a stack of draws (``rows=(b,)``).
+
+    One ``standard_normal`` call holds each draw's normals: a stack consumes
+    the generator, and gets the bits, of successive single draws.
+    """
+    normals = rng.standard_normal((*rows, _normal_count(model.n, model.d, model.sigma_sq)))
+    return _from_normals(model.ubar, model.sigma_sq, model.normalize_signal, normals)
+
+
+def _draw_each(ubars: np.ndarray, sigma_sq: float, normalize_signal: bool,
+               rngs: Sequence[np.random.Generator]) -> Sample:
+    """One draw from each generator, stacked in rows: row ``i`` from the ground truth ``ubars[i]``.
+
+    Each generator makes the ``standard_normal`` call of one ``draw_sample``,
+    and row ``i`` equals ``draw_sample`` of a model with ground truth
+    ``ubars[i]`` (and the given noise level and scaling) on ``rngs[i]``, bit
+    for bit.
+    """
+    count = _normal_count(*ubars.shape[-2:], sigma_sq)
+    normals = np.array([rng.standard_normal(count) for rng in rngs])
+    return _from_normals(ubars, sigma_sq, normalize_signal, normals)
 
 
 def draw_sample(model: PlantedModel, rng: np.random.Generator) -> Sample:

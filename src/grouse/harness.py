@@ -2,8 +2,10 @@
 
 Every trial derives its own random stream from ``(master seed, trial_id)``
 through a counter-based ``SeedSequence`` spawn, so a trial's result depends
-only on its config and id.  A sweep runs the trials of a config one after
-another in the calling thread.  Trajectories are persisted as CSV with a
+only on its config and id.  The trials of a config run in the calling
+thread in lock-step: step t of every running trial is one update of a
+stack of bases through ``core._step``, and each trial gets the bits it gets
+alone, whatever the stack holds.  Trajectories are persisted as CSV with a
 ``#``-prefixed metadata header embedding the full configuration; sweep
 summaries are written as CSV plus a JSON document carrying per-trial detail.
 """
@@ -19,10 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundParams, PhaseReport, detect_phases, k1_bound, k2_bound, mu0
-from .core import OracleInfo, StepConfig, StepMode, grouse_step
-from .data import make_planted, draw_sample
-from .subspaces import MetricSample, check_orthonormal, metric_sample, random_orthonormal
+from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, detect_phases, k1_bound, k2_bound, mu0
+from .core import OracleInfo, StepConfig, StepMode, _checked, _energy_outside, _step
+from .data import PlantedModel, _draw_each, make_planted
+from .subspaces import (MetricSample, _cosines, _discrepancy, _similarity, check_orthonormal,
+                        random_orthonormal, reorthonormalize)
 
 __all__ = [
     "ExperimentConfig",
@@ -57,8 +60,10 @@ class ExperimentConfig:
     checks against the bound can fail meaningfully instead of timing out.
     ``record_every=None`` resolves to 1 when ``n * d <= 1e5`` and 10
     otherwise; metrics cost one small SVD per recorded step.
-    ``threads`` must be >= 1 and has no effect: a sweep always runs the
-    trials of a config one after another in the calling thread.
+    ``threads`` must be >= 1 and has no effect: a sweep steps the trials
+    of a config together in the calling thread, in stacks whose width
+    depends only on ``n * d``, and each trial's results are those it gets
+    when run alone.
     """
 
     n: int
@@ -159,6 +164,185 @@ def derive_trial_seed(master_seed: int, trial_id: int) -> tuple[np.random.SeedSe
     return ss, derived
 
 
+def _start_trial(
+    cfg: ExperimentConfig,
+    trial_id: int,
+    initial_basis: np.ndarray | None,
+) -> tuple[int, np.random.Generator, PlantedModel, np.ndarray]:
+    """Recorded seed, generator, planted model and start basis of one trial.
+
+    The trial's stream draws the model, then the start unless ``initial_basis`` is given.
+    """
+    ss, derived_seed = derive_trial_seed(cfg.seed, trial_id)
+    rng = np.random.default_rng(ss)
+    model = make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng)
+    basis = initial_basis if initial_basis is not None else random_orthonormal(cfg.n, cfg.d, rng)
+    return derived_seed, rng, model, basis
+
+
+# A recorded row holds zeta, epsilon, the step's theta, alpha, ||p||^2, ||r||^2 and skipped flag,
+# then the principal-angle cosines.  A stack keeps its trials' rows in blocks of _HISTORY_CHUNK steps.
+_EPS = 1
+_COSINES = 7
+_HISTORY_CHUNK = 64
+
+
+def _row_block(ubars: np.ndarray, bases: np.ndarray, theta=0.0, alpha=0.0, p_sq=0.0, r_sq=0.0,
+               skipped=False) -> np.ndarray:
+    """One recorded row per iterate of ``bases`` against ``ubars``, in the columns above."""
+    gram = np.matmul(ubars.swapaxes(-1, -2), bases)
+    cosines = _cosines(gram)
+    block = np.empty((len(bases), _COSINES + cosines.shape[-1]))
+    for column, value in enumerate((_similarity(cosines), _discrepancy(gram), theta, alpha, p_sq, r_sq, skipped)):
+        block[:, column] = value
+    block[:, _COSINES:] = cosines
+    return block
+
+
+def _lockstep(step_cfg: StepConfig, bases, ubars, x, energy, nonskipped, record: bool):
+    """One step of a stack of trials: row ``i`` updates ``bases[i]`` with ``x[i]``.
+
+    A row whose non-skipped step count reaches a multiple of the config's
+    ``reorth_period`` is re-orthonormalized, as ``grouse_step`` does.  Returns
+    the updated bases, the skipped flags and, when ``record``, the recorded
+    rows of the new iterates.
+    """
+    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = _step(bases, x, step_cfg, energy)
+    due = ~skipped & (nonskipped % step_cfg.reorth_period == step_cfg.reorth_period - 1)
+    for i in due.nonzero()[0]:
+        updated[i] = reorthonormalize(updated[i])
+    if not record:
+        return updated, skipped, None
+    if skipped.any():  # a skipped step records alpha = theta = 0, as a single skipped step returns
+        alpha, theta = np.where(skipped, 0.0, alpha), np.where(skipped, 0.0, theta)
+    return updated, skipped, _row_block(ubars, updated, theta, alpha, p_sq, r_sq, skipped)
+
+
+def _lockstep_row(step_cfg: StepConfig, bases, ubars, x, energy, nonskipped, record: bool, i: int):
+    """``_lockstep`` on row ``i`` alone, after the input checks of ``grouse_step``, or the exception it raised."""
+    row = slice(i, i + 1)
+    try:
+        if energy is not None:
+            OracleInfo(v_perp_norm_sq=float(energy[i]))
+        _checked(bases[i], x[i])
+        return _lockstep(step_cfg, bases[row], ubars[row], x[row], None if energy is None else energy[row],
+                         nonskipped[row], record)
+    except Exception as exc:  # the row's trial ends; the others go on
+        return exc
+
+
+def _trial_outcome(cfg: ExperimentConfig, trial_id: int, derived_seed: int, times: list[int],
+                   history: list[np.ndarray], slot: int, nonskipped: int) -> tuple[TrialResult, list[TrajectoryRow]]:
+    """Result and rows of the trial in column ``slot`` of the history, one row per entry of ``times``.
+
+    The rows' cosines are views into the history.
+    """
+    columns = np.concatenate([chunk[:, slot, :_COSINES] for chunk in history])[:len(times)].T.tolist()
+    cosines = (row for chunk in history for row in chunk[:, slot, _COSINES:])
+    rows = [
+        TrajectoryRow(
+            sample=MetricSample(t=t, zeta=zeta, epsilon=eps, cos_angles=cos,
+                                residual_norm_sq=r_sq, projection_norm_sq=p_sq),
+            theta=theta, alpha=alpha, skipped=bool(skipped),
+        )
+        for t, zeta, eps, theta, alpha, p_sq, r_sq, skipped, cos
+        in zip(times, *columns, cosines)
+    ]
+    samples = [row.sample for row in rows]
+    phase = detect_phases(samples, cfg.bound_params(), noisy=cfg.sigma_sq > 0)
+    result = TrialResult(
+        trial_id=trial_id,
+        derived_seed=derived_seed,
+        phase=phase,
+        final_zeta=samples[-1].zeta,
+        final_eps=samples[-1].epsilon,
+        iters_run=times[-1],
+        skipped_steps=times[-1] - nonskipped,
+    )
+    return result, rows
+
+
+def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None):
+    """``_run_trials`` on trials that fit one stack."""
+    trials = []
+    for trial_id in trial_ids:
+        try:
+            trials.append((trial_id, *_start_trial(cfg, trial_id, initial_basis)))
+        except Exception as exc:  # keep the other trials alive
+            yield trial_id, exc, None
+    if not trials:
+        return
+    # one row per trial in each array; a trial that ends leaves every array
+    ids, seeds, rngs, models, starts = zip(*trials)
+    ids, seeds, rngs = (np.array(column, dtype=object) for column in (ids, seeds, rngs))
+    bases = np.stack(starts)
+    ubars = np.stack([model.ubar for model in models])
+    normalize_signal = models[0].normalize_signal
+    del trials, models, starts  # the stacks hold the bases and ground truths from here on
+    started = len(ids)
+    nonskipped = np.zeros(started, dtype=int)
+    slots = np.arange(started)  # each trial's column in the history, which keeps a column per started trial
+    step_cfg = cfg.step_config()
+    record_every = cfg.resolved_record_every()
+    max_iters = cfg.resolved_max_iters()
+    history: list[np.ndarray] = []  # blocks of _HISTORY_CHUNK recorded steps
+    times: list[int] = []
+    t, record = 0, True
+    block = _row_block(ubars, bases)
+    while True:
+        if record:
+            if len(times) % _HISTORY_CHUNK == 0:
+                history.append(np.empty((_HISTORY_CHUNK, started, block.shape[1])))
+            history[-1][len(times) % _HISTORY_CHUNK, slots] = block
+            times.append(t)
+            done = block[:, _EPS] <= cfg.eps_star
+            if t == max_iters:
+                done[:] = True
+            if done.any():
+                for i in np.flatnonzero(done):
+                    yield ids[i], *_trial_outcome(cfg, ids[i], seeds[i], times, history, slots[i],
+                                                  int(nonskipped[i]))
+                keep = ~done
+                ids, seeds, rngs, bases, ubars, nonskipped, slots = (
+                    column[keep] for column in (ids, seeds, rngs, bases, ubars, nonskipped, slots))
+                if not len(ids):
+                    return
+        sample = _draw_each(ubars, cfg.sigma_sq, normalize_signal, rngs)
+        energy = _energy_outside(bases, sample.v) if cfg.mode is StepMode.ORACLE_NOISY else None
+        t += 1
+        record = t % record_every == 0 or t == max_iters
+        try:
+            bases, skipped, block = _lockstep(step_cfg, bases, ubars, sample.x, energy, nonskipped, record)
+        except Exception:  # step the rows one at a time: a row that raises ends its trial alone
+            outs = [_lockstep_row(step_cfg, bases, ubars, sample.x, energy, nonskipped, record, i)
+                    for i in range(len(ids))]
+            keep = np.array([not isinstance(out, Exception) for out in outs])
+            for i in np.flatnonzero(~keep):
+                yield ids[i], outs[i], None
+            ids, seeds, rngs, ubars, nonskipped, slots = (
+                column[keep] for column in (ids, seeds, rngs, ubars, nonskipped, slots))
+            if not len(ids):
+                return
+            bases, skipped, block = (None if part[0] is None else np.concatenate(part)
+                                     for part in zip(*(out for out, k in zip(outs, keep) if k)))
+        nonskipped += ~skipped
+
+
+def _run_trials(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None = None):
+    """Run trials of ``cfg``; yield ``(trial_id, result, rows)`` as each ends, or ``(trial_id, exception, None)``.
+
+    The trials step in lock-step stacks of at most ``_CHUNK_ELEMENTS`` basis
+    elements (one trial per stack at large sizes).  Each trial keeps its own
+    generator, model and recorded rows, draws from its generator as it would
+    alone, and gets the bits it gets alone whatever the stack holds.  A trial
+    that raises, at set-up or in a step, ends with its exception and leaves
+    the stack; the other trials go on.
+    """
+    width = max(1, _CHUNK_ELEMENTS // (cfg.n * cfg.d))
+    for start in range(0, len(trial_ids), width):
+        yield from _run_stack(cfg, trial_ids[start:start + width], initial_basis)
+
+
 def run_trajectory(
     cfg: ExperimentConfig,
     trial_id: int = 0,
@@ -178,58 +362,10 @@ def run_trajectory(
         if np.shape(initial_basis) != (cfg.n, cfg.d):
             raise ValueError(f"initial_basis must have shape {(cfg.n, cfg.d)}, got {np.shape(initial_basis)}")
         initial_basis = check_orthonormal(initial_basis)
-    ss, derived_seed = derive_trial_seed(cfg.seed, trial_id)
-    rng = np.random.default_rng(ss)
-    model = make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng)
-    basis = initial_basis if initial_basis is not None else random_orthonormal(cfg.n, cfg.d, rng)
-
-    step_cfg = cfg.step_config()
-    record_every = cfg.resolved_record_every()
-    max_iters = cfg.resolved_max_iters()
-    noisy = cfg.sigma_sq > 0
-
-    rows = [TrajectoryRow(sample=metric_sample(0, basis, model.ubar))]
-    nonskipped = 0
-    t = 0
-    if rows[0].sample.epsilon > cfg.eps_star:
-        while t < max_iters:
-            sample = draw_sample(model, rng)
-            oracle = None
-            if cfg.mode is StepMode.ORACLE_NOISY:
-                oracle = OracleInfo.from_signal(basis, sample.v)
-            out = grouse_step(basis, sample.x, step_cfg, oracle=oracle, nonskipped_steps=nonskipped)
-            basis = out.updated
-            nonskipped += not out.skipped
-            t += 1
-            if t % record_every == 0 or t == max_iters:
-                row = TrajectoryRow(
-                    sample=metric_sample(
-                        t,
-                        basis,
-                        model.ubar,
-                        residual_norm_sq=float(out.r @ out.r),
-                        projection_norm_sq=float(out.p @ out.p),
-                    ),
-                    theta=out.theta,
-                    alpha=out.alpha,
-                    skipped=out.skipped,
-                )
-                rows.append(row)
-                if row.sample.epsilon <= cfg.eps_star:
-                    break
-
-    samples = [row.sample for row in rows]
-    phase = detect_phases(samples, cfg.bound_params(), noisy=noisy)
-    result = TrialResult(
-        trial_id=trial_id,
-        derived_seed=derived_seed,
-        phase=phase,
-        final_zeta=samples[-1].zeta,
-        final_eps=samples[-1].epsilon,
-        iters_run=t,
-        skipped_steps=t - nonskipped,
-    )
-    return result, rows
+    ((_, outcome, rows),) = _run_trials(cfg, [trial_id], initial_basis)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome, rows
 
 
 def _metadata_lines(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]:
@@ -301,13 +437,13 @@ class SweepConfigSummary:
 
 
 def _run_config_trials(cfg: ExperimentConfig) -> SweepConfigSummary:
-    ordered: list[TrialResult] = []
-    errors: dict[int, str] = {}
-    for trial_id in range(cfg.trials):
-        try:
-            ordered.append(run_trajectory(cfg, trial_id)[0])
-        except Exception as exc:  # keep the sweep alive on per-trial failures
-            errors[trial_id] = f"{type(exc).__name__}: {exc}"
+    outcomes = {}
+    for trial_id, outcome, rows in _run_trials(cfg, range(cfg.trials)):
+        outcomes[trial_id] = outcome
+        del rows  # one trial's rows at a time
+    ordered = [outcomes[i] for i in sorted(outcomes) if isinstance(outcomes[i], TrialResult)]
+    errors = {i: f"{type(outcomes[i]).__name__}: {outcomes[i]}" for i in sorted(outcomes)
+              if isinstance(outcomes[i], Exception)}
     k1_den = cfg.d**3 * math.log(cfg.n)
     k2_den = cfg.d * math.log(1.0 / cfg.eps_star)
     k1_ratios = [r.phase.k1 / k1_den for r in ordered if r.phase.k1 is not None]

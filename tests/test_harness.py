@@ -233,13 +233,13 @@ def test_sweep_thread_count_invariance(tmp_path):
 def test_sweep_runs_trials_in_calling_thread(monkeypatch):
     """Every trial of a sweep runs in the caller's thread, whatever ``threads`` says."""
     seen = []
-    original = grouse.harness.run_trajectory
+    original = grouse.harness._start_trial
 
     def recording(cfg, trial_id, *args, **kwargs):
         seen.append((trial_id, threading.get_ident()))
         return original(cfg, trial_id, *args, **kwargs)
 
-    monkeypatch.setattr(grouse.harness, "run_trajectory", recording)
+    monkeypatch.setattr(grouse.harness, "_start_trial", recording)
     cfg = ExperimentConfig(n=60, d=3, seed=19, trials=5, sparse_ubar=True, threads=4)
     summary = run_sweep([cfg])[0]
     assert seen == [(trial_id, threading.get_ident()) for trial_id in range(5)]
@@ -247,17 +247,52 @@ def test_sweep_runs_trials_in_calling_thread(monkeypatch):
 
 
 def test_sweep_records_failed_trial_and_continues(monkeypatch):
-    original = grouse.harness.run_trajectory
+    original = grouse.harness._start_trial
 
     def failing_second(cfg, trial_id, *args, **kwargs):
         if trial_id == 1:
             raise FloatingPointError("trial blew up")
         return original(cfg, trial_id, *args, **kwargs)
 
-    monkeypatch.setattr(grouse.harness, "run_trajectory", failing_second)
+    monkeypatch.setattr(grouse.harness, "_start_trial", failing_second)
     summary = run_sweep([ExperimentConfig(n=60, d=3, seed=19, trials=3, sparse_ubar=True)])[0]
     assert summary.errors == {1: "FloatingPointError: trial blew up"}
     assert [r.trial_id for r in summary.results] == [0, 2]
+
+
+def _sweep_outputs(cfgs, out):
+    """Per-trial results, CSV body and JSON (without its time stamp) of one sweep."""
+    summaries = run_sweep(cfgs, out_path=str(out))
+    doc = json.loads(out.with_name(out.name + ".json").read_text())
+    del doc["generated_at"]
+    return [s.results for s in summaries], [s.errors for s in summaries], csv_body(out), doc
+
+
+def test_sweep_is_invariant_to_stack_width(tmp_path, monkeypatch):
+    """Stacks of 1, 3 and all trials give the same trials, sweep CSV and sweep JSON, skipped steps included."""
+    cfgs = [
+        ExperimentConfig(n=60, d=3, seed=23, trials=7, sparse_ubar=True),
+        ExperimentConfig(n=60, d=3, sigma_sq=1e-3, seed=23, trials=7, max_iters=230,
+                         mode=StepMode.PRACTICAL_NOISY),
+        ExperimentConfig(n=60, d=3, sigma_sq=1e-3, seed=23, trials=7, max_iters=120,
+                         mode=StepMode.ORACLE_NOISY, record_every=9),
+    ]
+    # trial 0 starts at its own ground truth and skips every step; trials 1 and 2 step from it
+    mixed = ExperimentConfig(n=60, d=3, seed=3, eps_star=1e-30, max_iters=40)
+    start = _converged_start(mixed)
+    outputs = {}
+    for width in (1, 3, 100):
+        monkeypatch.setattr(grouse.harness, "_CHUNK_ELEMENTS", width * 60 * 3)
+        outputs[width] = _sweep_outputs(cfgs, tmp_path / f"sweep_{width}.csv")
+        trials = list(grouse.harness._run_trials(mixed, [0, 1, 2], start))
+        outputs[width] += ([(trial_id, result) for trial_id, result, _ in trials],
+                           [[(r.sample.t, r.sample.zeta, r.sample.epsilon, r.theta, r.alpha, r.skipped,
+                              r.sample.residual_norm_sq, r.sample.projection_norm_sq, *r.sample.cos_angles)
+                             for r in rows] for _, _, rows in trials])
+    assert outputs[1] == outputs[3] == outputs[100]
+    results, errors, _, _, mixed_results, _ = outputs[1]
+    assert errors == [{}, {}, {}] and all(len(r) == 7 for r in results)
+    assert [result.skipped_steps for _, result in mixed_results] == [40, 0, 0]
 
 
 def test_config_threads_is_accepted_and_validated():

@@ -39,6 +39,16 @@ def test_similarity_formula_has_one_owner():
     assert hits[0][1].strip() in inspect.getsource(_similarity)
 
 
+def test_trial_loop_has_one_owner():
+    """The harness steps and draws only in its lock-step engine.
+
+    It binds neither ``grouse_step`` nor ``draw_sample``.
+    """
+    import grouse.harness
+
+    assert {"grouse_step", "draw_sample"}.isdisjoint(vars(grouse.harness))
+
+
 def test_package_runs_no_threads():
     """Trials run one after another: no module of the package imports a thread or process pool."""
     package = Path(grouse.__file__).parent

@@ -1,18 +1,23 @@
-"""The step and the draw against independent one-observation references, bit for bit.
+"""The step, the draw and whole trials against independent one-observation references, bit for bit.
 
-The references restate the arithmetic of a single step and a single draw
-with 1-D numpy products, ``np.linalg.norm`` and Python-float step sizes,
-so they share no code with the package's step and draw, which run over
-the leading axes of their inputs.
+The references restate the arithmetic of a single step, a single draw and
+a single iterate's metrics with 1-D numpy products, ``np.linalg.norm`` and
+Python-float step sizes, so they share no code with the package's step,
+draw and metrics, which run over the leading axes of their inputs.  A
+reference trial composes them one observation at a time; the harness
+steps a config's trials together.
 """
 
 import numpy as np
 import pytest
 
+import grouse.harness
 from grouse import core
+from grouse.bounds import detect_phases
 from grouse.core import OracleInfo, StepConfig, StepMode, grouse_step
 from grouse.data import draw_batch, draw_sample, make_planted
-from grouse.subspaces import basis_with_similarity, random_orthonormal
+from grouse.harness import ExperimentConfig, TrialResult, derive_trial_seed, run_sweep, run_trajectory
+from grouse.subspaces import MetricSample, basis_with_similarity, random_orthonormal
 
 
 def _reference_step(U, x, cfg, oracle=None, nonskipped_steps=None):
@@ -169,6 +174,26 @@ def test_stacked_step_rows_equal_single_steps(schedule):
             assert float(np.broadcast_to(alpha, 7)[i]) == one.alpha and float(theta[i]) == one.theta
 
 
+@pytest.mark.parametrize("schedule", sorted(_CONFIGS))
+def test_stacked_step_with_one_basis_per_row_equals_single_steps(schedule):
+    """A stack of rows, each at its own basis and one of them skipped, equals one step per row."""
+    cfg = _CONFIGS[schedule]
+    rng = np.random.default_rng(9)
+    model = make_planted(120, 4, 1e-2, sparse=False, rng=rng)
+    bases = np.stack([basis_with_similarity(model.ubar, zeta, rng) for zeta in (0.1, 0.3, 0.5, 0.7, 0.9)])
+    batch = draw_batch(model, 5, rng)
+    x, v = batch.x.copy(), batch.v.copy()
+    x[2] = v[2] = bases[2] @ rng.standard_normal(4)  # inside its span: skipped
+    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = core._step(bases, x, cfg, core._energy_outside(bases, v))
+    assert skipped.tolist() == [i == 2 for i in range(5)]
+    for i in range(5):
+        one = grouse_step(bases[i], x[i], cfg, oracle=OracleInfo.from_signal(bases[i], v[i]))
+        assert p_sq[i] == float(one.p @ one.p) and r_sq[i] == float(one.r @ one.r)
+        assert np.array_equal(updated[i], one.updated)
+        if not one.skipped:
+            assert float(np.broadcast_to(alpha, 5)[i]) == one.alpha and float(theta[i]) == one.theta
+
+
 def test_stacked_step_with_exactly_zero_norms_raises_no_warning():
     """Rows inside and orthogonal to the span have zero residual or projection; they are skipped silently."""
     basis = np.eye(6)[:, :2]
@@ -179,3 +204,120 @@ def test_stacked_step_with_exactly_zero_norms_raises_no_warning():
     assert skipped.tolist() == [True, True, False]
     for i in range(3):
         assert np.array_equal(updated[i], grouse_step(basis, x[i], cfg).updated)
+
+
+def _reference_metric(t, U, ubar, r_norm_sq=0.0, p_norm_sq=0.0):
+    gram = ubar.T @ U
+    cosines = np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0)
+    epsilon = max(U.shape[1] - float(np.linalg.norm(gram)) ** 2, 0.0)
+    return MetricSample(t=t, zeta=float(np.prod(np.square(cosines))), epsilon=epsilon, cos_angles=cosines,
+                        residual_norm_sq=r_norm_sq, projection_norm_sq=p_norm_sq)
+
+
+def _reference_trial(cfg, trial_id, initial_basis=None):
+    """(TrialResult, [(sample, theta, alpha, skipped), ...]) of one trial, one reference draw and step at a time."""
+    ss, derived_seed = derive_trial_seed(cfg.seed, trial_id)
+    rng = np.random.default_rng(ss)
+    model = make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng)
+    basis = initial_basis if initial_basis is not None else random_orthonormal(cfg.n, cfg.d, rng)
+    step_cfg, record_every, max_iters = cfg.step_config(), cfg.resolved_record_every(), cfg.resolved_max_iters()
+    rows = [(_reference_metric(0, basis, model.ubar), 0.0, 0.0, False)]
+    nonskipped = t = 0
+    while rows[-1][0].epsilon > cfg.eps_star and t < max_iters:
+        x, v, _, _ = _reference_draw(model, rng)
+        v_perp = v - basis @ (basis.T @ v)
+        oracle = OracleInfo(v_perp_norm_sq=float(v_perp @ v_perp))
+        _, p, r, alpha, theta, basis, skipped = _reference_step(basis, x, step_cfg, oracle, nonskipped)
+        nonskipped += not skipped
+        t += 1
+        if t % record_every == 0 or t == max_iters:
+            rows.append((_reference_metric(t, basis, model.ubar, float(r @ r), float(p @ p)), theta, alpha, skipped))
+    samples = [row[0] for row in rows]
+    result = TrialResult(trial_id=trial_id, derived_seed=derived_seed,
+                         phase=detect_phases(samples, cfg.bound_params(), noisy=cfg.sigma_sq > 0),
+                         final_zeta=samples[-1].zeta, final_eps=samples[-1].epsilon,
+                         iters_run=t, skipped_steps=t - nonskipped)
+    return result, rows
+
+
+def _assert_rows_equal_reference(rows, expected):
+    assert len(rows) == len(expected)
+    for row, (sample, theta, alpha, skipped) in zip(rows, expected):
+        got = row.sample
+        assert (got.t, got.zeta, got.epsilon) == (sample.t, sample.zeta, sample.epsilon)
+        assert np.array_equal(got.cos_angles, sample.cos_angles)
+        assert (got.residual_norm_sq, got.projection_norm_sq) == (sample.residual_norm_sq, sample.projection_norm_sq)
+        assert (row.theta, row.alpha, row.skipped) == (theta, alpha, skipped)
+
+
+_TRIAL_CONFIGS = {
+    # sparse ground truth: the trials converge, and stop, at different steps
+    "greedy_sparse": ExperimentConfig(n=60, d=3, seed=19, trials=4, sparse_ubar=True),
+    # 250 steps cross the reorth point at 100 and 200 non-skipped steps
+    "practical_reorth": ExperimentConfig(n=80, d=4, sigma_sq=1e-3, seed=5, trials=3, max_iters=250,
+                                         mode=StepMode.PRACTICAL_NOISY),
+    "oracle": ExperimentConfig(n=70, d=3, sigma_sq=1e-3, seed=8, trials=3, max_iters=150,
+                               mode=StepMode.ORACLE_NOISY, record_every=7),
+    # the two configs of the sweep_small benchmark workload
+    "sweep_small_greedy": ExperimentConfig(n=200, d=5, seed=1, trials=4, sparse_ubar=True, threads=2),
+    "sweep_small_practical": ExperimentConfig(n=150, d=4, sigma_sq=1e-3, seed=1, trials=4, max_iters=500,
+                                              mode=StepMode.PRACTICAL_NOISY, threads=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRIAL_CONFIGS))
+def test_trials_equal_reference(name):
+    cfg = _TRIAL_CONFIGS[name]
+    expected = [_reference_trial(cfg, trial_id) for trial_id in range(cfg.trials)]
+    summary = run_sweep([cfg])[0]
+    assert not summary.errors
+    assert summary.results == [result for result, _ in expected]
+    for trial_id, (result, rows) in enumerate(expected):
+        got, got_rows = run_trajectory(cfg, trial_id)
+        assert got == result
+        _assert_rows_equal_reference(got_rows, rows)
+    if name == "greedy_sparse":
+        assert len({result.iters_run for result, _ in expected}) > 1
+    if name == "practical_reorth":
+        assert all(result.iters_run - result.skipped_steps >= 200 for result, _ in expected)
+
+
+def test_skipped_steps_equal_reference():
+    """Started at its own ground truth, a noise-free trial skips every step: each observation lies in the span."""
+    cfg = ExperimentConfig(n=60, d=4, seed=3, eps_star=1e-30, max_iters=20)
+    rng = np.random.default_rng(derive_trial_seed(cfg.seed, 0)[0])
+    start = make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng).ubar
+    result, rows = _reference_trial(cfg, 0, initial_basis=start)
+    got, got_rows = run_trajectory(cfg, 0, initial_basis=start)
+    assert got == result
+    _assert_rows_equal_reference(got_rows, rows)
+    assert result.iters_run == result.skipped_steps == 20
+
+
+class _NaNAfter:
+    """A generator whose ``standard_normal`` draws turn NaN after ``calls`` more calls."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._rng.standard_normal(*args, **kwargs)
+        self._calls -= 1
+        return out if self._calls >= 0 else np.full_like(out, np.nan)
+
+
+def test_trial_failing_mid_stack_leaves_the_others_equal_to_reference(monkeypatch):
+    """Trial 1's 31st draw is NaN: it ends with the error of a single step, and trials 0, 2 and 3 run on."""
+    original = grouse.harness._start_trial
+
+    def poisoned_second(cfg, trial_id, *args, **kwargs):
+        derived_seed, rng, model, basis = original(cfg, trial_id, *args, **kwargs)
+        return derived_seed, (_NaNAfter(rng, 30) if trial_id == 1 else rng), model, basis
+
+    monkeypatch.setattr(grouse.harness, "_start_trial", poisoned_second)
+    cfg = ExperimentConfig(n=80, d=4, sigma_sq=1e-3, seed=5, trials=4, max_iters=120, mode=StepMode.PRACTICAL_NOISY)
+    summary = run_sweep([cfg])[0]
+    assert summary.errors == {1: "ValueError: observation contains non-finite entries"}
+    assert summary.results == [_reference_trial(cfg, trial_id)[0] for trial_id in (0, 2, 3)]
+    with pytest.raises(ValueError, match="observation contains non-finite entries"):
+        run_trajectory(cfg, 1)
