@@ -38,6 +38,7 @@ from .subspaces import (
     frobenius_discrepancy,
     principal_angles,
     random_orthonormal,
+    reorthonormalize,
 )
 
 __all__ = ["PropertyResult", "VerifyReport", "SUITES", "verify"]
@@ -188,6 +189,33 @@ def random_init_similarity_mc(rng: np.random.Generator, draws: int, n: int = 20,
     target = expected_initial_similarity_exact(n, d)
     return _result("random_init_similarity_mc", "metrics", _z(dets, target), 3.0,
                    f"mean={dets.mean():.4e} exact={target:.4e}")
+
+
+def reorth_agreement(rng: np.random.Generator, pairs: int) -> PropertyResult:
+    """Re-orthonormalization is orthonormal to 1e-14 and spans what Householder QR spans, to 1e-12.
+
+    The cases cycle through a basis drifted by 99 GROUSE steps without
+    re-orthonormalization and a basis with condition number up to 1e4, at
+    scales 1, 1e200 and 1e-200.  ``measured`` is the larger of
+    ``max|Q^T Q - I| / 1e-14`` and ``max|Q Q^T - P_qr| / 1e-12``, where
+    ``P_qr`` is the projector of ``np.linalg.qr`` on the unscaled basis.
+    """
+    orth, agreement = 0.0, 0.0
+    for i in range(pairs):
+        u, _ = _random_pair(rng)
+        n, d = u.shape
+        if i % 2 == 0:
+            for _ in range(99):
+                u = grouse_step(u, rng.standard_normal(n), _NO_REORTH).updated
+        else:
+            singular_values = np.logspace(0, -rng.uniform(0, 4), d)
+            u = (u * singular_values) @ np.linalg.qr(rng.standard_normal((d, d)))[0]
+        q = reorthonormalize(u * (1.0, 1e200, 1e-200)[i % 3])
+        q_qr = np.linalg.qr(u)[0]
+        orth = max(orth, float(np.max(np.abs(q.T @ q - np.eye(d)))))
+        agreement = max(agreement, float(np.max(np.abs(q @ q.T - q_qr @ q_qr.T))))
+    return _result("reorth_agreement", "metrics", max(orth / 1e-14, agreement / 1e-12) if pairs > 0 else None,
+                   1.0, f"max|Q^T Q - I|={orth:.1e} projector gap={agreement:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +508,8 @@ def verify(suite: str = "all", seed: int = 0, intensity: str = "quick") -> Verif
             results.append(check(rng, counts["pairs"]))
         results.append(trace_expectation_mc(rng, counts["trace_draws"]))
         results.append(random_init_similarity_mc(rng, counts["init_draws"]))
+        # a child generator: the draws of the properties after this one do not depend on it
+        results.append(reorth_agreement(rng.spawn(1)[0], counts["pairs"]))
     if suite in ("step", "all"):
         for check in (step_orthonormality, rank_one_structure, monotonic_zeta_identity, monotonic_eps_identity,
                       greedy_optimality, step_equivariance, alpha_one_fixed_point):

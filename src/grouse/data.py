@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .subspaces import _check_finite, check_orthonormal, random_orthonormal
+from .subspaces import _check_finite, _rank_deficient, check_orthonormal, random_orthonormal
 
 __all__ = [
     "PlantedModel",
@@ -101,8 +101,7 @@ def _sparse_matrix(n: int, d: int, density: float, rng: np.random.Generator) -> 
 def _sparse_orthonormal(n: int, d: int, density: float, rng: np.random.Generator) -> np.ndarray:
     for _ in range(_MAX_SPARSE_ATTEMPTS):
         q, r = np.linalg.qr(_sparse_matrix(n, d, density, rng))
-        diag = np.abs(np.diag(r))
-        if np.min(diag) > n * np.finfo(float).eps * np.max(diag):
+        if not _rank_deficient(np.diag(r), n):
             return q
     raise np.linalg.LinAlgError(
         f"could not draw a full-rank sparse matrix at n={n}, d={d}, density={density}"

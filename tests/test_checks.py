@@ -14,6 +14,7 @@ from grouse.checks import (
     monotonic_eps_identity,
     monotonic_zeta_identity,
     rank_one_structure,
+    reorth_agreement,
     step_equivariance,
     step_orthonormality,
     verify,
@@ -30,7 +31,7 @@ def test_quick_suite_passes_within_time_budget():
     failed = [r.line() for r in report.results if not r.passed]
     assert report.passed, f"failing properties: {failed}"
     assert elapsed < 60.0
-    assert len(report.results) == 23
+    assert len(report.results) == 24
 
 
 def test_quick_suite_other_seed():
@@ -95,3 +96,12 @@ def test_metric_property_without_pairs_fails():
         result = prop(np.random.default_rng(0), 0)
         assert not result.passed, result.line()
         assert result.measured == math.inf
+
+
+def test_reorth_agreement_fails_on_a_non_orthonormal_result_and_without_cases(monkeypatch):
+    assert reorth_agreement(np.random.default_rng(0), 12).passed
+    empty = reorth_agreement(np.random.default_rng(0), 0)
+    assert not empty.passed and empty.measured == math.inf and "no case evaluated" in empty.detail
+    # negative control: the right span, orthonormal only to 2e-13
+    monkeypatch.setattr(grouse.checks, "reorthonormalize", lambda u: np.linalg.qr(u)[0] * (1.0 + 1e-13))
+    assert not reorth_agreement(np.random.default_rng(0), 12).passed

@@ -124,7 +124,7 @@ def test_verify_quick_suite(capsys):
     code = main(["verify", "--suite", "metrics", "--seed", "0", "--intensity", "quick"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.count("PASS metrics/") == 5
+    assert out.count("PASS metrics/") == 6
     assert out.strip().splitlines()[-1].startswith("OK:")
 
 

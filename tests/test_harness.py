@@ -356,3 +356,17 @@ def test_bounds_table_row_level_errors():
     assert rows[0] == rows[2]
     assert "eps_star * rho" in rows[1]
     assert rows[1].split(",")[6] == ""  # no mu0 value on the failed row
+
+
+def test_trial_calls_householder_qr_only_for_model_and_start(monkeypatch):
+    """350 steps at (400, 8) cross 3 re-orthonormalization points, none of which calls ``np.linalg.qr``."""
+    qr_calls, reorth_calls = [], []
+    qr, reorth = np.linalg.qr, grouse.harness.reorthonormalize
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
+    monkeypatch.setattr(grouse.harness, "reorthonormalize", lambda u: reorth_calls.append(1) or reorth(u))
+    cfg = ExperimentConfig(n=400, d=8, sigma_sq=1e-3, mode=StepMode.PRACTICAL_NOISY, max_iters=350,
+                           eps_star=1e-12, seed=4)
+    result, _ = run_trajectory(cfg)
+    assert result.iters_run == 350 and result.skipped_steps == 0
+    assert len(reorth_calls) == 3
+    assert len(qr_calls) == 2

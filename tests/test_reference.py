@@ -20,6 +20,15 @@ from grouse.harness import ExperimentConfig, TrialResult, derive_trial_seed, run
 from grouse.subspaces import MetricSample, basis_with_similarity, random_orthonormal
 
 
+def _reference_reorth(U):
+    """Column-scaled CholeskyQR2: scale columns by powers of two, then ``Q <- Q inv(cholesky(Q^T Q))^T`` twice."""
+    _, exponents = np.frexp(np.abs(U).max(axis=0))
+    q = np.ldexp(U, -exponents)
+    for _ in range(2):
+        q = q @ np.linalg.inv(np.linalg.cholesky(q.T @ q)).T
+    return q
+
+
 def _reference_step(U, x, cfg, oracle=None, nonskipped_steps=None):
     """(w, p, r, alpha, theta, updated, skipped) of one step, in 1-D arithmetic."""
     w = U.T @ x
@@ -44,7 +53,7 @@ def _reference_step(U, x, cfg, oracle=None, nonskipped_steps=None):
     updated = U + np.outer(y_hat - p_hat, w / w_norm)
     if (cfg.reorth_period is not None and nonskipped_steps is not None
             and (nonskipped_steps + 1) % cfg.reorth_period == 0):
-        updated = np.linalg.qr(updated)[0]
+        updated = _reference_reorth(updated)
     return w, p, r, alpha, theta, updated, False
 
 

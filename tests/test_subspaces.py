@@ -240,6 +240,46 @@ def test_reorthonormalize_rejects_rank_deficiency():
         reorthonormalize(u)
 
 
+def _conditioned(n, d, kappa, rng):
+    """(n, d) matrix with singular values log-spaced from 1 down to 1/kappa and random singular vectors."""
+    left = random_orthonormal(n, d, rng)
+    right = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return (left * np.logspace(0, -np.log10(kappa), d)) @ right.T
+
+
+@pytest.mark.parametrize("n, d", [(200, 5), (2000, 20), (5000, 10), (12, 11)])
+@pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4])
+def test_reorthonormalize_is_orthonormal_with_qr_span_at_any_scale(n, d, kappa):
+    u = _conditioned(n, d, kappa, np.random.default_rng(n + d))
+    q_qr = np.linalg.qr(u)[0]
+    for scale in (1.0, 1e200, 1e-200):
+        q = reorthonormalize(u * scale)
+        assert np.max(np.abs(q.T @ q - np.eye(d))) <= 1e-14
+        assert np.max(np.abs(q @ q.T - q_qr @ q_qr.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("column", ["zero", "duplicate"])
+def test_reorthonormalize_rejects_exact_rank_deficiency_at_any_scale(scale, column):
+    u = random_orthonormal(20, 4, np.random.default_rng(16))
+    u[:, 2] = 0.0 if column == "zero" else u[:, 1]
+    with pytest.raises(np.linalg.LinAlgError):
+        reorthonormalize(u * scale)
+
+
+def test_reorthonormalize_rejects_condition_beyond_its_domain():
+    with pytest.raises(np.linalg.LinAlgError):
+        reorthonormalize(_conditioned(200, 5, 1e10, np.random.default_rng(17)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reorthonormalize_rejects_non_finite(bad):
+    u = random_orthonormal(10, 3, np.random.default_rng(18))
+    u[4, 1] = bad
+    with pytest.raises(ValueError, match="basis contains non-finite entries"):
+        reorthonormalize(u)
+
+
 def test_check_orthonormal_rejects_drift():
     rng = np.random.default_rng(15)
     u = random_orthonormal(10, 3, rng)
