@@ -178,6 +178,36 @@ def noisy_eps_target(params: BoundParams) -> float:
     return max(p.sigma_sq, p.tau1 * p.d**2 / p.n * p.sigma_sq)
 
 
+@dataclass(frozen=True)
+class _PhaseRule:
+    """The phase targets and the K1/K2 update of ``detect_phases``, one recorded iterate at a time.
+
+    ``k1`` and ``k2`` are integer arrays, one entry per trajectory (a
+    stack of trials in the harness), and hold -1 while unmet.
+    """
+
+    target_zeta: float
+    target_eps: float
+
+    @classmethod
+    def of(cls, params: BoundParams, noisy: bool) -> "_PhaseRule":
+        if noisy:
+            return cls(noisy_zeta_target(params), noisy_eps_target(params))
+        return cls(0.5, params.eps_star)
+
+    def advance(self, k1, k2, t: int, zeta, eps):
+        """``k1`` and ``k2`` after the iterate recorded at step ``t`` (a NaN ``zeta`` never meets the target)."""
+        if (k2 >= 0).all():  # a split that is complete never changes
+            return k1, k2
+        k1 = np.where((k1 < 0) & (zeta >= self.target_zeta), t, k1)
+        k2 = np.where((k1 >= 0) & (k2 < 0) & (eps <= self.target_eps), t - k1, k2)
+        return k1, k2
+
+    def report(self, k1, k2) -> PhaseReport:
+        return PhaseReport(k1=None if k1 < 0 else int(k1), k2=None if k2 < 0 else int(k2),
+                           target_zeta=self.target_zeta, target_eps=self.target_eps)
+
+
 def detect_phases(
     trajectory: Sequence[MetricSample],
     params: BoundParams,
@@ -190,27 +220,18 @@ def detect_phases(
     local phase is counted from the iteration that first meets the
     similarity target (``k2 = 0`` when that iterate already meets the
     discrepancy target).  Iteration indices must be strictly increasing.
+    The harness applies the same ``_PhaseRule`` while a trial runs.
     """
     if not trajectory:
         raise ValueError("trajectory must be non-empty")
     ts = [s.t for s in trajectory]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("iteration indices must be strictly increasing")
-    target_zeta = noisy_zeta_target(params) if noisy else 0.5
-    target_eps = noisy_eps_target(params) if noisy else params.eps_star
-
-    k1 = None
+    rule = _PhaseRule.of(params, noisy)
+    k1, k2 = np.full(1, -1), np.full(1, -1)
     for sample in trajectory:
-        if sample.zeta >= target_zeta:
-            k1 = sample.t
-            break
-    k2 = None
-    if k1 is not None:
-        for sample in trajectory:
-            if sample.t >= k1 and sample.epsilon <= target_eps:
-                k2 = sample.t - k1
-                break
-    return PhaseReport(k1=k1, k2=k2, target_zeta=target_zeta, target_eps=target_eps)
+        k1, k2 = rule.advance(k1, k2, sample.t, sample.zeta, sample.epsilon)
+    return rule.report(k1[0], k2[0])
 
 
 @dataclass(frozen=True)

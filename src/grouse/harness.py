@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, detect_phases, k1_bound, k2_bound, mu0
+from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, mu0
 from .core import OracleInfo, StepConfig, StepMode, _checked, _energy_outside, _step
 from .data import PlantedModel, _draw_each, make_planted
 from .subspaces import (MetricSample, _cosines, _discrepancy, _similarity, check_orthonormal,
@@ -59,7 +59,10 @@ class ExperimentConfig:
     iteration bound (at failure probabilities 0.1/0.1), so convergence
     checks against the bound can fail meaningfully instead of timing out.
     ``record_every=None`` resolves to 1 when ``n * d <= 1e5`` and 10
-    otherwise; metrics cost one small SVD per recorded step.
+    otherwise.  A recorded step costs a d x d Gram matrix, which gives the
+    discrepancy; a trajectory also takes its SVD (the cosines and the
+    similarity) at every recorded step, a sweep only until the trial
+    reaches ``K1`` and at its last step.
     ``threads`` must be >= 1 and has no effect: a sweep steps the trials
     of a config together in the calling thread, in stacks whose width
     depends only on ``n * d``, and each trial's results are those it gets
@@ -182,30 +185,17 @@ def _start_trial(
 
 # A recorded row holds zeta, epsilon, the step's theta, alpha, ||p||^2, ||r||^2 and skipped flag,
 # then the principal-angle cosines.  A stack keeps its trials' rows in blocks of _HISTORY_CHUNK steps.
-_EPS = 1
 _COSINES = 7
 _HISTORY_CHUNK = 64
 
 
-def _row_block(ubars: np.ndarray, bases: np.ndarray, theta=0.0, alpha=0.0, p_sq=0.0, r_sq=0.0,
-               skipped=False) -> np.ndarray:
-    """One recorded row per iterate of ``bases`` against ``ubars``, in the columns above."""
-    gram = np.matmul(ubars.swapaxes(-1, -2), bases)
-    cosines = _cosines(gram)
-    block = np.empty((len(bases), _COSINES + cosines.shape[-1]))
-    for column, value in enumerate((_similarity(cosines), _discrepancy(gram), theta, alpha, p_sq, r_sq, skipped)):
-        block[:, column] = value
-    block[:, _COSINES:] = cosines
-    return block
-
-
-def _lockstep(step_cfg: StepConfig, bases, ubars, x, energy, nonskipped, record: bool):
+def _lockstep(step_cfg: StepConfig, bases, x, energy, nonskipped, record: bool):
     """One step of a stack of trials: row ``i`` updates ``bases[i]`` with ``x[i]``.
 
     A row whose non-skipped step count reaches a multiple of the config's
     ``reorth_period`` is re-orthonormalized, as ``grouse_step`` does.  Returns
-    the updated bases, the skipped flags and, when ``record``, the recorded
-    rows of the new iterates.
+    the updated bases, the skipped flags and, when ``record``, one recorded
+    row per trial with the step's columns (theta to skipped) filled in.
     """
     _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = _step(bases, x, step_cfg, energy)
     due = ~skipped & (nonskipped % step_cfg.reorth_period == step_cfg.reorth_period - 1)
@@ -215,31 +205,33 @@ def _lockstep(step_cfg: StepConfig, bases, ubars, x, energy, nonskipped, record:
         return updated, skipped, None
     if skipped.any():  # a skipped step records alpha = theta = 0, as a single skipped step returns
         alpha, theta = np.where(skipped, 0.0, alpha), np.where(skipped, 0.0, theta)
-    return updated, skipped, _row_block(ubars, updated, theta, alpha, p_sq, r_sq, skipped)
+    block = np.empty((len(updated), _COSINES + updated.shape[-1]))
+    for column, value in enumerate((theta, alpha, p_sq, r_sq, skipped), start=2):
+        block[:, column] = value
+    return updated, skipped, block
 
 
-def _lockstep_row(step_cfg: StepConfig, bases, ubars, x, energy, nonskipped, record: bool, i: int):
+def _lockstep_row(step_cfg: StepConfig, bases, x, energy, nonskipped, record: bool, i: int):
     """``_lockstep`` on row ``i`` alone, after the input checks of ``grouse_step``, or the exception it raised."""
     row = slice(i, i + 1)
     try:
         if energy is not None:
             OracleInfo(v_perp_norm_sq=float(energy[i]))
         _checked(bases[i], x[i])
-        return _lockstep(step_cfg, bases[row], ubars[row], x[row], None if energy is None else energy[row],
+        return _lockstep(step_cfg, bases[row], x[row], None if energy is None else energy[row],
                          nonskipped[row], record)
     except Exception as exc:  # the row's trial ends; the others go on
         return exc
 
 
-def _trial_outcome(cfg: ExperimentConfig, trial_id: int, derived_seed: int, times: list[int],
-                   history: list[np.ndarray], slot: int, nonskipped: int) -> tuple[TrialResult, list[TrajectoryRow]]:
-    """Result and rows of the trial in column ``slot`` of the history, one row per entry of ``times``.
+def _trial_rows(times: list[int], history: list[np.ndarray], slot: int) -> list[TrajectoryRow]:
+    """Rows of the trial in column ``slot`` of the history, one per entry of ``times``.
 
     The rows' cosines are views into the history.
     """
     columns = np.concatenate([chunk[:, slot, :_COSINES] for chunk in history])[:len(times)].T.tolist()
     cosines = (row for chunk in history for row in chunk[:, slot, _COSINES:])
-    rows = [
+    return [
         TrajectoryRow(
             sample=MetricSample(t=t, zeta=zeta, epsilon=eps, cos_angles=cos,
                                 residual_norm_sq=r_sq, projection_norm_sq=p_sq),
@@ -248,21 +240,9 @@ def _trial_outcome(cfg: ExperimentConfig, trial_id: int, derived_seed: int, time
         for t, zeta, eps, theta, alpha, p_sq, r_sq, skipped, cos
         in zip(times, *columns, cosines)
     ]
-    samples = [row.sample for row in rows]
-    phase = detect_phases(samples, cfg.bound_params(), noisy=cfg.sigma_sq > 0)
-    result = TrialResult(
-        trial_id=trial_id,
-        derived_seed=derived_seed,
-        phase=phase,
-        final_zeta=samples[-1].zeta,
-        final_eps=samples[-1].epsilon,
-        iters_run=times[-1],
-        skipped_steps=times[-1] - nonskipped,
-    )
-    return result, rows
 
 
-def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None):
+def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None, rows: bool):
     """``_run_trials`` on trials that fit one stack."""
     trials = []
     for trial_id in trial_ids:
@@ -281,30 +261,46 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     del trials, models, starts  # the stacks hold the bases and ground truths from here on
     started = len(ids)
     nonskipped = np.zeros(started, dtype=int)
+    k1, k2 = np.full(started, -1), np.full(started, -1)  # each trial's phase split so far, -1 while unmet
     slots = np.arange(started)  # each trial's column in the history, which keeps a column per started trial
+    rule = _PhaseRule.of(cfg.bound_params(), noisy=cfg.sigma_sq > 0)
     step_cfg = cfg.step_config()
     record_every = cfg.resolved_record_every()
     max_iters = cfg.resolved_max_iters()
     history: list[np.ndarray] = []  # blocks of _HISTORY_CHUNK recorded steps
     times: list[int] = []
     t, record = 0, True
-    block = _row_block(ubars, bases)
+    block = np.zeros((started, _COSINES + cfg.d))  # the start's step columns hold 0
     while True:
         if record:
-            if len(times) % _HISTORY_CHUNK == 0:
-                history.append(np.empty((_HISTORY_CHUNK, started, block.shape[1])))
-            history[-1][len(times) % _HISTORY_CHUNK, slots] = block
-            times.append(t)
-            done = block[:, _EPS] <= cfg.eps_star
+            gram = np.matmul(ubars.swapaxes(-1, -2), bases)
+            eps = _discrepancy(gram)
+            done = eps <= cfg.eps_star
             if t == max_iters:
                 done[:] = True
+            if rows:
+                cosines = _cosines(gram)
+                zeta = _similarity(cosines)
+                block[:, 0], block[:, 1], block[:, _COSINES:] = zeta, eps, cosines
+                if len(times) % _HISTORY_CHUNK == 0:
+                    history.append(np.empty((_HISTORY_CHUNK, started, _COSINES + cfg.d)))
+                history[-1][len(times) % _HISTORY_CHUNK, slots] = block
+                times.append(t)
+            else:  # zeta decides K1 and is the final zeta: a trial past K1 needs it only at its last step
+                zeta = np.full(len(ids), np.nan)
+                need = done | (k1 < 0)
+                if need.any():
+                    zeta[need] = _similarity(_cosines(gram[need]))
+            k1, k2 = rule.advance(k1, k2, t, zeta, eps)
             if done.any():
                 for i in np.flatnonzero(done):
-                    yield ids[i], *_trial_outcome(cfg, ids[i], seeds[i], times, history, slots[i],
-                                                  int(nonskipped[i]))
+                    result = TrialResult(trial_id=ids[i], derived_seed=seeds[i], phase=rule.report(k1[i], k2[i]),
+                                         final_zeta=float(zeta[i]), final_eps=float(eps[i]), iters_run=t,
+                                         skipped_steps=t - int(nonskipped[i]))
+                    yield ids[i], result, _trial_rows(times, history, slots[i]) if rows else None
                 keep = ~done
-                ids, seeds, rngs, bases, ubars, nonskipped, slots = (
-                    column[keep] for column in (ids, seeds, rngs, bases, ubars, nonskipped, slots))
+                ids, seeds, rngs, bases, ubars, nonskipped, k1, k2, slots = (
+                    column[keep] for column in (ids, seeds, rngs, bases, ubars, nonskipped, k1, k2, slots))
                 if not len(ids):
                     return
         sample = _draw_each(ubars, cfg.sigma_sq, normalize_signal, rngs)
@@ -312,15 +308,15 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
         t += 1
         record = t % record_every == 0 or t == max_iters
         try:
-            bases, skipped, block = _lockstep(step_cfg, bases, ubars, sample.x, energy, nonskipped, record)
+            bases, skipped, block = _lockstep(step_cfg, bases, sample.x, energy, nonskipped, record and rows)
         except Exception:  # step the rows one at a time: a row that raises ends its trial alone
-            outs = [_lockstep_row(step_cfg, bases, ubars, sample.x, energy, nonskipped, record, i)
+            outs = [_lockstep_row(step_cfg, bases, sample.x, energy, nonskipped, record and rows, i)
                     for i in range(len(ids))]
             keep = np.array([not isinstance(out, Exception) for out in outs])
             for i in np.flatnonzero(~keep):
                 yield ids[i], outs[i], None
-            ids, seeds, rngs, ubars, nonskipped, slots = (
-                column[keep] for column in (ids, seeds, rngs, ubars, nonskipped, slots))
+            ids, seeds, rngs, ubars, nonskipped, k1, k2, slots = (
+                column[keep] for column in (ids, seeds, rngs, ubars, nonskipped, k1, k2, slots))
             if not len(ids):
                 return
             bases, skipped, block = (None if part[0] is None else np.concatenate(part)
@@ -328,19 +324,26 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
         nonskipped += ~skipped
 
 
-def _run_trials(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None = None):
+def _run_trials(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None = None,
+                rows: bool = True):
     """Run trials of ``cfg``; yield ``(trial_id, result, rows)`` as each ends, or ``(trial_id, exception, None)``.
 
     The trials step in lock-step stacks of at most ``_CHUNK_ELEMENTS`` basis
     elements (one trial per stack at large sizes).  Each trial keeps its own
-    generator, model and recorded rows, draws from its generator as it would
-    alone, and gets the bits it gets alone whatever the stack holds.  A trial
-    that raises, at set-up or in a step, ends with its exception and leaves
-    the stack; the other trials go on.
+    generator, model and phase split, draws from its generator as it would
+    alone, and gets the bits it gets alone whatever the stack holds.  At
+    each recorded step the engine evaluates every running trial's
+    discrepancy, which decides stopping and ``K2``, and advances ``K1`` and
+    ``K2`` by ``bounds._PhaseRule``.  With ``rows`` it also keeps every
+    recorded row and yields them with the result; without, it yields
+    ``None`` for them, keeps no history and takes the SVD behind the
+    similarity only for trials short of ``K1`` or at their last step.  A
+    trial that raises, at set-up or in a step, ends with its exception and
+    leaves the stack; the other trials go on.
     """
     width = max(1, _CHUNK_ELEMENTS // (cfg.n * cfg.d))
     for start in range(0, len(trial_ids), width):
-        yield from _run_stack(cfg, trial_ids[start:start + width], initial_basis)
+        yield from _run_stack(cfg, trial_ids[start:start + width], initial_basis, rows)
 
 
 def run_trajectory(
@@ -438,9 +441,8 @@ class SweepConfigSummary:
 
 def _run_config_trials(cfg: ExperimentConfig) -> SweepConfigSummary:
     outcomes = {}
-    for trial_id, outcome, rows in _run_trials(cfg, range(cfg.trials)):
+    for trial_id, outcome, _ in _run_trials(cfg, range(cfg.trials), rows=False):
         outcomes[trial_id] = outcome
-        del rows  # one trial's rows at a time
     ordered = [outcomes[i] for i in sorted(outcomes) if isinstance(outcomes[i], TrialResult)]
     errors = {i: f"{type(outcomes[i]).__name__}: {outcomes[i]}" for i in sorted(outcomes)
               if isinstance(outcomes[i], Exception)}

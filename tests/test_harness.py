@@ -295,6 +295,70 @@ def test_sweep_is_invariant_to_stack_width(tmp_path, monkeypatch):
     assert [result.skipped_steps for _, result in mixed_results] == [40, 0, 0]
 
 
+def test_sweep_takes_similarity_svd_only_until_k1(monkeypatch):
+    """A sweep takes the SVD behind a trial's similarity only up to its K1 and at its last step.
+
+    A trajectory still records the cosines of every row.
+    """
+    grams = []
+    cosines = grouse.harness._cosines
+    monkeypatch.setattr(grouse.harness, "_cosines", lambda gram: grams.append(len(gram)) or cosines(gram))
+    cfg = ExperimentConfig(n=150, d=4, sigma_sq=1e-3, seed=1, trials=4, max_iters=500,
+                           mode=StepMode.PRACTICAL_NOISY)
+    every = cfg.resolved_record_every()
+    results = run_sweep([cfg])[0].results
+    assert len(results) == 4 and all(r.phase.k1 is not None and r.iters_run == 500 for r in results)
+    assert sum(grams) <= sum(r.phase.k1 // every + 2 for r in results)
+    grams.clear()
+    for trial_id in range(cfg.trials):
+        _, rows = run_trajectory(cfg, trial_id)
+        assert len(rows) == 501 and all(len(row.sample.cos_angles) == cfg.d for row in rows)
+    assert sum(grams) == 4 * 501
+
+
+_EDGE_MODES = {
+    "greedy": {"mode": StepMode.GREEDY_NOISELESS},
+    "practical": {"mode": StepMode.PRACTICAL_NOISY, "sigma_sq": 1e-3},
+    "oracle": {"mode": StepMode.ORACLE_NOISY, "sigma_sq": 1e-3},
+}
+
+# config fields, and whether the trial starts at its own ground truth
+_EDGE_CASES = {
+    "short_of_k1": ({"n": 200, "d": 5, "max_iters": 5}, False),
+    "converged_start": ({"n": 60, "d": 4}, True),
+    "all_skipped": ({"n": 60, "d": 3, "sigma_sq": 0.0, "eps_star": 1e-30, "max_iters": 20}, True),
+}
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("mode", sorted(_EDGE_MODES))
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_sweep_phase_split_equals_trajectory_at_edges(case, mode, record_every, monkeypatch):
+    """A sweep trial short of K1, one converged at its start and one that skips every step.
+
+    The sweep's results equal ``run_trajectory``'s, whose phase split is ``detect_phases`` over its rows.
+    """
+    from grouse.bounds import detect_phases
+
+    fields, at_truth = _EDGE_CASES[case]
+    cfg = ExperimentConfig(**{"seed": 3, "record_every": record_every, **_EDGE_MODES[mode], **fields})
+    start = _converged_start(cfg) if at_truth else None
+    original = grouse.harness._start_trial
+    monkeypatch.setattr(grouse.harness, "_start_trial", lambda c, trial_id, _: original(c, trial_id, start))
+    summary = run_sweep([cfg])[0]
+    result, rows = run_trajectory(cfg, 0, initial_basis=start)
+    assert summary.errors == {} and summary.results == [result]
+    assert result.phase == detect_phases([row.sample for row in rows], cfg.bound_params(), noisy=cfg.sigma_sq > 0)
+    assert result.final_zeta == rows[-1].sample.zeta and math.isfinite(result.final_zeta)
+    split = (result.phase.k1, result.phase.k2)
+    if case == "short_of_k1":
+        assert split == (None, None) and result.iters_run == 5
+    elif case == "converged_start":
+        assert split == (0, 0) and result.iters_run == 0
+    else:
+        assert split == (0, None) and result.iters_run == result.skipped_steps == 20
+
+
 def test_config_threads_is_accepted_and_validated():
     cfg = config_from_dict({"n": 60, "d": 3, "threads": 2})
     assert cfg.threads == 2 and cfg.to_dict()["threads"] == 2

@@ -39,6 +39,24 @@ def test_similarity_formula_has_one_owner():
     assert hits[0][1].strip() in inspect.getsource(_similarity)
 
 
+def test_phase_rule_has_one_owner():
+    """The phase targets and the K1/K2 update are written once, in ``bounds._PhaseRule``.
+
+    ``detect_phases`` and the harness's trial engine both apply it; the harness binds no ``detect_phases``.
+    """
+    import grouse.harness
+    from grouse.bounds import _PhaseRule
+
+    package = Path(grouse.__file__).parent
+    hits = [(path.name, line) for path in sorted(package.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.lstrip().startswith("def ")
+            and ("_target(" in line or ">= self.target_zeta" in line or "<= self.target_eps" in line)]
+    source = inspect.getsource(_PhaseRule)
+    assert len(hits) == 3 and all(line.strip() in source for _, line in hits), hits
+    assert grouse.harness._PhaseRule is _PhaseRule and "detect_phases" not in vars(grouse.harness)
+
+
 def test_trial_loop_has_one_owner():
     """The harness steps and draws only in its lock-step engine.
 
