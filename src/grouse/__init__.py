@@ -38,7 +38,6 @@ from .core import (
 from .data import (
     PlantedModel,
     Sample,
-    SampleBatch,
     draw_batch,
     draw_sample,
     export_basis_csv,

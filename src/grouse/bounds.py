@@ -23,8 +23,8 @@ import numpy as np
 
 from .core import StepConfig, StepMode, _energy_outside, _step
 from .data import PlantedModel, draw_batch
-from .subspaces import (MetricSample, _check_finite, _cosines, _cross_gram, _discrepancy, _similarity,
-                         _squares, determinant_similarity, frobenius_discrepancy, principal_angles)
+from .subspaces import (MetricSample, _check_finite, _check_int, _cosines, _cross_gram, _discrepancy,
+                         _similarity, _squares, determinant_similarity, frobenius_discrepancy, principal_angles)
 
 __all__ = [
     "BoundParams",
@@ -66,6 +66,7 @@ class BoundParams:
     tau2: float | None = None
 
     def __post_init__(self) -> None:
+        _check_int(n=self.n, d=self.d)
         if not 0 < self.d < self.n:
             raise ValueError(f"need 0 < d < n, got n={self.n}, d={self.d}")
         if self.sigma_sq < 0:

@@ -14,7 +14,7 @@ import sys
 from .bounds import BoundParams
 from .checks import SUITES, verify
 from .core import StepMode
-from .harness import ExperimentConfig, bounds_table, config_from_dict, run_single, run_sweep
+from .harness import bounds_table, config_from_dict, run_single, run_sweep
 
 USAGE_ERROR = 1
 PROPERTY_FAILURE = 2
@@ -28,35 +28,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags whose ``dest`` names are the ``ExperimentConfig`` fields they set."""
     parser.add_argument("--n", type=int, required=True, help="ambient dimension")
     parser.add_argument("--d", type=int, required=True, help="subspace dimension")
-    parser.add_argument("--sigma2", type=float, default=0.0, help="noise-to-signal energy bound")
+    parser.add_argument("--sigma2", dest="sigma_sq", metavar="SIGMA2", type=float, default=0.0,
+                        help="noise-to-signal energy bound")
     parser.add_argument("--trials", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--max-iters", type=int, default=None)
     parser.add_argument("--eps-star", type=float, default=1e-4, help="target discrepancy")
     parser.add_argument("--mode", choices=[m.value for m in StepMode], default="greedy")
-    parser.add_argument("--sparse", action="store_true", help="sparse ground-truth basis")
+    parser.add_argument("--sparse", dest="sparse_ubar", action="store_true", help="sparse ground-truth basis")
     parser.add_argument("--c", type=float, default=1.0, help="practical step-size constant")
     parser.add_argument("--record-every", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output path")
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        n=args.n,
-        d=args.d,
-        sigma_sq=args.sigma2,
-        trials=args.trials,
-        seed=args.seed,
-        max_iters=args.max_iters,
-        eps_star=args.eps_star,
-        mode=StepMode(args.mode),
-        sparse_ubar=args.sparse,
-        c=args.c,
-        record_every=args.record_every,
-        out_path=args.out,
-    )
+    parser.add_argument("--out", dest="out_path", metavar="OUT", default=None, help="output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +80,7 @@ def _trial_out_path(out_path: str | None, trial_id: int, trials: int) -> str | N
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    cfg = config_from_dict({key: value for key, value in vars(args).items() if key != "command"})
     for trial_id in range(cfg.trials):
         trial_cfg = dataclasses.replace(
             cfg, out_path=_trial_out_path(cfg.out_path, trial_id, cfg.trials)

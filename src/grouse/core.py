@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .subspaces import _check_finite, _squares, reorthonormalize
+from .subspaces import _check_finite, _check_int, _squares, reorthonormalize
 
 __all__ = [
     "OracleInfo",
@@ -57,9 +57,9 @@ class StepConfig:
     ``sigma_sq`` is the known upper bound on the noise-to-signal energy
     ratio; ``c`` the positive constant scaling the practical schedule.
     Steps whose coefficient, projection, or residual norm falls at or
-    below ``skip_norm_tol`` are skipped.  ``reorth_period`` asks callers
-    that track a non-skipped step count to re-orthonormalize every that
-    many non-skipped steps (``None`` disables periodic correction).
+    below ``skip_norm_tol`` are skipped.  ``_step``, given a caller's count
+    of non-skipped steps, re-orthonormalizes every ``reorth_period``-th
+    non-skipped step (``None`` disables periodic correction).
     """
 
     mode: StepMode = StepMode.GREEDY_NOISELESS
@@ -76,6 +76,7 @@ class StepConfig:
             raise ValueError(f"c must be > 0, got {self.c}")
         if self.skip_norm_tol <= 0:
             raise ValueError(f"skip_norm_tol must be > 0, got {self.skip_norm_tol}")
+        _check_int(reorth_period=self.reorth_period)
         if self.reorth_period is not None and self.reorth_period < 1:
             raise ValueError(f"reorth_period must be a positive int or None, got {self.reorth_period}")
 
@@ -228,16 +229,18 @@ def rotate_update(
     return _rotate(U, w / w_norm, p / p_norm, r / r_norm, theta)
 
 
-def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None) -> tuple:
+def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None, nonskipped=None) -> tuple:
     """The step over the leading axes of ``x``: one observation ``(n,)`` or a stack ``(b, n)``.
 
     ``U`` is one basis ``(n, d)`` shared by every row, or one basis per row
     ``(b, n, d)`` (the lock-step trials of a sweep).  ``v_perp_norm_sq``
-    holds the oracle energy of each row.  Returns ``w``, ``p``, ``r``, the
-    squared norms of ``p`` and ``r``, ``alpha``, ``theta``, the updated bases
-    and the skipped flags.  A skipped row's basis is its input basis and its
-    ``alpha`` and ``theta`` are meaningless (0.0 when every row is skipped,
-    and then ``U`` itself is the update).  Each row gets the bits it gets
+    holds the oracle energy of each row, ``nonskipped`` its count of earlier
+    non-skipped steps: only here is a row re-orthonormalized, when this step
+    brings its count to a multiple of ``cfg.reorth_period``.  Returns ``w``,
+    ``p``, ``r``, the squared norms of ``p`` and ``r``, ``alpha``, ``theta``,
+    the updated bases and the skipped flags.  A skipped row's basis is its
+    input basis and its ``alpha`` and ``theta`` are 0.0 (``U`` itself is the
+    update when every row is skipped).  Each row gets the bits it gets
     alone.  Raises ``ValueError`` on a non-finite update.
     """
     w, p, r = _project(U, x)
@@ -256,8 +259,14 @@ def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None) ->
     updated = _rotate(U, w / w_norm[..., None], p / p_norm[..., None], r / r_norm[..., None], theta)
     if skipped.any():
         np.copyto(updated, U, where=skipped[..., None, None])
+        alpha, theta = np.where(skipped, 0.0, alpha), np.where(skipped, 0.0, theta)
     if not np.isfinite(updated).all():
         raise ValueError("update produced non-finite entries")
+    if nonskipped is not None and cfg.reorth_period is not None:
+        due = ~skipped & (nonskipped % cfg.reorth_period == cfg.reorth_period - 1)
+        stack = updated.reshape(-1, *U.shape[-2:])  # a view with one basis per row, also for one observation
+        for i in np.flatnonzero(due):
+            stack[i] = reorthonormalize(stack[i])
     return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped
 
 
@@ -275,19 +284,12 @@ def grouse_step(
     step is skipped and ``U`` is returned unchanged with ``skipped=True``.
 
     ``nonskipped_steps`` is the caller's count of previously completed
-    non-skipped steps; when given and ``cfg.reorth_period`` is set, every
-    ``reorth_period``-th non-skipped step is re-orthonormalized before it
-    is returned.  The function itself keeps no state.
+    non-skipped steps; when given, ``_step`` re-orthonormalizes every
+    ``cfg.reorth_period``-th non-skipped step before it is returned.  The
+    function itself keeps no state.
     """
     U, x = _checked(U, x)
     energy = None if oracle is None else oracle.v_perp_norm_sq
-    w, p, r, _, _, alpha, theta, updated, skipped = _step(U, x, cfg, energy)
-    if (
-        not skipped
-        and cfg.reorth_period is not None
-        and nonskipped_steps is not None
-        and (nonskipped_steps + 1) % cfg.reorth_period == 0
-    ):
-        updated = reorthonormalize(updated)
+    w, p, r, _, _, alpha, theta, updated, skipped = _step(U, x, cfg, energy, nonskipped_steps)
     return StepOutcome(w=w, p=p, r=r, alpha=float(alpha), theta=float(theta), updated=updated,
                        skipped=bool(skipped))

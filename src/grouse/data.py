@@ -19,7 +19,6 @@ from .subspaces import _check_finite, _rank_deficient, check_orthonormal, random
 __all__ = [
     "PlantedModel",
     "Sample",
-    "SampleBatch",
     "draw_batch",
     "draw_sample",
     "export_basis_csv",
@@ -72,9 +71,6 @@ class Sample:
     v: np.ndarray
     s: np.ndarray
     xi: np.ndarray
-
-
-SampleBatch = Sample  # what ``draw_batch`` returns: rows of x, v, xi are samples, rows of s coefficients
 
 
 def _sparse_density(n: int, d: int) -> float:
@@ -195,8 +191,8 @@ def draw_sample(model: PlantedModel, rng: np.random.Generator) -> Sample:
     return _draw(model, (), rng)
 
 
-def draw_batch(model: PlantedModel, size: int, rng: np.random.Generator) -> SampleBatch:
-    """Draw ``size`` observations at once (row per sample).
+def draw_batch(model: PlantedModel, size: int, rng: np.random.Generator) -> Sample:
+    """Draw ``size`` observations at once: rows of ``x``, ``v``, ``xi`` are samples, rows of ``s`` coefficients.
 
     Row ``i`` equals the ``i``-th of ``size`` successive ``draw_sample``
     calls, bit for bit, and the generator ends in the same state.
@@ -219,6 +215,6 @@ def export_basis_csv(model: PlantedModel, path: str) -> None:
     _write_csv_matrix(path, model, model.ubar)
 
 
-def export_samples_csv(model: PlantedModel, batch: SampleBatch, path: str) -> None:
+def export_samples_csv(model: PlantedModel, batch: Sample, path: str) -> None:
     """Write a batch of observations (one per row) after an ``n,d,sigma_sq`` header."""
     _write_csv_matrix(path, model, batch.x)

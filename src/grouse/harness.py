@@ -24,8 +24,8 @@ import numpy as np
 from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, mu0
 from .core import OracleInfo, StepConfig, StepMode, _checked, _energy_outside, _step
 from .data import PlantedModel, _draw_each, make_planted
-from .subspaces import (MetricSample, _cosines, _discrepancy, _similarity, check_orthonormal,
-                        random_orthonormal, reorthonormalize)
+from .subspaces import (MetricSample, _check_int, _cosines, _discrepancy, _similarity, check_orthonormal,
+                        random_orthonormal)
 
 __all__ = [
     "ExperimentConfig",
@@ -63,6 +63,11 @@ class ExperimentConfig:
     discrepancy; a trajectory also takes its SVD (the cosines and the
     similarity) at every recorded step, a sweep only until the trial
     reaches ``K1`` and at its last step.
+    ``eps_star`` has a floor on noiseless runs with unit-norm data: the
+    true discrepancy stops near 1e-24, where ``||r||`` falls below the
+    step's ``skip_norm_tol``, and the computed one reads 0.0 or 1.78e-15
+    once the true one is below about 1e-14, so an ``eps_star`` under that
+    records a false ``K2``.
     ``threads`` must be >= 1 and has no effect: a sweep steps the trials
     of a config together in the calling thread, in stacks whose width
     depends only on ``n * d``, and each trial's results are those it gets
@@ -84,7 +89,9 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        # BoundParams checks d < n, sigma_sq and eps_star; StepConfig checks c
+        _check_int(trials=self.trials, seed=self.seed, max_iters=self.max_iters,
+                   record_every=self.record_every, threads=self.threads)
+        # BoundParams checks n, d, sigma_sq and eps_star; StepConfig checks c
         self.bound_params()
         self.step_config()
         if self.trials < 1:
@@ -192,19 +199,14 @@ _HISTORY_CHUNK = 64
 def _lockstep(step_cfg: StepConfig, bases, x, energy, nonskipped, record: bool):
     """One step of a stack of trials: row ``i`` updates ``bases[i]`` with ``x[i]``.
 
-    A row whose non-skipped step count reaches a multiple of the config's
-    ``reorth_period`` is re-orthonormalized, as ``grouse_step`` does.  Returns
-    the updated bases, the skipped flags and, when ``record``, one recorded
-    row per trial with the step's columns (theta to skipped) filled in.
+    ``nonskipped`` holds each row's non-skipped step count, by which
+    ``_step`` re-orthonormalizes.  Returns the updated bases, the skipped
+    flags and, when ``record``, one recorded row per trial with the step's
+    columns (theta to skipped) filled in.
     """
-    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = _step(bases, x, step_cfg, energy)
-    due = ~skipped & (nonskipped % step_cfg.reorth_period == step_cfg.reorth_period - 1)
-    for i in due.nonzero()[0]:
-        updated[i] = reorthonormalize(updated[i])
+    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = _step(bases, x, step_cfg, energy, nonskipped)
     if not record:
         return updated, skipped, None
-    if skipped.any():  # a skipped step records alpha = theta = 0, as a single skipped step returns
-        alpha, theta = np.where(skipped, 0.0, alpha), np.where(skipped, 0.0, theta)
     block = np.empty((len(updated), _COSINES + updated.shape[-1]))
     for column, value in enumerate((theta, alpha, p_sq, r_sq, skipped), start=2):
         block[:, column] = value

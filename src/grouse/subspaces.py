@@ -16,6 +16,7 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,13 @@ def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} is non-finite: {value}")
+
+
+def _check_int(**values: int | None) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is neither ``None`` nor an integer (bools excluded)."""
+    for name, value in values.items():
+        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:

@@ -479,3 +479,9 @@ def test_mc_checks_need_two_draws(n_draws):
 def test_bound_params_reject_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):
         BoundParams(n=100, d=5, **{field: value})
+
+
+@pytest.mark.parametrize(("field", "value"), [("n", 60.0), ("n", 100.5), ("d", True), ("d", 2.0), ("d", 4.5)])
+def test_bound_params_reject_non_integer_dimensions(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        BoundParams(**{"n": 100, "d": 2, field: value})

@@ -349,6 +349,12 @@ def test_step_config_rejects_non_finite_values(field, value):
         StepConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [True, 2.5, 100.0])
+def test_step_config_rejects_non_integer_reorth_period(value):
+    with pytest.raises(ValueError, match="^reorth_period must be an integer"):
+        StepConfig(reorth_period=value)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_oracle_info_rejects_non_finite_energy(value):
     with pytest.raises(ValueError, match="v_perp_norm_sq"):

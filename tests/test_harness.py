@@ -62,6 +62,24 @@ def test_config_validation():
         ExperimentConfig(n=10, d=2, eps_star=5.0)
 
 
+@pytest.mark.parametrize("field", ["trials", "seed", "max_iters", "record_every", "threads"])
+@pytest.mark.parametrize("value", [True, 2.5, 50.0])
+def test_config_rejects_non_integer_counts(field, value):
+    """A bool or a float count raises at once: ``max_iters=50.5`` would never be reached, ``2.5`` records off-grid."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ExperimentConfig(n=60, d=3, **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        config_from_dict({"n": 60, "d": 3, field: value})
+
+
+@pytest.mark.parametrize("field", ["n", "d"])
+def test_config_rejects_non_integer_dimensions(field):
+    raw = {"n": 60, "d": 3}
+    raw[field] = float(raw[field])
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        config_from_dict(raw)
+
+
 def test_trial_seed_derivation_is_stable():
     ss_a, seed_a = derive_trial_seed(42, 7)
     ss_b, seed_b = derive_trial_seed(42, 7)
@@ -425,9 +443,9 @@ def test_bounds_table_row_level_errors():
 def test_trial_calls_householder_qr_only_for_model_and_start(monkeypatch):
     """350 steps at (400, 8) cross 3 re-orthonormalization points, none of which calls ``np.linalg.qr``."""
     qr_calls, reorth_calls = [], []
-    qr, reorth = np.linalg.qr, grouse.harness.reorthonormalize
+    qr, reorth = np.linalg.qr, grouse.core.reorthonormalize
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
-    monkeypatch.setattr(grouse.harness, "reorthonormalize", lambda u: reorth_calls.append(1) or reorth(u))
+    monkeypatch.setattr(grouse.core, "reorthonormalize", lambda u: reorth_calls.append(1) or reorth(u))
     cfg = ExperimentConfig(n=400, d=8, sigma_sq=1e-3, mode=StepMode.PRACTICAL_NOISY, max_iters=350,
                            eps_star=1e-12, seed=4)
     result, _ = run_trajectory(cfg)

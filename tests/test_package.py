@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,23 @@ def test_trial_loop_has_one_owner():
     assert {"grouse_step", "draw_sample"}.isdisjoint(vars(grouse.harness))
 
 
+def test_reorth_rule_has_one_owner():
+    """Whether a step re-orthonormalizes, and what a skipped row reports, is decided once, in ``core._step``.
+
+    The harness binds no ``reorthonormalize`` and zeroes no skipped row's angles.
+    """
+    import grouse.harness
+    from grouse.core import _step
+
+    package = Path(grouse.__file__).parent
+    hits = [(path.name, line) for path in sorted(package.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines() if re.search(r"%\s*[\w.]*reorth_period", line)]
+    assert len(hits) == 1, hits
+    assert hits[0][1].strip() in inspect.getsource(_step)
+    assert "reorthonormalize" not in vars(grouse.harness)
+    assert "np.where(skipped" not in inspect.getsource(grouse.harness)
+
+
 def test_package_runs_no_threads():
     """Trials run one after another: no module of the package imports a thread or process pool."""
     package = Path(grouse.__file__).parent
@@ -85,3 +103,10 @@ def test_traced_layers_resolve_to_package_functions():
     missing = [f"{layer}.{name}" for layer, names in tracer.LAYERS.items()
                for name in names if not callable(getattr(importlib.import_module(f"grouse.{layer}"), name, None))]
     assert tracer.LAYERS and missing == []
+
+
+def test_readme_api_quick_start_runs():
+    """The README's ``python`` quick-start block runs as written, so the documented loop tracks the package."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
+    exec(compile(block, str(readme), "exec"), {"__name__": "readme_quick_start"})

@@ -8,6 +8,8 @@ reference trial composes them one observation at a time; the harness
 steps a config's trials together.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,24 @@ def test_trials_equal_reference(name):
         assert len({result.iters_run for result, _ in expected}) > 1
     if name == "practical_reorth":
         assert all(result.iters_run - result.skipped_steps >= 200 for result, _ in expected)
+
+
+def test_trials_without_reorth_equal_reference(monkeypatch):
+    """With ``reorth_period=None`` a sweep and a trajectory never re-orthonormalize, finish, and equal the reference."""
+    step_config = ExperimentConfig.step_config
+    monkeypatch.setattr(ExperimentConfig, "step_config",
+                        lambda cfg: dataclasses.replace(step_config(cfg), reorth_period=None))
+    monkeypatch.setattr(core, "reorthonormalize", lambda u: pytest.fail("re-orthonormalized"))
+    cfg = _TRIAL_CONFIGS["practical_reorth"]
+    expected = [_reference_trial(cfg, trial_id) for trial_id in range(cfg.trials)]
+    summary = run_sweep([cfg])[0]
+    assert not summary.errors
+    assert summary.results == [result for result, _ in expected]
+    for trial_id, (result, rows) in enumerate(expected):
+        got, got_rows = run_trajectory(cfg, trial_id)
+        assert got == result
+        _assert_rows_equal_reference(got_rows, rows)
+    assert all(result.iters_run - result.skipped_steps >= 200 for result, _ in expected)
 
 
 def test_skipped_steps_equal_reference():
