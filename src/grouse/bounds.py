@@ -23,8 +23,9 @@ import numpy as np
 
 from .core import StepConfig, StepMode, _energy_outside, _step
 from .data import PlantedModel, draw_batch
-from .subspaces import (MetricSample, _check_finite, _check_int, _cosines, _cross_gram, _discrepancy,
-                         _similarity, _squares, determinant_similarity, frobenius_discrepancy, principal_angles)
+from .subspaces import (MetricSample, _check_finite, _check_int, _column_major, _cosines, _cross_gram,
+                         _discrepancy, _similarity, _squares, determinant_similarity, frobenius_discrepancy,
+                         principal_angles)
 
 __all__ = [
     "BoundParams",
@@ -288,6 +289,7 @@ def _oracle_steps(
     if n_draws < 2:
         raise ValueError(f"n_draws must be >= 2 for a standard error, got {n_draws}")
     stacked_metric = _STACKED_METRICS[inspect.unwrap(metric)]
+    basis = _column_major(basis)  # the layout grouse_step steps, so the bits are its bits
     chunk = min(n_draws, max(_MIN_CHUNK, _CHUNK_ELEMENTS // basis.size))
     cfg = StepConfig(mode=StepMode.ORACLE_NOISY)
     values = np.empty(n_draws)

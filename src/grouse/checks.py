@@ -353,6 +353,39 @@ def alpha_one_fixed_point(rng: np.random.Generator, cases: int) -> PropertyResul
     return _result("alpha_one_fixed_point", "step", worst, 1e-12)
 
 
+def rotation_forms_agree(rng: np.random.Generator, cases: int) -> PropertyResult:
+    """The direction ``-2 sin^2(theta/2) p_hat + sin(theta) r_hat`` is ``cos(theta) p_hat + sin(theta) r_hat - p_hat``.
+
+    On the steps of noise-free cases, at angles where both forms are
+    accurate, the update ``U' - U`` agrees with the rank-one update of the
+    ``cos(theta) - 1`` form to 1e-12 relative to its largest entry.  A step
+    at ``theta`` of about 1e-9, where ``cos(theta) - 1`` cancels, keeps
+    ``max|U'^T U' - I| <= 1e-14``.  ``measured`` is the larger of the
+    relative gap over 1e-12 and the orthonormality error over 1e-14.
+    """
+    def gap(ubar, u, v, out):
+        p_hat = out.p / np.linalg.norm(out.p)
+        old = np.cos(out.theta) * p_hat + np.sin(out.theta) * out.r / np.linalg.norm(out.r) - p_hat
+        old_update = np.outer(old, out.w / np.linalg.norm(out.w))
+        return float(np.max(np.abs(out.updated - u - old_update)) / np.max(np.abs(old_update)))
+
+    worst_gap = _worst_step(rng, cases, gap)
+    worst_orth, evaluated = 0.0, 0
+    for _ in range(cases):
+        _, u, v = _noiseless_case(rng)
+        z = rng.standard_normal(u.shape[0])
+        z -= u @ (u.T @ z)
+        x = u @ (u.T @ v) + 1e-9 * z / np.linalg.norm(z)  # residual 1e-9 of a projection near 1: theta near 1e-9
+        out = grouse_step(u, x, _NO_REORTH)
+        if not out.skipped:
+            orth = float(np.max(np.abs(out.updated.T @ out.updated - np.eye(u.shape[1]))))
+            worst_orth, evaluated = max(worst_orth, orth), evaluated + 1
+    if worst_gap is None or not evaluated:
+        return _result("rotation_forms_agree", "step", None, 1.0)
+    return _result("rotation_forms_agree", "step", max(worst_gap / 1e-12, worst_orth / 1e-14), 1.0,
+                   f"relative gap={worst_gap:.1e} max|U'^T U' - I| at theta~1e-9={worst_orth:.1e}")
+
+
 # ---------------------------------------------------------------------------
 # data suite
 
@@ -514,6 +547,8 @@ def verify(suite: str = "all", seed: int = 0, intensity: str = "quick") -> Verif
         for check in (step_orthonormality, rank_one_structure, monotonic_zeta_identity, monotonic_eps_identity,
                       greedy_optimality, step_equivariance, alpha_one_fixed_point):
             results.append(check(rng, counts["step_cases"]))
+        # a child generator, as for reorth_agreement
+        results.append(rotation_forms_agree(rng.spawn(1)[0], counts["step_cases"]))
     if suite in ("data", "all"):
         for check in (sample_invariants, noise_energy_mc, noise_split_mc, signal_energy_unnormalized_mc):
             results.append(check(rng, counts["noise_draws"]))

@@ -10,7 +10,12 @@ and replaces the in-span direction ``p/||p||`` by
 ``y/||y|| = cos(theta) p/||p|| + sin(theta) r/||r||`` through the rank-one
 update
 
-    U' = U + (y/||y|| - p/||p||) w^T / ||w||,        w = U^T x.
+    U' = U + (y/||y|| - p/||p||) w^T / ||w||,        w = U^T x,
+
+whose direction is formed as ``-2 sin^2(theta/2) p/||p|| + sin(theta) r/||r||``,
+free of the cancellation of ``cos(theta) - 1`` at small angles.  Bases are
+column-major (``subspaces._column_major``): the projections and the update
+run over contiguous n-vectors.
 
 With ``alpha = 0`` the angle is the greedy choice that maximizes the
 one-step gain of the determinant similarity on noise-free data.  The two
@@ -27,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .subspaces import _check_finite, _check_int, _squares, reorthonormalize
+from .subspaces import _check_finite, _check_optional_int, _column_major, _squares, reorthonormalize
 
 __all__ = [
     "OracleInfo",
@@ -76,7 +81,7 @@ class StepConfig:
             raise ValueError(f"c must be > 0, got {self.c}")
         if self.skip_norm_tol <= 0:
             raise ValueError(f"skip_norm_tol must be > 0, got {self.skip_norm_tol}")
-        _check_int(reorth_period=self.reorth_period)
+        _check_optional_int(reorth_period=self.reorth_period)
         if self.reorth_period is not None and self.reorth_period < 1:
             raise ValueError(f"reorth_period must be a positive int or None, got {self.reorth_period}")
 
@@ -122,8 +127,8 @@ class StepOutcome:
 
 
 def _checked(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``U`` and ``x`` as float arrays; raises unless they are an (n, d) basis and a finite (n,) vector."""
-    U = np.asarray(U, dtype=float)
+    """``U`` column-major and ``x`` as float arrays; raises unless they are an (n, d) basis and a finite (n,) vector."""
+    U = _column_major(U)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or U.ndim != 2 or x.shape[0] != U.shape[0]:
         raise ValueError(f"incompatible shapes: basis {U.shape}, vector {x.shape}")
@@ -205,10 +210,17 @@ def compute_theta(alpha: float, r_norm: float, p_norm: float) -> float:
 
 
 def _rotate(U: np.ndarray, w_hat: np.ndarray, p_hat: np.ndarray, r_hat: np.ndarray, theta) -> np.ndarray:
-    """``U + (cos(theta) p_hat + sin(theta) r_hat - p_hat) w_hat^T`` over the leading axes of ``p_hat``."""
-    y_hat = np.cos(theta)[..., None] * p_hat + np.sin(theta)[..., None] * r_hat
-    update = np.multiply((y_hat - p_hat)[..., :, None], w_hat[..., None, :])
-    return np.add(U, update, out=update)
+    """``U + (-2 sin^2(theta/2) p_hat + sin(theta) r_hat) w_hat^T`` over the leading axes of ``p_hat``.
+
+    ``-2 sin^2(theta/2)`` is ``cos(theta) - 1`` without its cancellation at
+    small ``theta``.  The update is built as its transpose, ``w_hat`` times
+    the direction, so the result is column-major (a stack of them for a
+    stack of rows) whatever the layout of ``U``.
+    """
+    half = np.sin(theta / 2)
+    direction = (-2.0 * half * half)[..., None] * p_hat + np.sin(theta)[..., None] * r_hat
+    update = np.multiply(w_hat[..., :, None], direction[..., None, :])
+    return np.add(U.swapaxes(-1, -2), update, out=update).swapaxes(-1, -2)
 
 
 def rotate_update(
@@ -221,19 +233,20 @@ def rotate_update(
     """Rank-one basis update rotating ``p/||p||`` toward ``r/||r||`` by ``theta``.
 
     All of ``w``, ``p``, ``r`` must be nonzero.  In exact arithmetic the
-    result has orthonormal columns whenever ``U`` does.
+    result has orthonormal columns whenever ``U`` does; it is column-major.
     """
     w_norm, p_norm, r_norm = (np.linalg.norm(a) for a in (w, p, r))
     if min(w_norm, p_norm, r_norm) <= 0:
         raise ValueError("rank-one update is undefined for zero coefficient, projection, or residual")
-    return _rotate(U, w / w_norm, p / p_norm, r / r_norm, theta)
+    return _rotate(np.asarray(U, dtype=float), w / w_norm, p / p_norm, r / r_norm, theta)
 
 
 def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None, nonskipped=None) -> tuple:
     """The step over the leading axes of ``x``: one observation ``(n,)`` or a stack ``(b, n)``.
 
     ``U`` is one basis ``(n, d)`` shared by every row, or one basis per row
-    ``(b, n, d)`` (the lock-step trials of a sweep).  ``v_perp_norm_sq``
+    ``(b, n, d)`` (the lock-step trials of a sweep), column-major
+    (``subspaces._column_major``) as the updated bases are.  ``v_perp_norm_sq``
     holds the oracle energy of each row, ``nonskipped`` its count of earlier
     non-skipped steps: only here is a row re-orthonormalized, when this step
     brings its count to a multiple of ``cfg.reorth_period``.  Returns ``w``,
@@ -264,7 +277,7 @@ def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None, no
         raise ValueError("update produced non-finite entries")
     if nonskipped is not None and cfg.reorth_period is not None:
         due = ~skipped & (nonskipped % cfg.reorth_period == cfg.reorth_period - 1)
-        stack = updated.reshape(-1, *U.shape[-2:])  # a view with one basis per row, also for one observation
+        stack = updated[None] if updated.ndim == 2 else updated  # a view with one basis per row
         for i in np.flatnonzero(due):
             stack[i] = reorthonormalize(stack[i])
     return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped
@@ -282,14 +295,18 @@ def grouse_step(
     Degenerate observations -- ``x`` (numerically) inside ``span(U)`` or
     orthogonal to it -- leave no well-defined rank-one direction, so the
     step is skipped and ``U`` is returned unchanged with ``skipped=True``.
+    Otherwise the step runs on ``U`` column-major (a copy when ``U`` has
+    another layout), so its bits do not depend on the caller's layout, and
+    the updated basis is column-major.
 
     ``nonskipped_steps`` is the caller's count of previously completed
     non-skipped steps; when given, ``_step`` re-orthonormalizes every
     ``cfg.reorth_period``-th non-skipped step before it is returned.  The
     function itself keeps no state.
     """
-    U, x = _checked(U, x)
+    U = np.asarray(U, dtype=float)
+    basis, x = _checked(U, x)
     energy = None if oracle is None else oracle.v_perp_norm_sq
-    w, p, r, _, _, alpha, theta, updated, skipped = _step(U, x, cfg, energy, nonskipped_steps)
-    return StepOutcome(w=w, p=p, r=r, alpha=float(alpha), theta=float(theta), updated=updated,
-                       skipped=bool(skipped))
+    w, p, r, _, _, alpha, theta, updated, skipped = _step(basis, x, cfg, energy, nonskipped_steps)
+    return StepOutcome(w=w, p=p, r=r, alpha=float(alpha), theta=float(theta),
+                       updated=U if skipped else updated, skipped=bool(skipped))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .subspaces import _check_finite, _rank_deficient, check_orthonormal, random_orthonormal
+from .subspaces import _check_finite, check_orthonormal, random_orthonormal, reorthonormalize
 
 __all__ = [
     "PlantedModel",
@@ -95,12 +95,14 @@ def _sparse_matrix(n: int, d: int, density: float, rng: np.random.Generator) -> 
 
 
 def _sparse_orthonormal(n: int, d: int, density: float, rng: np.random.Generator) -> np.ndarray:
+    """The first sparse draw that ``reorthonormalize`` accepts, orthonormalized; a rejected draw is redrawn."""
     for _ in range(_MAX_SPARSE_ATTEMPTS):
-        q, r = np.linalg.qr(_sparse_matrix(n, d, density, rng))
-        if not _rank_deficient(np.diag(r), n):
-            return q
+        try:
+            return reorthonormalize(_sparse_matrix(n, d, density, rng))
+        except np.linalg.LinAlgError:
+            continue
     raise np.linalg.LinAlgError(
-        f"could not draw a full-rank sparse matrix at n={n}, d={d}, density={density}"
+        f"could not draw a well-conditioned sparse matrix at n={n}, d={d}, density={density}"
     )
 
 
@@ -114,11 +116,14 @@ def make_planted(
 ) -> PlantedModel:
     """Draw a ground-truth basis and wrap it with the stream settings.
 
-    Dense mode orthonormalizes a full iid Gaussian matrix.  Sparse mode
-    fills entries independently with probability
-    ``max(log(n)/n, 2d/n)`` (standard normal values), re-draws any empty
-    column, and orthonormalizes; the floor ``2d/n`` keeps the
-    pre-orthonormalization matrix full rank at small ``n``.
+    Dense mode is ``random_orthonormal``.  Sparse mode fills entries
+    independently with probability ``max(log(n)/n, 2d/n)`` (standard
+    normal values), re-draws any empty column, and orthonormalizes by
+    ``reorthonormalize`` (CholeskyQR2, no Householder QR), redrawing the
+    whole matrix when it is rank deficient or too ill-conditioned for
+    CholeskyQR2; the floor ``2d/n`` keeps the pre-orthonormalization matrix
+    full rank at small ``n``.  Either way the ground truth ``ubar`` is
+    column-major, as every basis the package makes.
     """
     if not 0 < d < n:
         raise ValueError(f"need 0 < d < n, got n={n}, d={d}")

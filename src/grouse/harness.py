@@ -24,8 +24,8 @@ import numpy as np
 from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, mu0
 from .core import OracleInfo, StepConfig, StepMode, _checked, _energy_outside, _step
 from .data import PlantedModel, _draw_each, make_planted
-from .subspaces import (MetricSample, _check_int, _cosines, _discrepancy, _similarity, check_orthonormal,
-                        random_orthonormal)
+from .subspaces import (MetricSample, _check_int, _check_optional_int, _cosines, _discrepancy, _similarity,
+                        check_orthonormal, random_orthonormal)
 
 __all__ = [
     "ExperimentConfig",
@@ -89,13 +89,15 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        _check_int(trials=self.trials, seed=self.seed, max_iters=self.max_iters,
-                   record_every=self.record_every, threads=self.threads)
+        _check_int(trials=self.trials, seed=self.seed, threads=self.threads)
+        _check_optional_int(max_iters=self.max_iters, record_every=self.record_every)
         # BoundParams checks n, d, sigma_sq and eps_star; StepConfig checks c
         self.bound_params()
         self.step_config()
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1 or None, got {self.max_iters}")
         if self.record_every is not None and self.record_every < 1:
@@ -197,17 +199,21 @@ _HISTORY_CHUNK = 64
 
 
 def _lockstep(step_cfg: StepConfig, bases, x, energy, nonskipped, record: bool):
-    """One step of a stack of trials: row ``i`` updates ``bases[i]`` with ``x[i]``.
+    """One step of a stack of trials: row ``i`` updates basis ``bases[i].T`` with ``x[i]``.
 
-    ``nonskipped`` holds each row's non-skipped step count, by which
-    ``_step`` re-orthonormalizes.  Returns the updated bases, the skipped
-    flags and, when ``record``, one recorded row per trial with the step's
-    columns (theta to skipped) filled in.
+    ``bases`` is a C-contiguous ``(b, d, n)`` array whose ``swapaxes(-1, -2)``
+    view is the stack of column-major bases ``_step`` takes.  ``nonskipped``
+    holds each row's non-skipped step count, by which ``_step``
+    re-orthonormalizes.  Returns the updated bases in the same ``(b, d, n)``
+    form, the skipped flags and, when ``record``, one recorded row per trial
+    with the step's columns (theta to skipped) filled in.
     """
-    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = _step(bases, x, step_cfg, energy, nonskipped)
+    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = _step(
+        bases.swapaxes(-1, -2), x, step_cfg, energy, nonskipped)
+    updated = updated.swapaxes(-1, -2)
     if not record:
         return updated, skipped, None
-    block = np.empty((len(updated), _COSINES + updated.shape[-1]))
+    block = np.empty((len(updated), _COSINES + updated.shape[-2]))
     for column, value in enumerate((theta, alpha, p_sq, r_sq, skipped), start=2):
         block[:, column] = value
     return updated, skipped, block
@@ -219,7 +225,7 @@ def _lockstep_row(step_cfg: StepConfig, bases, x, energy, nonskipped, record: bo
     try:
         if energy is not None:
             OracleInfo(v_perp_norm_sq=float(energy[i]))
-        _checked(bases[i], x[i])
+        _checked(bases[i].T, x[i])
         return _lockstep(step_cfg, bases[row], x[row], None if energy is None else energy[row],
                          nonskipped[row], record)
     except Exception as exc:  # the row's trial ends; the others go on
@@ -257,8 +263,10 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     # one row per trial in each array; a trial that ends leaves every array
     ids, seeds, rngs, models, starts = zip(*trials)
     ids, seeds, rngs = (np.array(column, dtype=object) for column in (ids, seeds, rngs))
-    bases = np.stack(starts)
-    ubars = np.stack([model.ubar for model in models])
+    # (b, d, n) C arrays: their swapaxes views are stacks of column-major bases, and so are those of
+    # every compaction column[keep] and concatenation below
+    bases = np.stack([start.T for start in starts])
+    ubars = np.stack([model.ubar.T for model in models])
     normalize_signal = models[0].normalize_signal
     del trials, models, starts  # the stacks hold the bases and ground truths from here on
     started = len(ids)
@@ -275,7 +283,7 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     block = np.zeros((started, _COSINES + cfg.d))  # the start's step columns hold 0
     while True:
         if record:
-            gram = np.matmul(ubars.swapaxes(-1, -2), bases)
+            gram = np.matmul(ubars, bases.swapaxes(-1, -2))
             eps = _discrepancy(gram)
             done = eps <= cfg.eps_star
             if t == max_iters:
@@ -305,8 +313,8 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
                     column[keep] for column in (ids, seeds, rngs, bases, ubars, nonskipped, k1, k2, slots))
                 if not len(ids):
                     return
-        sample = _draw_each(ubars, cfg.sigma_sq, normalize_signal, rngs)
-        energy = _energy_outside(bases, sample.v) if cfg.mode is StepMode.ORACLE_NOISY else None
+        sample = _draw_each(ubars.swapaxes(-1, -2), cfg.sigma_sq, normalize_signal, rngs)
+        energy = _energy_outside(bases.swapaxes(-1, -2), sample.v) if cfg.mode is StepMode.ORACLE_NOISY else None
         t += 1
         record = t % record_every == 0 or t == max_iters
         try:

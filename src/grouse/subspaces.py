@@ -50,6 +50,19 @@ def _cross_gram(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
     return Ubar.T @ U
 
 
+def _column_major(a: np.ndarray) -> np.ndarray:
+    """``a`` as float64 with each of its (n, d) bases column-major, the one layout of the package's bases.
+
+    A basis is an F-contiguous ``(n, d)`` array and a stack of them the
+    ``swapaxes(-1, -2)`` view of a C-contiguous ``(b, d, n)`` array, so
+    ``U^T x``, ``Ubar^T U`` and the rank-one update run over contiguous
+    n-vectors.  Returns ``a`` itself when it has that layout.
+    """
+    a = np.asarray(a, dtype=float)
+    rows = a.swapaxes(-1, -2)
+    return a if rows.flags.c_contiguous else np.ascontiguousarray(rows).swapaxes(-1, -2)
+
+
 def _squares(a):
     """``t ** 2`` of each element with libm ``pow``, as a float64 scalar squares.
 
@@ -85,11 +98,16 @@ def _check_finite(**values: float) -> None:
             raise ValueError(f"{name} is non-finite: {value}")
 
 
-def _check_int(**values: int | None) -> None:
-    """Raise ``ValueError`` naming the first of ``values`` that is neither ``None`` nor an integer (bools excluded)."""
+def _check_int(**values: int) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is not an integer; ``None`` and bools raise too."""
     for name, value in values.items():
-        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_optional_int(**values: int | None) -> None:
+    """``_check_int`` on those of ``values`` that are not ``None``."""
+    _check_int(**{name: value for name, value in values.items() if value is not None})
 
 
 def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
@@ -139,40 +157,35 @@ def frobenius_discrepancy(U: np.ndarray, Ubar: np.ndarray) -> float:
 
 
 def random_orthonormal(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormalize an (n, d) matrix of iid standard normal entries.
+    """Orthonormalize an (n, d) matrix of iid standard normal entries by ``reorthonormalize``.
 
-    The span of the result is uniformly distributed on the Grassmannian
-    G(n, d).  Requires ``0 < d < n``; the same generator state always
-    yields the same matrix.
+    The span of the result is the span of the Gaussian matrix up to
+    rounding, so it is uniformly distributed on the Grassmannian G(n, d);
+    no Householder QR runs.  The basis is column-major, as every basis the
+    package makes.  Requires ``0 < d < n``; the same generator state always
+    yields the same matrix.  A Gaussian matrix outside CholeskyQR2's domain
+    (column-scaled condition number above about 1e7, vanishingly rare)
+    raises ``numpy.linalg.LinAlgError``.
     """
     if not 0 < d < n:
         raise ValueError(f"need 0 < d < n, got n={n}, d={d}")
-    gauss = rng.standard_normal((n, d))
-    q, _ = np.linalg.qr(gauss)
-    return q
-
-
-def _rank_deficient(diag: np.ndarray, n: int) -> bool:
-    """Whether an (n, d) matrix whose triangular factor has diagonal ``diag`` is numerically rank deficient.
-
-    The test is ``min|diag| <= n * eps * max|diag|``, on ``R`` of a QR or ``L`` of a Cholesky-QR.
-    """
-    diag = np.abs(diag)
-    return bool(np.min(diag) <= n * np.finfo(float).eps * np.max(diag))
+    return reorthonormalize(rng.standard_normal((n, d)))
 
 
 def reorthonormalize(U: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the span of ``U`` by column-scaled CholeskyQR2.
 
     Used to remove accumulated floating-point drift from a basis that is
-    only approximately orthonormal.  Each column is scaled by the power of
-    two that brings its largest entry into [1/2, 1), which moves neither the
+    only approximately orthonormal, and to orthonormalize the Gaussian and
+    sparse draws of new bases.  Each column is scaled by the power of two
+    that brings its largest entry into [1/2, 1), which moves neither the
     span nor a mantissa bit, so the Gram matrix can neither overflow nor
-    underflow.  Then, twice, ``L = cholesky(Q^T Q)`` and ``Q <- Q inv(L)^T``:
+    underflow.  Then, twice, ``L = cholesky(Q^T Q)`` and ``Q^T <- inv(L) Q^T``:
     the first pass leaves the rounding of the Gram matrix times the squared
     condition number, the second removes it.  The work is two (n, d) Grams,
-    (d, d) factorizations and two (n, d) by (d, d) products; there is no
-    Householder QR.
+    (d, d) factorizations and two (d, d) by (d, n) products on the columns
+    as contiguous rows; there is no Householder QR.  The result is
+    column-major, and its bits do not depend on the layout of ``U``.
 
     Domain: the second pass runs only when the first result ``Q1`` has
     ``||Q1^T Q1 - I||_F <= 1/2``, which holds up to a column-scaled condition
@@ -190,18 +203,19 @@ def reorthonormalize(U: np.ndarray) -> np.ndarray:
         raise ValueError("basis contains non-finite entries")
     n, d = U.shape
     _, exponents = np.frexp(np.abs(U).max(axis=0))
-    q = np.ldexp(U, -exponents)
+    rows = np.ldexp(U.T, -exponents[:, None], order="C")  # row i is column i of U, scaled
     try:
-        factor = np.linalg.cholesky(q.T @ q)
+        factor = np.linalg.cholesky(rows @ rows.T)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("input matrix is too ill-conditioned for CholeskyQR2") from None
-    if _rank_deficient(np.diag(factor), n):
+    diag = np.abs(np.diag(factor))
+    if np.min(diag) <= n * np.finfo(float).eps * np.max(diag):
         raise np.linalg.LinAlgError("input matrix is numerically rank deficient")
-    q = q @ np.linalg.inv(factor).T
-    gram = q.T @ q
+    rows = np.linalg.inv(factor) @ rows
+    gram = rows @ rows.T
     if np.linalg.norm(gram - np.eye(d)) > 0.5:
         raise np.linalg.LinAlgError("input matrix is too ill-conditioned for CholeskyQR2")
-    return q @ np.linalg.inv(np.linalg.cholesky(gram)).T
+    return (np.linalg.inv(np.linalg.cholesky(gram)) @ rows).T
 
 
 def basis_with_angles(ubar: np.ndarray, cosines: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -209,8 +223,9 @@ def basis_with_angles(ubar: np.ndarray, cosines: np.ndarray, rng: np.random.Gene
 
     Column ``i`` of the result is ``cos(phi_i) * ubar[:, i] + sin(phi_i) * z_i``
     with the ``z_i`` an orthonormal set drawn at random from the orthogonal
-    complement of ``span(ubar)``.  Useful for placing a test basis at a
-    prescribed similarity to a reference subspace.
+    complement of ``span(ubar)`` and orthonormalized by ``reorthonormalize``.
+    Useful for placing a test basis at a prescribed similarity to a
+    reference subspace.  The basis is column-major.
     """
     ubar = check_orthonormal(ubar)
     n, d = ubar.shape
@@ -221,11 +236,9 @@ def basis_with_angles(ubar: np.ndarray, cosines: np.ndarray, rng: np.random.Gene
         raise ValueError("cosines must lie in [0, 1]")
     gauss = rng.standard_normal((n, d))
     gauss -= ubar @ (ubar.T @ gauss)
-    complement, r = np.linalg.qr(gauss)
-    if _rank_deficient(np.diag(r), n):
-        raise np.linalg.LinAlgError("failed to draw a full-rank complement")
+    complement = reorthonormalize(gauss)
     sines = np.sqrt(1.0 - cosines * cosines)
-    return ubar * cosines + complement * sines
+    return _column_major(ubar * cosines + complement * sines)
 
 
 def basis_with_similarity(ubar: np.ndarray, zeta: float, rng: np.random.Generator) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import grouse.checks
+import grouse.core
 from grouse.checks import (
     PropertyResult,
     SUITES,
@@ -15,6 +16,7 @@ from grouse.checks import (
     monotonic_zeta_identity,
     rank_one_structure,
     reorth_agreement,
+    rotation_forms_agree,
     step_equivariance,
     step_orthonormality,
     verify,
@@ -31,7 +33,7 @@ def test_quick_suite_passes_within_time_budget():
     failed = [r.line() for r in report.results if not r.passed]
     assert report.passed, f"failing properties: {failed}"
     assert elapsed < 60.0
-    assert len(report.results) == 24
+    assert len(report.results) == 25
 
 
 def test_quick_suite_other_seed():
@@ -105,3 +107,14 @@ def test_reorth_agreement_fails_on_a_non_orthonormal_result_and_without_cases(mo
     # negative control: the right span, orthonormal only to 2e-13
     monkeypatch.setattr(grouse.checks, "reorthonormalize", lambda u: np.linalg.qr(u)[0] * (1.0 + 1e-13))
     assert not reorth_agreement(np.random.default_rng(0), 12).passed
+
+
+def test_rotation_forms_agree_fails_on_a_wrong_angle_and_without_cases(monkeypatch):
+    result = rotation_forms_agree(np.random.default_rng(0), 20)
+    assert result.passed, result.line()
+    empty = rotation_forms_agree(np.random.default_rng(0), 0)
+    assert not empty.passed and empty.measured == math.inf and "no case evaluated" in empty.detail
+    # negative control: an update that rotates by 1.01 theta stays orthonormal but is not the step's rotation
+    rotate = grouse.core._rotate
+    monkeypatch.setattr(grouse.core, "_rotate", lambda U, w, p, r, theta: rotate(U, w, p, r, 1.01 * theta))
+    assert not rotation_forms_agree(np.random.default_rng(0), 20).passed

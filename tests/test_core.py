@@ -324,6 +324,30 @@ def test_periodic_reorthonormalization_trigger():
     assert drift_reorth <= 1e-14
 
 
+@pytest.mark.parametrize("nonskipped_steps", [None, 99])
+@pytest.mark.parametrize("cfg", [
+    StepConfig(),
+    StepConfig(mode=StepMode.PRACTICAL_NOISY, sigma_sq=1e-2),
+    StepConfig(mode=StepMode.ORACLE_NOISY, sigma_sq=1e-2),
+])
+def test_step_bits_do_not_depend_on_basis_layout(cfg, nonskipped_steps):
+    """A C-order basis and its column-major copy give identical bits, with and without a re-orthonormalization."""
+    rng = np.random.default_rng(14)
+    u = random_orthonormal(70, 5, rng)
+    c_order = np.ascontiguousarray(u)
+    assert u.flags.f_contiguous and c_order.flags.c_contiguous
+    oracle = OracleInfo(v_perp_norm_sq=0.5)
+    for _ in range(5):
+        x = rng.standard_normal(70)
+        a = grouse_step(c_order, x, cfg, oracle=oracle, nonskipped_steps=nonskipped_steps)
+        b = grouse_step(u, x, cfg, oracle=oracle, nonskipped_steps=nonskipped_steps)
+        for got, want in ((a.w, b.w), (a.p, b.p), (a.r, b.r), (a.updated, b.updated)):
+            assert np.array_equal(got, want)
+        assert (a.alpha, a.theta, a.skipped) == (b.alpha, b.theta, b.skipped)
+        assert a.updated.flags.f_contiguous and b.updated.flags.f_contiguous
+        u, c_order = b.updated, np.ascontiguousarray(b.updated)
+
+
 def test_rotate_update_rejects_degenerate_directions():
     rng = np.random.default_rng(13)
     u = random_orthonormal(10, 2, rng)

@@ -13,7 +13,7 @@ from grouse.data import (
     export_samples_csv,
     make_planted,
 )
-from grouse.subspaces import random_orthonormal
+from grouse.subspaces import random_orthonormal, reorthonormalize
 
 
 def test_make_planted_reference_scale_sparse_model():
@@ -81,12 +81,35 @@ def test_sparse_density_matches_target():
 
 
 def test_sparse_model_is_qr_of_sparse_draw():
+    """The sparse ground truth is the CholeskyQR2 factor (``reorthonormalize``) of the sparse draw."""
     for seed, (n, d) in enumerate(((4, 3), (30, 3), (200, 5), (1000, 20))):
         model = make_planted(n, d, 0.0, sparse=True, rng=np.random.default_rng(seed))
         density = _sparse_density(n, d)
-        q, _ = np.linalg.qr(_sparse_matrix(n, d, density, np.random.default_rng(seed)))
+        q = reorthonormalize(_sparse_matrix(n, d, density, np.random.default_rng(seed)))
         np.testing.assert_array_equal(model.ubar, q)
         assert model.sparsity == density
+
+
+def test_sparse_draw_outside_choleskyqr2_domain_is_redrawn(monkeypatch):
+    """A sparse draw that ``reorthonormalize`` rejects is replaced by the next draw of the same generator."""
+    import grouse.data
+
+    n, d = 200, 5
+    density = _sparse_density(n, d)
+    rng = np.random.default_rng(3)
+    _sparse_matrix(n, d, density, rng)  # the rejected draw
+    expected = reorthonormalize(_sparse_matrix(n, d, density, rng))
+    calls = []
+
+    def reject_first(m):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("input matrix is too ill-conditioned for CholeskyQR2")
+        return reorthonormalize(m)
+
+    monkeypatch.setattr(grouse.data, "reorthonormalize", reject_first)
+    model = make_planted(n, d, 0.0, sparse=True, rng=np.random.default_rng(3))
+    assert len(calls) == 2 and np.array_equal(model.ubar, expected)
 
 
 def test_noise_energy_ratio_is_sigma_sq():

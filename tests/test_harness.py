@@ -72,6 +72,25 @@ def test_config_rejects_non_integer_counts(field, value):
         config_from_dict({"n": 60, "d": 3, field: value})
 
 
+@pytest.mark.parametrize("field", ["n", "d", "trials", "seed", "threads"])
+def test_config_rejects_none_in_a_required_count(field):
+    """``None`` in a required count raises a ``ValueError`` naming it, not a ``TypeError`` from a comparison."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got None"):
+        config_from_dict({"n": 60, "d": 3, field: None})
+
+
+@pytest.mark.parametrize("field", ["max_iters", "record_every"])
+def test_config_accepts_none_in_an_optional_count(field):
+    assert getattr(config_from_dict({"n": 60, "d": 3, field: None}), field) is None
+
+
+def test_config_rejects_a_negative_seed():
+    """A negative master seed fails at construction, not in every trial's ``SeedSequence``."""
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+        ExperimentConfig(n=60, d=3, seed=-1)
+    assert ExperimentConfig(n=60, d=3, seed=0).seed == 0
+
+
 @pytest.mark.parametrize("field", ["n", "d"])
 def test_config_rejects_non_integer_dimensions(field):
     raw = {"n": 60, "d": 3}
@@ -130,6 +149,13 @@ def _converged_start(cfg):
 
     rng = np.random.default_rng(derive_trial_seed(cfg.seed, 0)[0])
     return make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng).ubar
+
+
+def _orthogonal_start(cfg):
+    """A basis orthogonal to trial 0's planted basis: every noise-free draw of that trial has w = 0, and epsilon = d."""
+    from grouse.subspaces import basis_with_angles
+
+    return basis_with_angles(_converged_start(cfg), np.zeros(cfg.d), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("transform, message", [
@@ -295,9 +321,9 @@ def test_sweep_is_invariant_to_stack_width(tmp_path, monkeypatch):
         ExperimentConfig(n=60, d=3, sigma_sq=1e-3, seed=23, trials=7, max_iters=120,
                          mode=StepMode.ORACLE_NOISY, record_every=9),
     ]
-    # trial 0 starts at its own ground truth and skips every step; trials 1 and 2 step from it
+    # trial 0 starts orthogonal to its own ground truth and skips every step; trials 1 and 2 step from there
     mixed = ExperimentConfig(n=60, d=3, seed=3, eps_star=1e-30, max_iters=40)
-    start = _converged_start(mixed)
+    start = _orthogonal_start(mixed)
     outputs = {}
     for width in (1, 3, 100):
         monkeypatch.setattr(grouse.harness, "_CHUNK_ELEMENTS", width * 60 * 3)
@@ -340,11 +366,11 @@ _EDGE_MODES = {
     "oracle": {"mode": StepMode.ORACLE_NOISY, "sigma_sq": 1e-3},
 }
 
-# config fields, and whether the trial starts at its own ground truth
+# config fields, and the start of the trial: random, at its own ground truth, or orthogonal to it
 _EDGE_CASES = {
-    "short_of_k1": ({"n": 200, "d": 5, "max_iters": 5}, False),
-    "converged_start": ({"n": 60, "d": 4}, True),
-    "all_skipped": ({"n": 60, "d": 3, "sigma_sq": 0.0, "eps_star": 1e-30, "max_iters": 20}, True),
+    "short_of_k1": ({"n": 200, "d": 5, "max_iters": 5}, None),
+    "converged_start": ({"n": 60, "d": 4}, _converged_start),
+    "all_skipped": ({"n": 60, "d": 3, "sigma_sq": 0.0, "eps_star": 1e-30, "max_iters": 20}, _orthogonal_start),
 }
 
 
@@ -358,9 +384,9 @@ def test_sweep_phase_split_equals_trajectory_at_edges(case, mode, record_every, 
     """
     from grouse.bounds import detect_phases
 
-    fields, at_truth = _EDGE_CASES[case]
+    fields, start_of = _EDGE_CASES[case]
     cfg = ExperimentConfig(**{"seed": 3, "record_every": record_every, **_EDGE_MODES[mode], **fields})
-    start = _converged_start(cfg) if at_truth else None
+    start = start_of(cfg) if start_of else None
     original = grouse.harness._start_trial
     monkeypatch.setattr(grouse.harness, "_start_trial", lambda c, trial_id, _: original(c, trial_id, start))
     summary = run_sweep([cfg])[0]
@@ -374,7 +400,7 @@ def test_sweep_phase_split_equals_trajectory_at_edges(case, mode, record_every, 
     elif case == "converged_start":
         assert split == (0, 0) and result.iters_run == 0
     else:
-        assert split == (0, None) and result.iters_run == result.skipped_steps == 20
+        assert split == (None, None) and result.iters_run == result.skipped_steps == 20
 
 
 def test_config_threads_is_accepted_and_validated():
@@ -441,7 +467,10 @@ def test_bounds_table_row_level_errors():
 
 
 def test_trial_calls_householder_qr_only_for_model_and_start(monkeypatch):
-    """350 steps at (400, 8) cross 3 re-orthonormalization points, none of which calls ``np.linalg.qr``."""
+    """350 steps at (400, 8) cross 3 re-orthonormalization points; no part of the trial calls ``np.linalg.qr``.
+
+    The model and the start are orthonormalized by ``reorthonormalize`` too.
+    """
     qr_calls, reorth_calls = [], []
     qr, reorth = np.linalg.qr, grouse.core.reorthonormalize
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
@@ -451,4 +480,4 @@ def test_trial_calls_householder_qr_only_for_model_and_start(monkeypatch):
     result, _ = run_trajectory(cfg)
     assert result.iters_run == 350 and result.skipped_steps == 0
     assert len(reorth_calls) == 3
-    assert len(qr_calls) == 2
+    assert len(qr_calls) == 0

@@ -110,3 +110,17 @@ def test_readme_api_quick_start_runs():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
     exec(compile(block, str(readme), "exec"), {"__name__": "readme_quick_start"})
+
+
+def test_committed_benchmark_records_parse_and_name_every_workload():
+    """Every ``BENCH_*.json`` at the repository root is JSON and reports each workload of ``BENCHMARK.json``."""
+    import json
+
+    root = Path(__file__).resolve().parents[1]
+    workloads = {w["name"] for w in json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]}
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records, "no committed BENCH_*.json"
+    for path in records:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert set(doc["workloads"]) >= workloads, path.name
+        assert {"nproc", "numpy", "blas"} <= set(doc["environment"]), path.name

@@ -19,20 +19,24 @@ from grouse.bounds import detect_phases
 from grouse.core import OracleInfo, StepConfig, StepMode, grouse_step
 from grouse.data import draw_batch, draw_sample, make_planted
 from grouse.harness import ExperimentConfig, TrialResult, derive_trial_seed, run_sweep, run_trajectory
-from grouse.subspaces import MetricSample, basis_with_similarity, random_orthonormal
+from grouse.subspaces import MetricSample, basis_with_angles, basis_with_similarity, random_orthonormal
 
 
 def _reference_reorth(U):
-    """Column-scaled CholeskyQR2: scale columns by powers of two, then ``Q <- Q inv(cholesky(Q^T Q))^T`` twice."""
+    """Column-scaled CholeskyQR2 on the columns as rows, column-major.
+
+    Scale the columns by powers of two, then ``Q^T <- inv(cholesky(Q^T Q)) Q^T`` twice.
+    """
     _, exponents = np.frexp(np.abs(U).max(axis=0))
-    q = np.ldexp(U, -exponents)
+    rows = np.ldexp(np.ascontiguousarray(U.T), -exponents[:, None])
     for _ in range(2):
-        q = q @ np.linalg.inv(np.linalg.cholesky(q.T @ q)).T
-    return q
+        rows = np.linalg.inv(np.linalg.cholesky(rows @ rows.T)) @ rows
+    return rows.T
 
 
 def _reference_step(U, x, cfg, oracle=None, nonskipped_steps=None):
-    """(w, p, r, alpha, theta, updated, skipped) of one step, in 1-D arithmetic."""
+    """(w, p, r, alpha, theta, updated, skipped) of one step, in 1-D arithmetic on a column-major basis."""
+    U = np.asfortranarray(U)
     w = U.T @ x
     p = U @ w
     r = x - p
@@ -50,9 +54,9 @@ def _reference_step(U, x, cfg, oracle=None, nonskipped_steps=None):
             raw = 1.0 - oracle.v_perp_norm_sq / r_norm_sq
         alpha = float(min(max(raw, 0.0), 1.0))
     theta = float(np.arctan((1.0 - alpha) * r_norm / p_norm))
-    p_hat = p / p_norm
-    y_hat = np.cos(theta) * p_hat + np.sin(theta) * (r / r_norm)
-    updated = U + np.outer(y_hat - p_hat, w / w_norm)
+    half = np.sin(theta / 2)  # y_hat - p_hat = (cos(theta) - 1) p_hat + sin(theta) r_hat
+    direction = -2.0 * half * half * (p / p_norm) + np.sin(theta) * (r / r_norm)
+    updated = np.asfortranarray(U + np.outer(direction, w / w_norm))
     if (cfg.reorth_period is not None and nonskipped_steps is not None
             and (nonskipped_steps + 1) % cfg.reorth_period == 0):
         updated = _reference_reorth(updated)
@@ -230,7 +234,7 @@ def _reference_trial(cfg, trial_id, initial_basis=None):
     ss, derived_seed = derive_trial_seed(cfg.seed, trial_id)
     rng = np.random.default_rng(ss)
     model = make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng)
-    basis = initial_basis if initial_basis is not None else random_orthonormal(cfg.n, cfg.d, rng)
+    basis = np.asfortranarray(initial_basis if initial_basis is not None else random_orthonormal(cfg.n, cfg.d, rng))
     step_cfg, record_every, max_iters = cfg.step_config(), cfg.resolved_record_every(), cfg.resolved_max_iters()
     rows = [(_reference_metric(0, basis, model.ubar), 0.0, 0.0, False)]
     nonskipped = t = 0
@@ -312,10 +316,11 @@ def test_trials_without_reorth_equal_reference(monkeypatch):
 
 
 def test_skipped_steps_equal_reference():
-    """Started at its own ground truth, a noise-free trial skips every step: each observation lies in the span."""
+    """Started orthogonal to its ground truth, a noise-free trial skips every step: each observation has w = 0."""
     cfg = ExperimentConfig(n=60, d=4, seed=3, eps_star=1e-30, max_iters=20)
     rng = np.random.default_rng(derive_trial_seed(cfg.seed, 0)[0])
-    start = make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng).ubar
+    ubar = make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng).ubar
+    start = basis_with_angles(ubar, np.zeros(cfg.d), rng)
     result, rows = _reference_trial(cfg, 0, initial_basis=start)
     got, got_rows = run_trajectory(cfg, 0, initial_basis=start)
     assert got == result

@@ -363,3 +363,22 @@ def test_trace_expectation_identity():
     vals = np.einsum("ni,ij,nj->n", x, q, x) / np.einsum("ni,ni->n", x, x)
     se = vals.std(ddof=1) / math.sqrt(draws)
     assert abs(vals.mean() - np.trace(q) / d) <= 3 * se
+
+
+def test_every_basis_the_package_makes_is_column_major():
+    """Drawn, planted, placed, re-orthonormalized and stepped bases share one layout, whatever the input's."""
+    from grouse.core import StepConfig, grouse_step
+    from grouse.data import make_planted
+
+    rng = np.random.default_rng(15)
+    ubar = random_orthonormal(40, 3, rng)
+    bases = [
+        ubar,
+        make_planted(40, 3, 0.0, sparse=False, rng=rng).ubar,
+        make_planted(40, 3, 0.0, sparse=True, rng=rng).ubar,
+        basis_with_angles(np.ascontiguousarray(ubar), np.array([0.9, 0.5, 0.1]), rng),
+        reorthonormalize(np.ascontiguousarray(ubar)),
+        grouse_step(np.ascontiguousarray(ubar), rng.standard_normal(40), StepConfig()).updated,
+    ]
+    assert all(basis.flags.f_contiguous for basis in bases)
+    assert np.array_equal(reorthonormalize(np.ascontiguousarray(ubar)), reorthonormalize(ubar))
