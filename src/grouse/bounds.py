@@ -14,7 +14,6 @@ Logarithms are natural throughout.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,8 +23,7 @@ import numpy as np
 from .core import StepConfig, StepMode, _energy_outside, _step
 from .data import PlantedModel, draw_batch
 from .subspaces import (MetricSample, _check_finite, _check_int, _column_major, _cosines, _cross_gram,
-                         _discrepancy, _similarity, _squares, determinant_similarity, frobenius_discrepancy,
-                         principal_angles)
+                         _discrepancy, _similarity, _squares, frobenius_discrepancy, principal_angles)
 
 __all__ = [
     "BoundParams",
@@ -259,11 +257,9 @@ _CHUNK_ELEMENTS = 2**16
 _MIN_CHUNK = 4
 
 
-# The per-basis metrics the ``mc_*`` checks pass, and their forms on a stack of Gram matrices.
-_STACKED_METRICS = {
-    determinant_similarity: lambda gram: _similarity(_cosines(gram)),
-    frobenius_discrepancy: _discrepancy,
-}
+def _gram_similarity(gram: np.ndarray) -> np.ndarray:
+    """``determinant_similarity`` of each ``Ubar^T U`` of a stack of Gram matrices."""
+    return _similarity(_cosines(gram))
 
 
 def _oracle_steps(
@@ -271,24 +267,23 @@ def _oracle_steps(
     basis: np.ndarray,
     n_draws: int,
     rng: np.random.Generator,
-    metric: Callable[[np.ndarray, np.ndarray], float],
+    gram_metric: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Next-step metric over fresh draws at a fixed iterate, oracle schedule.
 
-    Returns per-draw arrays of ``metric(next iterate, ubar)`` and of the
-    realized gain term ``(1 - alpha)^2 ||r||^2 / ||p||^2``; ``metric`` is
-    ``determinant_similarity`` or ``frobenius_discrepancy``, or a
-    ``functools.wraps`` wrapper of one (a tracer's or profiler's).
+    Returns per-draw arrays of the metric of the next iterate and of the
+    realized gain term ``(1 - alpha)^2 ||r||^2 / ||p||^2``.  ``gram_metric``
+    maps a stack of Gram matrices ``Ubar^T U`` to their metrics:
+    ``_gram_similarity`` or ``subspaces._discrepancy``.
 
     The draws run in stacks through ``draw_batch`` and ``core._step`` (the
     step ``grouse_step`` runs on one row), and every value is bit-identical
-    to one ``draw_sample``, ``grouse_step`` and ``metric`` per draw.  Raises
-    ``ValueError`` for fewer than two draws, before drawing, and for a
-    non-finite update.
+    to one ``draw_sample``, ``grouse_step`` and ``determinant_similarity``
+    or ``frobenius_discrepancy`` per draw.  Raises ``ValueError`` for fewer
+    than two draws, before drawing, and for a non-finite update.
     """
     if n_draws < 2:
         raise ValueError(f"n_draws must be >= 2 for a standard error, got {n_draws}")
-    stacked_metric = _STACKED_METRICS[inspect.unwrap(metric)]
     basis = _column_major(basis)  # the layout grouse_step steps, so the bits are its bits
     chunk = min(n_draws, max(_MIN_CHUNK, _CHUNK_ELEMENTS // basis.size))
     cfg = StepConfig(mode=StepMode.ORACLE_NOISY)
@@ -299,7 +294,7 @@ def _oracle_steps(
         batch = draw_batch(model, stop - start, rng)
         _, _, _, p_sq, r_sq, alpha, _, updated, skipped = _step(
             basis, batch.x, cfg, _energy_outside(basis, batch.v))
-        values[start:stop] = stacked_metric(np.matmul(model.ubar.T, updated))
+        values[start:stop] = gram_metric(np.matmul(model.ubar.T, updated))
         del updated  # the next stack's update is built without this one held
         gains[start:stop] = np.divide(_squares(1.0 - alpha) * r_sq, p_sq,
                                       out=np.zeros(stop - start), where=~skipped)
@@ -353,7 +348,7 @@ def mc_zeta_rate_check(
     at most ``n * eps``, where the current similarity is rounding.
     """
     bound = expected_zeta_rate_bound(_resolved_zeta(basis, model.ubar), params)
-    zetas, _ = _oracle_steps(model, basis, n_draws, rng, determinant_similarity)
+    zetas, _ = _oracle_steps(model, basis, n_draws, rng, _gram_similarity)
     return _rate_check(*_mean_se(zetas), bound, n_draws, above=True)
 
 
@@ -368,7 +363,7 @@ def mc_eps_rate_check(
     gram = _cross_gram(basis, model.ubar)
     cos_sq = float(_cosines(gram)[-1] ** 2)  # the smallest cosine, a float64 scalar squared
     bound = expected_eps_rate_bound(float(_discrepancy(gram)), cos_sq, params)
-    epss, _ = _oracle_steps(model, basis, n_draws, rng, frobenius_discrepancy)
+    epss, _ = _oracle_steps(model, basis, n_draws, rng, _discrepancy)
     return _rate_check(*_mean_se(epss), bound, n_draws, above=False)
 
 
@@ -387,7 +382,7 @@ def mc_zeta_ratio_check(
     at most ``n * eps``, where the current similarity is rounding.
     """
     zeta_now = _resolved_zeta(basis, model.ubar)
-    zetas, gains = _oracle_steps(model, basis, n_draws, rng, determinant_similarity)
+    zetas, gains = _oracle_steps(model, basis, n_draws, rng, _gram_similarity)
     ratios = zetas / zeta_now
     se = math.sqrt(ratios.var(ddof=1) / n_draws + gains.var(ddof=1) / n_draws)
     return _rate_check(float(ratios.mean()), se, 1.0 + float(gains.mean()), n_draws, above=True)
@@ -412,5 +407,5 @@ def mc_eps_decrease_check(
             f"iterate is inside the noise ball: eps={eps_now:.3e} < d^2 sigma^2="
             f"{d**2 * model.sigma_sq:.3e}"
         )
-    epss, _ = _oracle_steps(model, basis, n_draws, rng, frobenius_discrepancy)
+    epss, _ = _oracle_steps(model, basis, n_draws, rng, _discrepancy)
     return _rate_check(*_mean_se(eps_now - epss), 0.0, n_draws, above=True)

@@ -32,6 +32,7 @@ from .bounds import (
 from .core import OracleInfo, StepConfig, StepMode, StepOutcome, compute_theta, grouse_step, project
 from .data import _sparse_density, _sparse_matrix, draw_batch, draw_sample, make_planted
 from .subspaces import (
+    _check_int,
     basis_with_similarity,
     determinant_similarity,
     expected_initial_similarity_exact,
@@ -312,7 +313,7 @@ def greedy_optimality(
     hook); any value other than 1 makes the property fail.
     """
     worst, evaluated = -math.inf, 0
-    for _ in range(max(cases, 100)):
+    for _ in range(cases):
         ubar, u, v = _noiseless_case(rng)
         w, p, r = project(u, v)
         p_norm = float(np.linalg.norm(p))
@@ -526,7 +527,11 @@ def verify(suite: str = "all", seed: int = 0, intensity: str = "quick") -> Verif
     ``suite`` is one of ``metrics``, ``step``, ``data``, ``rates`` or
     ``all``; ``intensity`` picks the sample sizes (``quick`` stays well
     under a minute, ``full`` spends more draws on the statistical checks).
+    ``seed`` must be a non-negative integer.
     """
+    _check_int(seed=seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITES + ('all',)}")
     if intensity not in _COUNTS:

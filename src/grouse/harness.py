@@ -24,8 +24,8 @@ import numpy as np
 from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, mu0
 from .core import OracleInfo, StepConfig, StepMode, _checked, _energy_outside, _step
 from .data import PlantedModel, _draw_each, make_planted
-from .subspaces import (MetricSample, _check_int, _check_optional_int, _cosines, _discrepancy, _similarity,
-                        check_orthonormal, random_orthonormal)
+from .subspaces import (MetricSample, _check_int, _check_optional_int, _column_major, _cosines, _discrepancy,
+                        _similarity, check_orthonormal, random_orthonormal)
 
 __all__ = [
     "ExperimentConfig",
@@ -192,66 +192,67 @@ def _start_trial(
     return derived_seed, rng, model, basis
 
 
-# A recorded row holds zeta, epsilon, the step's theta, alpha, ||p||^2, ||r||^2 and skipped flag,
-# then the principal-angle cosines.  A stack keeps its trials' rows in blocks of _HISTORY_CHUNK steps.
-_COSINES = 7
+# A recorded row holds t, zeta, epsilon, the step's theta, alpha, ||p||^2, ||r||^2 and skipped flag,
+# then the principal-angle cosines.  A trajectory keeps its rows in blocks of _HISTORY_CHUNK steps.
+_COSINES = 8
 _HISTORY_CHUNK = 64
 
 
-def _lockstep(step_cfg: StepConfig, bases, x, energy, nonskipped, record: bool):
-    """One step of a stack of trials: row ``i`` updates basis ``bases[i].T`` with ``x[i]``.
+def _lockstep(step_cfg: StepConfig, bases, x, energy, nonskipped, row):
+    """One step of a stack of trials: basis ``bases[i]`` takes observation ``x[i]``.
 
-    ``bases`` is a C-contiguous ``(b, d, n)`` array whose ``swapaxes(-1, -2)``
-    view is the stack of column-major bases ``_step`` takes.  ``nonskipped``
-    holds each row's non-skipped step count, by which ``_step``
-    re-orthonormalizes.  Returns the updated bases in the same ``(b, d, n)``
-    form, the skipped flags and, when ``record``, one recorded row per trial
-    with the step's columns (theta to skipped) filled in.
+    ``nonskipped`` holds each trial's non-skipped step count, by which ``_step``
+    re-orthonormalizes.  Returns the updated bases and the skipped flags; the
+    ``(1, _COSINES + d)`` ``row`` of a one-trial stack, if any, gets the step's columns.
     """
-    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = _step(
-        bases.swapaxes(-1, -2), x, step_cfg, energy, nonskipped)
-    updated = updated.swapaxes(-1, -2)
-    if not record:
-        return updated, skipped, None
-    block = np.empty((len(updated), _COSINES + updated.shape[-2]))
-    for column, value in enumerate((theta, alpha, p_sq, r_sq, skipped), start=2):
-        block[:, column] = value
-    return updated, skipped, block
+    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = _step(bases, x, step_cfg, energy, nonskipped)
+    if row is not None:
+        for column, value in enumerate((theta, alpha, p_sq, r_sq, skipped), start=3):
+            row[:, column] = value
+    return updated, skipped
 
 
-def _lockstep_row(step_cfg: StepConfig, bases, x, energy, nonskipped, record: bool, i: int):
-    """``_lockstep`` on row ``i`` alone, after the input checks of ``grouse_step``, or the exception it raised."""
-    row = slice(i, i + 1)
+def _lockstep_row(step_cfg: StepConfig, bases, x, energy, nonskipped, row, i: int):
+    """``_lockstep`` on trial ``i`` alone, after the input checks of ``grouse_step``, or the exception it raised."""
+    one = slice(i, i + 1)
     try:
         if energy is not None:
             OracleInfo(v_perp_norm_sq=float(energy[i]))
-        _checked(bases[i].T, x[i])
-        return _lockstep(step_cfg, bases[row], x[row], None if energy is None else energy[row],
-                         nonskipped[row], record)
-    except Exception as exc:  # the row's trial ends; the others go on
+        _checked(bases[i], x[i])
+        return _lockstep(step_cfg, bases[one], x[one], None if energy is None else energy[one], nonskipped[one], row)
+    except Exception as exc:  # the trial ends; the others go on
         return exc
 
 
-def _trial_rows(times: list[int], history: list[np.ndarray], slot: int) -> list[TrajectoryRow]:
-    """Rows of the trial in column ``slot`` of the history, one per entry of ``times``.
-
-    The rows' cosines are views into the history.
-    """
-    columns = np.concatenate([chunk[:, slot, :_COSINES] for chunk in history])[:len(times)].T.tolist()
-    cosines = (row for chunk in history for row in chunk[:, slot, _COSINES:])
+def _trial_rows(history: list[np.ndarray], count: int) -> list[TrajectoryRow]:
+    """The first ``count`` rows of a trajectory's history; their cosines are views into it."""
+    table = np.concatenate([chunk[:, :_COSINES] for chunk in history])[:count].tolist()
+    cosines = (row for chunk in history for row in chunk[:, _COSINES:])
     return [
         TrajectoryRow(
-            sample=MetricSample(t=t, zeta=zeta, epsilon=eps, cos_angles=cos,
+            sample=MetricSample(t=int(t), zeta=zeta, epsilon=eps, cos_angles=cos,
                                 residual_norm_sq=r_sq, projection_norm_sq=p_sq),
             theta=theta, alpha=alpha, skipped=bool(skipped),
         )
-        for t, zeta, eps, theta, alpha, p_sq, r_sq, skipped, cos
-        in zip(times, *columns, cosines)
+        for (t, zeta, eps, theta, alpha, p_sq, r_sq, skipped), cos in zip(table, cosines)
     ]
 
 
-def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None, rows: bool):
-    """``_run_trials`` on trials that fit one stack."""
+def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None, rows=False):
+    """Run trials of ``cfg`` in one lock-step stack; yield ``(trial_id, result, rows)`` as each ends.
+
+    A trial that raises, at set-up or in a step, yields its exception for
+    the result and ``None`` for the rows, and leaves the stack.  Each trial
+    keeps its own generator, model and phase split, and gets the bits it
+    gets alone whatever the stack holds.  At each recorded step every
+    running trial's discrepancy decides stopping and ``K2``, and
+    ``bounds._PhaseRule`` advances ``K1`` and ``K2``.  The rows are ``None``
+    and the similarity's SVD is taken only short of ``K1`` or at a trial's
+    last step, unless ``rows`` is set: then the stack's one trial keeps every
+    recorded row and yields them; more trials raise ``ValueError``.
+    """
+    if rows and len(trial_ids) > 1:
+        raise ValueError(f"rows are kept for one trial, got {len(trial_ids)} trials")
     trials = []
     for trial_id in trial_ids:
         try:
@@ -260,100 +261,72 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
             yield trial_id, exc, None
     if not trials:
         return
-    # one row per trial in each array; a trial that ends leaves every array
+    # one row per trial in each array: the stacks of column-major bases and ground truths, and the rest
     ids, seeds, rngs, models, starts = zip(*trials)
     ids, seeds, rngs = (np.array(column, dtype=object) for column in (ids, seeds, rngs))
-    # (b, d, n) C arrays: their swapaxes views are stacks of column-major bases, and so are those of
-    # every compaction column[keep] and concatenation below
-    bases = np.stack([start.T for start in starts])
-    ubars = np.stack([model.ubar.T for model in models])
+    bases, ubars = (_column_major(np.stack(stack)) for stack in (starts, [model.ubar for model in models]))
     normalize_signal = models[0].normalize_signal
     del trials, models, starts  # the stacks hold the bases and ground truths from here on
-    started = len(ids)
-    nonskipped = np.zeros(started, dtype=int)
-    k1, k2 = np.full(started, -1), np.full(started, -1)  # each trial's phase split so far, -1 while unmet
-    slots = np.arange(started)  # each trial's column in the history, which keeps a column per started trial
+    nonskipped = np.zeros(len(ids), dtype=int)
+    k1, k2 = np.full(len(ids), -1), np.full(len(ids), -1)  # each trial's phase split so far, -1 while unmet
+
+    def leave(keep):  # the trials where keep is False end: drop them from every per-trial array
+        nonlocal ids, seeds, rngs, bases, ubars, nonskipped, k1, k2
+        ids, seeds, rngs, bases, ubars, nonskipped, k1, k2 = (
+            column[keep] for column in (ids, seeds, rngs, bases, ubars, nonskipped, k1, k2))
+
     rule = _PhaseRule.of(cfg.bound_params(), noisy=cfg.sigma_sq > 0)
     step_cfg = cfg.step_config()
     record_every = cfg.resolved_record_every()
     max_iters = cfg.resolved_max_iters()
-    history: list[np.ndarray] = []  # blocks of _HISTORY_CHUNK recorded steps
-    times: list[int] = []
-    t, record = 0, True
-    block = np.zeros((started, _COSINES + cfg.d))  # the start's step columns hold 0
+    history: list[np.ndarray] = []  # with rows, the recorded rows in blocks of _HISTORY_CHUNK
+    row = np.zeros((1, _COSINES + cfg.d)) if rows else None  # the next recorded row; the start's step columns hold 0
+    t, record, count = 0, True, 0
     while True:
         if record:
-            gram = np.matmul(ubars, bases.swapaxes(-1, -2))
+            gram = np.matmul(ubars.mT, bases)
             eps = _discrepancy(gram)
             done = eps <= cfg.eps_star
             if t == max_iters:
                 done[:] = True
+            # zeta decides K1 and is the final zeta: without rows, a trial past K1 needs it only at its last step
+            zeta = np.full(len(ids), np.nan)
+            need = done | (k1 < 0) | rows
+            if need.any():
+                cosines = _cosines(gram[need])
+                zeta[need] = _similarity(cosines)
             if rows:
-                cosines = _cosines(gram)
-                zeta = _similarity(cosines)
-                block[:, 0], block[:, 1], block[:, _COSINES:] = zeta, eps, cosines
-                if len(times) % _HISTORY_CHUNK == 0:
-                    history.append(np.empty((_HISTORY_CHUNK, started, _COSINES + cfg.d)))
-                history[-1][len(times) % _HISTORY_CHUNK, slots] = block
-                times.append(t)
-            else:  # zeta decides K1 and is the final zeta: a trial past K1 needs it only at its last step
-                zeta = np.full(len(ids), np.nan)
-                need = done | (k1 < 0)
-                if need.any():
-                    zeta[need] = _similarity(_cosines(gram[need]))
+                row[:, 0], row[:, 1], row[:, 2], row[:, _COSINES:] = t, zeta, eps, cosines
+                if count % _HISTORY_CHUNK == 0:
+                    history.append(np.empty((_HISTORY_CHUNK, _COSINES + cfg.d)))
+                history[-1][count % _HISTORY_CHUNK] = row
+                count += 1
             k1, k2 = rule.advance(k1, k2, t, zeta, eps)
             if done.any():
                 for i in np.flatnonzero(done):
                     result = TrialResult(trial_id=ids[i], derived_seed=seeds[i], phase=rule.report(k1[i], k2[i]),
                                          final_zeta=float(zeta[i]), final_eps=float(eps[i]), iters_run=t,
                                          skipped_steps=t - int(nonskipped[i]))
-                    yield ids[i], result, _trial_rows(times, history, slots[i]) if rows else None
-                keep = ~done
-                ids, seeds, rngs, bases, ubars, nonskipped, k1, k2, slots = (
-                    column[keep] for column in (ids, seeds, rngs, bases, ubars, nonskipped, k1, k2, slots))
+                    yield ids[i], result, _trial_rows(history, count) if rows else None
+                leave(~done)
                 if not len(ids):
                     return
-        sample = _draw_each(ubars.swapaxes(-1, -2), cfg.sigma_sq, normalize_signal, rngs)
-        energy = _energy_outside(bases.swapaxes(-1, -2), sample.v) if cfg.mode is StepMode.ORACLE_NOISY else None
+        sample = _draw_each(ubars, cfg.sigma_sq, normalize_signal, rngs)
+        energy = _energy_outside(bases, sample.v) if cfg.mode is StepMode.ORACLE_NOISY else None
         t += 1
         record = t % record_every == 0 or t == max_iters
         try:
-            bases, skipped, block = _lockstep(step_cfg, bases, sample.x, energy, nonskipped, record and rows)
-        except Exception:  # step the rows one at a time: a row that raises ends its trial alone
-            outs = [_lockstep_row(step_cfg, bases, sample.x, energy, nonskipped, record and rows, i)
-                    for i in range(len(ids))]
-            keep = np.array([not isinstance(out, Exception) for out in outs])
-            for i in np.flatnonzero(~keep):
+            bases, skipped = _lockstep(step_cfg, bases, sample.x, energy, nonskipped, row)
+        except Exception:  # step the trials one at a time: a trial that raises ends alone
+            outs = [_lockstep_row(step_cfg, bases, sample.x, energy, nonskipped, row, i) for i in range(len(ids))]
+            failed = np.array([isinstance(out, Exception) for out in outs])
+            for i in np.flatnonzero(failed):
                 yield ids[i], outs[i], None
-            ids, seeds, rngs, ubars, nonskipped, k1, k2, slots = (
-                column[keep] for column in (ids, seeds, rngs, ubars, nonskipped, k1, k2, slots))
+            leave(~failed)
             if not len(ids):
                 return
-            bases, skipped, block = (None if part[0] is None else np.concatenate(part)
-                                     for part in zip(*(out for out, k in zip(outs, keep) if k)))
+            bases, skipped = (np.concatenate(part) for part in zip(*(outs[i] for i in np.flatnonzero(~failed))))
         nonskipped += ~skipped
-
-
-def _run_trials(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None = None,
-                rows: bool = True):
-    """Run trials of ``cfg``; yield ``(trial_id, result, rows)`` as each ends, or ``(trial_id, exception, None)``.
-
-    The trials step in lock-step stacks of at most ``_CHUNK_ELEMENTS`` basis
-    elements (one trial per stack at large sizes).  Each trial keeps its own
-    generator, model and phase split, draws from its generator as it would
-    alone, and gets the bits it gets alone whatever the stack holds.  At
-    each recorded step the engine evaluates every running trial's
-    discrepancy, which decides stopping and ``K2``, and advances ``K1`` and
-    ``K2`` by ``bounds._PhaseRule``.  With ``rows`` it also keeps every
-    recorded row and yields them with the result; without, it yields
-    ``None`` for them, keeps no history and takes the SVD behind the
-    similarity only for trials short of ``K1`` or at their last step.  A
-    trial that raises, at set-up or in a step, ends with its exception and
-    leaves the stack; the other trials go on.
-    """
-    width = max(1, _CHUNK_ELEMENTS // (cfg.n * cfg.d))
-    for start in range(0, len(trial_ids), width):
-        yield from _run_stack(cfg, trial_ids[start:start + width], initial_basis, rows)
 
 
 def run_trajectory(
@@ -375,7 +348,7 @@ def run_trajectory(
         if np.shape(initial_basis) != (cfg.n, cfg.d):
             raise ValueError(f"initial_basis must have shape {(cfg.n, cfg.d)}, got {np.shape(initial_basis)}")
         initial_basis = check_orthonormal(initial_basis)
-    ((_, outcome, rows),) = _run_trials(cfg, [trial_id], initial_basis)
+    ((_, outcome, rows),) = _run_stack(cfg, [trial_id], initial_basis, rows=True)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome, rows
@@ -450,9 +423,11 @@ class SweepConfigSummary:
 
 
 def _run_config_trials(cfg: ExperimentConfig) -> SweepConfigSummary:
-    outcomes = {}
-    for trial_id, outcome, _ in _run_trials(cfg, range(cfg.trials), rows=False):
-        outcomes[trial_id] = outcome
+    # stacks of at most _CHUNK_ELEMENTS basis elements: one trial per stack at large sizes
+    width = max(1, _CHUNK_ELEMENTS // (cfg.n * cfg.d))
+    trial_ids = range(cfg.trials)
+    outcomes = {trial_id: outcome for start in range(0, cfg.trials, width)
+                for trial_id, outcome, _ in _run_stack(cfg, trial_ids[start:start + width], None)}
     ordered = [outcomes[i] for i in sorted(outcomes) if isinstance(outcomes[i], TrialResult)]
     errors = {i: f"{type(outcomes[i]).__name__}: {outcomes[i]}" for i in sorted(outcomes)
               if isinstance(outcomes[i], Exception)}

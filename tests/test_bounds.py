@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -24,6 +23,7 @@ from grouse.core import OracleInfo, StepConfig, StepMode, grouse_step
 from grouse.data import draw_sample, make_planted
 from grouse.subspaces import (
     MetricSample,
+    _discrepancy,
     basis_with_angles,
     basis_with_similarity,
     determinant_similarity,
@@ -382,9 +382,9 @@ def test_mc_checks_equal_reference_loop(seed):
 def _assert_kernel_equals_reference_loop(model, basis, n_draws, seed):
     rng = np.random.default_rng(seed)
     zetas, epss, gains = _reference_step_stats(model, basis, n_draws, rng)
-    for metric, expected in ((determinant_similarity, zetas), (frobenius_discrepancy, epss)):
+    for gram_metric, expected in ((bounds._gram_similarity, zetas), (_discrepancy, epss)):
         kernel_rng = np.random.default_rng(seed)
-        values, kernel_gains = bounds._oracle_steps(model, basis, n_draws, kernel_rng, metric)
+        values, kernel_gains = bounds._oracle_steps(model, basis, n_draws, kernel_rng, gram_metric)
         assert np.array_equal(values, expected)
         assert np.array_equal(kernel_gains, gains)
         assert kernel_rng.bit_generator.state == rng.bit_generator.state
@@ -424,24 +424,9 @@ def test_oracle_steps_all_skipped():
     rng = np.random.default_rng(6)
     model = make_planted(60, 3, 0.0, sparse=True, rng=rng)
     _assert_kernel_equals_reference_loop(model, model.ubar, 30, seed=7)
-    values, gains = bounds._oracle_steps(model, model.ubar, 30, rng, determinant_similarity)
+    values, gains = bounds._oracle_steps(model, model.ubar, 30, rng, bounds._gram_similarity)
     assert np.all(gains == 0.0)
     assert np.all(values == determinant_similarity(model.ubar, model.ubar))
-
-
-def test_oracle_steps_accept_wrapped_metric():
-    """A tracer or profiler rebinds the metric to a ``functools.wraps`` wrapper."""
-    rng = np.random.default_rng(11)
-    model = make_planted(40, 3, 1e-3, sparse=False, rng=rng)
-    basis = basis_with_similarity(model.ubar, 0.3, rng)
-
-    @functools.wraps(frobenius_discrepancy)
-    def wrapped(U, Ubar):
-        return frobenius_discrepancy(U, Ubar)
-
-    expected = bounds._oracle_steps(model, basis, 10, np.random.default_rng(12), frobenius_discrepancy)
-    got = bounds._oracle_steps(model, basis, 10, np.random.default_rng(12), wrapped)
-    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def test_oracle_steps_reject_non_finite_update():
@@ -451,9 +436,9 @@ def test_oracle_steps_reject_non_finite_update():
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             _reference_step_stats(model, basis, 10, np.random.default_rng(9))
-        for metric in (determinant_similarity, frobenius_discrepancy):
+        for gram_metric in (bounds._gram_similarity, _discrepancy):
             with pytest.raises(ValueError, match="non-finite"):
-                bounds._oracle_steps(model, basis, 10, np.random.default_rng(9), metric)
+                bounds._oracle_steps(model, basis, 10, np.random.default_rng(9), gram_metric)
 
 
 @pytest.mark.parametrize("n_draws", [0, 1])

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -118,3 +119,20 @@ def test_rotation_forms_agree_fails_on_a_wrong_angle_and_without_cases(monkeypat
     rotate = grouse.core._rotate
     monkeypatch.setattr(grouse.core, "_rotate", lambda U, w, p, r, theta: rotate(U, w, p, r, 1.01 * theta))
     assert not rotation_forms_agree(np.random.default_rng(0), 20).passed
+
+
+def test_greedy_optimality_fails_without_cases():
+    """The property evaluates the cases it is asked for: none evaluated is a failure, not 100 silent draws."""
+    empty = greedy_optimality(np.random.default_rng(0), 0)
+    assert not empty.passed and empty.measured == math.inf and "no case evaluated" in empty.detail
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (None, "seed must be an integer, got None"),
+])
+def test_verify_rejects_a_bad_seed(seed, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify(suite="rates", seed=seed)

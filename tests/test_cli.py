@@ -174,3 +174,10 @@ def test_non_finite_values_exit_with_usage_error(argv, field, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{field} is non-finite" in captured.err
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "--suite", "rates", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be >= 0, got -1" in captured.err

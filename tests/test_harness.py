@@ -321,22 +321,28 @@ def test_sweep_is_invariant_to_stack_width(tmp_path, monkeypatch):
         ExperimentConfig(n=60, d=3, sigma_sq=1e-3, seed=23, trials=7, max_iters=120,
                          mode=StepMode.ORACLE_NOISY, record_every=9),
     ]
-    # trial 0 starts orthogonal to its own ground truth and skips every step; trials 1 and 2 step from there
-    mixed = ExperimentConfig(n=60, d=3, seed=3, eps_star=1e-30, max_iters=40)
-    start = _orthogonal_start(mixed)
     outputs = {}
     for width in (1, 3, 100):
         monkeypatch.setattr(grouse.harness, "_CHUNK_ELEMENTS", width * 60 * 3)
         outputs[width] = _sweep_outputs(cfgs, tmp_path / f"sweep_{width}.csv")
-        trials = list(grouse.harness._run_trials(mixed, [0, 1, 2], start))
-        outputs[width] += ([(trial_id, result) for trial_id, result, _ in trials],
-                           [[(r.sample.t, r.sample.zeta, r.sample.epsilon, r.theta, r.alpha, r.skipped,
-                              r.sample.residual_norm_sq, r.sample.projection_norm_sq, *r.sample.cos_angles)
-                             for r in rows] for _, _, rows in trials])
     assert outputs[1] == outputs[3] == outputs[100]
-    results, errors, _, _, mixed_results, _ = outputs[1]
+    results, errors, _, _ = outputs[1]
     assert errors == [{}, {}, {}] and all(len(r) == 7 for r in results)
-    assert [result.skipped_steps for _, result in mixed_results] == [40, 0, 0]
+    # trial 0 starts orthogonal to its own ground truth and skips every step; trials 1 and 2 step from there
+    mixed = ExperimentConfig(n=60, d=3, seed=3, eps_star=1e-30, max_iters=40)
+    start = _orthogonal_start(mixed)
+    stacked = {trial_id: result for trial_id, result, _ in grouse.harness._run_stack(mixed, [0, 1, 2], start)}
+    for trial_id in range(3):
+        ((_, alone, rows),) = grouse.harness._run_stack(mixed, [trial_id], start)
+        assert rows is None
+        assert stacked[trial_id] == alone == run_trajectory(mixed, trial_id, start)[0]
+    assert [stacked[trial_id].skipped_steps for trial_id in range(3)] == [40, 0, 0]
+
+
+def test_rows_are_kept_for_one_trial_only():
+    cfg = ExperimentConfig(n=60, d=3, seed=3, max_iters=5)
+    with pytest.raises(ValueError, match="rows are kept for one trial, got 2 trials"):
+        next(grouse.harness._run_stack(cfg, [0, 1], None, rows=True))
 
 
 def test_sweep_takes_similarity_svd_only_until_k1(monkeypatch):

@@ -85,6 +85,15 @@ def test_reorth_rule_has_one_owner():
     assert "np.where(skipped" not in inspect.getsource(grouse.harness)
 
 
+def test_basis_layout_has_one_owner():
+    """The harness passes its stacks of bases on as ``subspaces._column_major`` lays them out.
+
+    It swaps no axes of its own and keeps no multi-trial row history (no ``slots``).
+    """
+    source = (Path(grouse.__file__).parent / "harness.py").read_text(encoding="utf-8")
+    assert "swapaxes" not in source and "slots" not in source
+
+
 def test_package_runs_no_threads():
     """Trials run one after another: no module of the package imports a thread or process pool."""
     package = Path(grouse.__file__).parent

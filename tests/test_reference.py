@@ -340,8 +340,8 @@ class _NaNAfter:
         return out if self._calls >= 0 else np.full_like(out, np.nan)
 
 
-def test_trial_failing_mid_stack_leaves_the_others_equal_to_reference(monkeypatch):
-    """Trial 1's 31st draw is NaN: it ends with the error of a single step, and trials 0, 2 and 3 run on."""
+def _poison_second_trial(monkeypatch):
+    """Trial 1's 31st draw turns NaN."""
     original = grouse.harness._start_trial
 
     def poisoned_second(cfg, trial_id, *args, **kwargs):
@@ -349,9 +349,37 @@ def test_trial_failing_mid_stack_leaves_the_others_equal_to_reference(monkeypatc
         return derived_seed, (_NaNAfter(rng, 30) if trial_id == 1 else rng), model, basis
 
     monkeypatch.setattr(grouse.harness, "_start_trial", poisoned_second)
-    cfg = ExperimentConfig(n=80, d=4, sigma_sq=1e-3, seed=5, trials=4, max_iters=120, mode=StepMode.PRACTICAL_NOISY)
+
+
+_POISONED = ExperimentConfig(n=80, d=4, sigma_sq=1e-3, seed=5, trials=4, max_iters=120, mode=StepMode.PRACTICAL_NOISY)
+
+
+def test_trial_failing_mid_stack_leaves_the_others_equal_to_reference(monkeypatch):
+    """Trial 1's 31st draw is NaN: it ends with the error of a single step, and trials 0, 2 and 3 run on."""
+    _poison_second_trial(monkeypatch)
+    cfg = _POISONED
     summary = run_sweep([cfg])[0]
     assert summary.errors == {1: "ValueError: observation contains non-finite entries"}
     assert summary.results == [_reference_trial(cfg, trial_id)[0] for trial_id in (0, 2, 3)]
     with pytest.raises(ValueError, match="observation contains non-finite entries"):
         run_trajectory(cfg, 1)
+
+
+def test_engine_steps_column_major_stacks(monkeypatch):
+    """Every stack the engine steps is column-major, after trials end and after a failed step's concatenation."""
+    step = grouse.harness._step
+    widths = []
+
+    def checked_step(U, x, *args):
+        assert U.mT.flags.c_contiguous
+        widths.append(len(U))
+        return step(U, x, *args)
+
+    monkeypatch.setattr(grouse.harness, "_step", checked_step)
+    results = run_sweep([ExperimentConfig(n=60, d=3, seed=23, trials=7, sparse_ubar=True)])[0].results
+    assert len({result.iters_run for result in results}) > 2 and len(set(widths)) > 2
+    widths.clear()
+    _poison_second_trial(monkeypatch)
+    assert run_sweep([_POISONED])[0].errors.keys() == {1}
+    # step 31 fails at width 4; trials 0, 2 and 3 step alone, trial 1 fails its input check; then width 3
+    assert widths[:35] == [4] * 31 + [1, 1, 1, 3]
