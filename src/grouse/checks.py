@@ -29,7 +29,7 @@ from .bounds import (
     mc_zeta_ratio_check,
     mu0,
 )
-from .core import OracleInfo, StepConfig, StepMode, StepOutcome, compute_theta, grouse_step, project
+from .core import OracleInfo, StepConfig, StepMode, StepOutcome, grouse_step
 from .data import _sparse_density, _sparse_matrix, draw_batch, draw_sample, make_planted
 from .subspaces import (
     _check_int,
@@ -243,7 +243,7 @@ def _worst_step(rng: np.random.Generator, cases: int,
 
     A case is evaluated when its step is not skipped and ``deviation`` does not return ``None``.
     """
-    worst, evaluated = 0.0, 0
+    values = []
     for _ in range(cases):
         ubar, u, v = _noiseless_case(rng, n, d)
         out = grouse_step(u, v, cfg, oracle=oracle)
@@ -251,8 +251,8 @@ def _worst_step(rng: np.random.Generator, cases: int,
             continue
         value = deviation(ubar, u, v, out)
         if value is not None:
-            worst, evaluated = max(worst, value), evaluated + 1
-    return worst if evaluated else None
+            values.append(value)
+    return max(values, default=None)
 
 
 def step_orthonormality(rng: np.random.Generator, cases: int) -> PropertyResult:
@@ -312,23 +312,15 @@ def greedy_optimality(
     deliberately mis-scales the angle actually applied (negative-control
     hook); any value other than 1 makes the property fail.
     """
-    worst, evaluated = -math.inf, 0
-    for _ in range(cases):
-        ubar, u, v = _noiseless_case(rng)
-        w, p, r = project(u, v)
-        p_norm = float(np.linalg.norm(p))
-        r_norm = float(np.linalg.norm(r))
-        if min(p_norm, r_norm, float(np.linalg.norm(w))) <= 1e-12:
-            continue
-        theta_used = theta_scale * compute_theta(0.0, r_norm, p_norm)
-        q = r_norm / p_norm
+    def deviation(ubar, u, v, out):
+        theta_used = theta_scale * out.theta
+        q = float(np.linalg.norm(out.r) / np.linalg.norm(out.p))
 
         def gain(theta: float) -> float:
             return (math.cos(theta) + q * math.sin(theta)) ** 2
 
-        best_perturbed = max(gain(0.9 * theta_used), gain(1.1 * theta_used))
-        worst, evaluated = max(worst, best_perturbed - gain(theta_used)), evaluated + 1
-    return _result("greedy_optimality", "step", worst if evaluated else None, -1e-15,
+        return max(gain(0.9 * theta_used), gain(1.1 * theta_used)) - gain(theta_used)
+    return _result("greedy_optimality", "step", _worst_step(rng, cases, deviation), -1e-15,
                    detail=f"theta_scale={theta_scale}")
 
 

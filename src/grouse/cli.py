@@ -57,12 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds_p = sub.add_parser("bounds", help="evaluate the iteration-bound formulas")
     bounds_p.add_argument("--params", default=None, help="JSON file: params dict or list of dicts")
-    bounds_p.add_argument("--n", type=int, default=None)
-    bounds_p.add_argument("--d", type=int, default=None)
-    bounds_p.add_argument("--sigma2", type=float, default=0.0)
-    bounds_p.add_argument("--eps-star", type=float, default=1e-4)
-    bounds_p.add_argument("--rho", type=float, default=0.1)
-    bounds_p.add_argument("--rho-prime", type=float, default=0.1)
+    # dest names are the BoundParams fields they set; an absent flag leaves the field's default
+    bounds_p.add_argument("--n", type=int)
+    bounds_p.add_argument("--d", type=int)
+    bounds_p.add_argument("--sigma2", dest="sigma_sq", metavar="SIGMA2", type=float)
+    bounds_p.add_argument("--eps-star", type=float)
+    bounds_p.add_argument("--rho", type=float)
+    bounds_p.add_argument("--rho-prime", type=float)
     bounds_p.add_argument("--out", default=None)
 
     verify_p = sub.add_parser("verify", help="run the property suites")
@@ -106,15 +107,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("command", "params", "out") and value is not None}
     if args.params:
+        if given:
+            raise ValueError(f"--params takes no parameter flags, got {sorted(given)}")
         params = [BoundParams(**entry) for entry in _load_dicts(args.params)]
     else:
-        if args.n is None or args.d is None:
+        if "n" not in given or "d" not in given:
             raise ValueError("bounds needs either --params or both --n and --d")
-        params = [
-            BoundParams(n=args.n, d=args.d, sigma_sq=args.sigma2, rho=args.rho,
-                        rho_prime=args.rho_prime, eps_star=args.eps_star)
-        ]
+        params = [BoundParams(**given)]
     for row in bounds_table(params, out_path=args.out):
         print(row)
     return 0

@@ -192,50 +192,31 @@ def _start_trial(
     return derived_seed, rng, model, basis
 
 
-# A recorded row holds t, zeta, epsilon, the step's theta, alpha, ||p||^2, ||r||^2 and skipped flag,
-# then the principal-angle cosines.  A trajectory keeps its rows in blocks of _HISTORY_CHUNK steps.
-_COSINES = 8
-_HISTORY_CHUNK = 64
-
-
-def _lockstep(step_cfg: StepConfig, bases, x, energy, nonskipped, row):
-    """One step of a stack of trials: basis ``bases[i]`` takes observation ``x[i]``.
-
-    ``nonskipped`` holds each trial's non-skipped step count, by which ``_step``
-    re-orthonormalizes.  Returns the updated bases and the skipped flags; the
-    ``(1, _COSINES + d)`` ``row`` of a one-trial stack, if any, gets the step's columns.
-    """
-    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = _step(bases, x, step_cfg, energy, nonskipped)
-    if row is not None:
-        for column, value in enumerate((theta, alpha, p_sq, r_sq, skipped), start=3):
-            row[:, column] = value
-    return updated, skipped
-
-
-def _lockstep_row(step_cfg: StepConfig, bases, x, energy, nonskipped, row, i: int):
-    """``_lockstep`` on trial ``i`` alone, after the input checks of ``grouse_step``, or the exception it raised."""
+def _step_alone(step_cfg: StepConfig, bases, x, energy, nonskipped, i: int):
+    """Trial ``i``'s ``(updated, skipped)`` by ``_step`` alone, after ``grouse_step``'s input checks, or their error."""
     one = slice(i, i + 1)
     try:
         if energy is not None:
             OracleInfo(v_perp_norm_sq=float(energy[i]))
         _checked(bases[i], x[i])
-        return _lockstep(step_cfg, bases[one], x[one], None if energy is None else energy[one], nonskipped[one], row)
+        return _step(bases[one], x[one], step_cfg, None if energy is None else energy[one], nonskipped[one])[-2:]
     except Exception as exc:  # the trial ends; the others go on
         return exc
 
 
-def _trial_rows(history: list[np.ndarray], count: int) -> list[TrajectoryRow]:
-    """The first ``count`` rows of a trajectory's history; their cosines are views into it."""
-    table = np.concatenate([chunk[:, :_COSINES] for chunk in history])[:count].tolist()
-    cosines = (row for chunk in history for row in chunk[:, _COSINES:])
-    return [
-        TrajectoryRow(
-            sample=MetricSample(t=int(t), zeta=zeta, epsilon=eps, cos_angles=cos,
-                                residual_norm_sq=r_sq, projection_norm_sq=p_sq),
-            theta=theta, alpha=alpha, skipped=bool(skipped),
-        )
-        for (t, zeta, eps, theta, alpha, p_sq, r_sq, skipped), cos in zip(table, cosines)
-    ]
+def _trial_rows(history: list[tuple]) -> list[TrajectoryRow]:
+    """A trajectory's rows from its ``(t, zeta, epsilon, cosines, step)`` history, one entry per recorded iterate.
+
+    ``step`` is the ``(theta, alpha, ||p||^2, ||r||^2, skipped)`` of the ``_step`` that reached the iterate, as
+    ``_step`` returned them: each a one-element array or the float 0.0 (all 0.0 and ``False`` at the start).
+    """
+    rows = []
+    for t, zeta, eps, cos, step in history:
+        theta, alpha, p_sq, r_sq, skipped = (np.ravel(value)[0].item() for value in step)
+        sample = MetricSample(t=t, zeta=float(zeta), epsilon=float(eps), cos_angles=cos,
+                              residual_norm_sq=r_sq, projection_norm_sq=p_sq)
+        rows.append(TrajectoryRow(sample=sample, theta=theta, alpha=alpha, skipped=skipped))
+    return rows
 
 
 def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None, rows=False):
@@ -248,8 +229,9 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     running trial's discrepancy decides stopping and ``K2``, and
     ``bounds._PhaseRule`` advances ``K1`` and ``K2``.  The rows are ``None``
     and the similarity's SVD is taken only short of ``K1`` or at a trial's
-    last step, unless ``rows`` is set: then the stack's one trial keeps every
-    recorded row and yields them; more trials raise ``ValueError``.
+    last step, unless ``rows`` is set: then the stack's one trial keeps a
+    ``(t, zeta, epsilon, cosines, step)`` history entry per recorded iterate
+    and yields them as ``_trial_rows``; more trials raise ``ValueError``.
     """
     if rows and len(trial_ids) > 1:
         raise ValueError(f"rows are kept for one trial, got {len(trial_ids)} trials")
@@ -279,9 +261,9 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     step_cfg = cfg.step_config()
     record_every = cfg.resolved_record_every()
     max_iters = cfg.resolved_max_iters()
-    history: list[np.ndarray] = []  # with rows, the recorded rows in blocks of _HISTORY_CHUNK
-    row = np.zeros((1, _COSINES + cfg.d)) if rows else None  # the next recorded row; the start's step columns hold 0
-    t, record, count = 0, True, 0
+    history: list[tuple] = []  # with rows, an entry per recorded iterate
+    step = (0.0, 0.0, 0.0, 0.0, False)  # (theta, alpha, ||p||^2, ||r||^2, skipped) of the step that reached t
+    t, record = 0, True
     while True:
         if record:
             gram = np.matmul(ubars.mT, bases)
@@ -296,18 +278,14 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
                 cosines = _cosines(gram[need])
                 zeta[need] = _similarity(cosines)
             if rows:
-                row[:, 0], row[:, 1], row[:, 2], row[:, _COSINES:] = t, zeta, eps, cosines
-                if count % _HISTORY_CHUNK == 0:
-                    history.append(np.empty((_HISTORY_CHUNK, _COSINES + cfg.d)))
-                history[-1][count % _HISTORY_CHUNK] = row
-                count += 1
+                history.append((t, zeta[0], eps[0], cosines[0], step))
             k1, k2 = rule.advance(k1, k2, t, zeta, eps)
             if done.any():
                 for i in np.flatnonzero(done):
                     result = TrialResult(trial_id=ids[i], derived_seed=seeds[i], phase=rule.report(k1[i], k2[i]),
                                          final_zeta=float(zeta[i]), final_eps=float(eps[i]), iters_run=t,
                                          skipped_steps=t - int(nonskipped[i]))
-                    yield ids[i], result, _trial_rows(history, count) if rows else None
+                    yield ids[i], result, _trial_rows(history) if rows else None
                 leave(~done)
                 if not len(ids):
                     return
@@ -316,9 +294,10 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
         t += 1
         record = t % record_every == 0 or t == max_iters
         try:
-            bases, skipped = _lockstep(step_cfg, bases, sample.x, energy, nonskipped, row)
+            _, _, _, p_sq, r_sq, alpha, theta, bases, skipped = _step(bases, sample.x, step_cfg, energy, nonskipped)
+            step = theta, alpha, p_sq, r_sq, skipped
         except Exception:  # step the trials one at a time: a trial that raises ends alone
-            outs = [_lockstep_row(step_cfg, bases, sample.x, energy, nonskipped, row, i) for i in range(len(ids))]
+            outs = [_step_alone(step_cfg, bases, sample.x, energy, nonskipped, i) for i in range(len(ids))]
             failed = np.array([isinstance(out, Exception) for out in outs])
             for i in np.flatnonzero(failed):
                 yield ids[i], outs[i], None
@@ -447,11 +426,15 @@ def run_sweep(
 
     Per config, the measured ``K1`` is normalized by ``d^3 log(n)`` and the
     measured ``K2`` by ``d log(1/eps_star)``; the summary reports mean and
-    variance over converged trials.  With ``out_path`` the summary table is
-    written as CSV and per-trial detail as ``<out_path>.json``.
+    variance over converged trials, so every config needs ``eps_star < 1``
+    (``ValueError`` before any trial runs).  With ``out_path`` the summary
+    table is written as CSV and per-trial detail as ``<out_path>.json``.
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
+    for cfg in configs:
+        if cfg.eps_star >= 1:
+            raise ValueError(f"a sweep needs eps_star < 1 (K2 is normalized by d log(1/eps_star)), got {cfg.eps_star}")
     summaries = [_run_config_trials(cfg) for cfg in configs]
     if out_path:
         write_sweep_csv(out_path, summaries)

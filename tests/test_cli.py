@@ -120,6 +120,24 @@ def test_bounds_single_dict_params(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("100,5,")
 
 
+def test_bounds_rejects_flags_with_params(tmp_path, capsys):
+    params_path = tmp_path / "p.json"
+    params_path.write_text(json.dumps({"n": 100, "d": 5}))
+    assert main(["bounds", "--params", str(params_path), "--n", "50", "--d", "2", "--rho", "0.3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("grouse: error: --params takes no parameter flags, got ['d', 'n', 'rho']")
+
+
+def test_sweep_with_eps_star_one_is_a_usage_error(tmp_path, capsys):
+    config_path = tmp_path / "grid.json"
+    config_path.write_text(json.dumps([{"n": 5, "d": 2, "eps_star": 1.0, "trials": 4, "seed": 0}]))
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("grouse: error: a sweep needs eps_star < 1")
+
+
 def test_verify_quick_suite(capsys):
     code = main(["verify", "--suite", "metrics", "--seed", "0", "--intensity", "quick"])
     assert code == 0

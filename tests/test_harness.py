@@ -433,6 +433,17 @@ def test_sweep_requires_configs():
         run_sweep([])
 
 
+@pytest.mark.parametrize("eps_star", [1.0, 1.5])
+def test_sweep_rejects_eps_star_from_one_before_any_trial(eps_star, monkeypatch):
+    """K2 is normalized by ``d log(1/eps_star)``, which is 0 or negative from ``eps_star = 1`` on."""
+    stacks = []
+    monkeypatch.setattr(grouse.harness, "_run_stack", lambda *args: stacks.append(args) or iter(()))
+    configs = [ExperimentConfig(n=40, d=3, trials=2), ExperimentConfig(n=5, d=2, eps_star=eps_star, trials=4)]
+    with pytest.raises(ValueError, match="eps_star < 1"):
+        run_sweep(configs)
+    assert stacks == []
+
+
 # ---------------------------------------------------------------------------
 # bounds table
 

@@ -61,11 +61,18 @@ def test_phase_rule_has_one_owner():
 def test_trial_loop_has_one_owner():
     """The harness steps and draws only in its lock-step engine.
 
-    It binds neither ``grouse_step`` nor ``draw_sample``.
+    It binds neither ``grouse_step`` nor ``draw_sample``, and keeps no step
+    wrapper or private row layout: ``core._step`` is called in two places,
+    the stack in ``_run_stack`` and the one-trial fallback ``_step_alone``.
     """
     import grouse.harness
 
     assert {"grouse_step", "draw_sample"}.isdisjoint(vars(grouse.harness))
+    assert {"_lockstep", "_lockstep_row", "_COSINES", "_HISTORY_CHUNK"}.isdisjoint(vars(grouse.harness))
+    calls = re.compile(r"\b_step\(")
+    assert len(calls.findall(inspect.getsource(grouse.harness))) == 2
+    for owner in (grouse.harness._run_stack, grouse.harness._step_alone):
+        assert len(calls.findall(inspect.getsource(owner))) == 1
 
 
 def test_reorth_rule_has_one_owner():

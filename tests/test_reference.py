@@ -365,6 +365,15 @@ def test_trial_failing_mid_stack_leaves_the_others_equal_to_reference(monkeypatc
         run_trajectory(cfg, 1)
 
 
+def test_oracle_trial_failing_mid_stack_fails_its_oracle_check(monkeypatch):
+    """In oracle mode trial 1's NaN draw fails ``grouse_step``'s first input check, the oracle energy's."""
+    _poison_second_trial(monkeypatch)
+    cfg = dataclasses.replace(_POISONED, mode=StepMode.ORACLE_NOISY)
+    summary = run_sweep([cfg])[0]
+    assert summary.errors == {1: "ValueError: v_perp_norm_sq is non-finite: nan"}
+    assert summary.results == [_reference_trial(cfg, trial_id)[0] for trial_id in (0, 2, 3)]
+
+
 def test_engine_steps_column_major_stacks(monkeypatch):
     """Every stack the engine steps is column-major, after trials end and after a failed step's concatenation."""
     step = grouse.harness._step
