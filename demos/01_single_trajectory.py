@@ -22,8 +22,7 @@ result, rows = run_trajectory(cfg)
 print(f"n={cfg.n} d={cfg.d} noise-free, target eps* = {cfg.eps_star:g}")
 print(f"{'t':>5} {'zeta':>12} {'epsilon':>12} {'theta':>8}")
 for row in rows[:: max(1, len(rows) // 15)] + [rows[-1]]:
-    s = row.sample
-    print(f"{s.t:>5} {s.zeta:>12.4e} {s.epsilon:>12.4e} {row.theta:>8.4f}")
+    print(f"{row.t:>5} {row.zeta:>12.4e} {row.epsilon:>12.4e} {row.theta:>8.4f}")
 
 params = BoundParams(n=cfg.n, d=cfg.d, rho=0.1, rho_prime=0.1, eps_star=cfg.eps_star)
 print(f"\nmeasured K1 = {result.phase.k1} (bound {k1_bound(params):.0f})")

@@ -18,7 +18,7 @@ for sigma_sq in (0.0, 1e-5, 1e-3, 1e-1, 1.0):
     cfg = ExperimentConfig(n=N, d=D, sigma_sq=sigma_sq, seed=11, max_iters=3000,
                            eps_star=1e-6, mode=mode, sparse_ubar=True, record_every=25)
     result, rows = run_trajectory(cfg)
-    eps_values = [row.sample.epsilon for row in rows[1:]]
+    eps_values = [row.epsilon for row in rows[1:]]
     print(f"{sigma_sq:>9.0e} {result.final_zeta:>11.4f} "
           f"{min(eps_values):>10.2e} {result.final_eps:>10.2e}")
 

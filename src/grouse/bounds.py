@@ -220,7 +220,8 @@ def detect_phases(
     local phase is counted from the iteration that first meets the
     similarity target (``k2 = 0`` when that iterate already meets the
     discrepancy target).  Iteration indices must be strictly increasing.
-    The harness applies the same ``_PhaseRule`` while a trial runs.
+    The rows of ``run_trajectory`` are ``MetricSample``s and pass as they
+    are.  The harness applies the same ``_PhaseRule`` while a trial runs.
     """
     if not trajectory:
         raise ValueError("trajectory must be non-empty")

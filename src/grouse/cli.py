@@ -31,24 +31,24 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     """Flags whose ``dest`` names are the ``ExperimentConfig`` fields they set."""
     parser.add_argument("--n", type=int, required=True, help="ambient dimension")
     parser.add_argument("--d", type=int, required=True, help="subspace dimension")
-    parser.add_argument("--sigma2", dest="sigma_sq", metavar="SIGMA2", type=float, default=0.0,
-                        help="noise-to-signal energy bound")
-    parser.add_argument("--trials", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--max-iters", type=int, default=None)
-    parser.add_argument("--eps-star", type=float, default=1e-4, help="target discrepancy")
-    parser.add_argument("--mode", choices=[m.value for m in StepMode], default="greedy")
+    parser.add_argument("--sigma2", dest="sigma_sq", metavar="SIGMA2", type=float, help="noise-to-signal energy bound")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--max-iters", type=int)
+    parser.add_argument("--eps-star", type=float, help="target discrepancy")
+    parser.add_argument("--mode", choices=[m.value for m in StepMode])
     parser.add_argument("--sparse", dest="sparse_ubar", action="store_true", help="sparse ground-truth basis")
-    parser.add_argument("--c", type=float, default=1.0, help="practical step-size constant")
-    parser.add_argument("--record-every", type=int, default=None)
-    parser.add_argument("--out", dest="out_path", metavar="OUT", default=None, help="output path")
+    parser.add_argument("--c", type=float, help="practical step-size constant")
+    parser.add_argument("--record-every", type=int)
+    parser.add_argument("--out", dest="out_path", metavar="OUT", help="output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="grouse", description="Streaming subspace-estimation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one trajectory, write its CSV, print a JSON summary")
+    run_p = sub.add_parser("run", help="run one trajectory, write its CSV, print a JSON summary",
+                           argument_default=argparse.SUPPRESS)  # an absent flag leaves the field's default
     _add_experiment_flags(run_p)
 
     sweep_p = sub.add_parser("sweep", help="run a config grid and write the summary table")
@@ -92,10 +92,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _load_dicts(path: str) -> list[dict]:
-    """Entries of a JSON file holding one dict or a list of dicts."""
+    """Entries of a JSON file holding one object or a non-empty list of objects; else ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    return [raw] if isinstance(raw, dict) else raw
+    entries = [raw] if isinstance(raw, dict) else raw
+    if not isinstance(entries, list) or not entries or not all(isinstance(entry, dict) for entry in entries):
+        raise ValueError(f"{path} must hold a JSON object or a non-empty list of objects")
+    return entries
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

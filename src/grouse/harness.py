@@ -160,13 +160,18 @@ class TrialResult:
 
 
 @dataclass(frozen=True)
-class TrajectoryRow:
-    """One recorded trajectory row: iterate metrics plus the step that produced it."""
+class TrajectoryRow(MetricSample):
+    """One recorded trajectory row: an iterate's metrics plus the step that reached it.
 
-    sample: MetricSample
-    theta: float = 0.0
-    alpha: float = 0.0
-    skipped: bool = False
+    The fields without ``cos_angles`` are the ``TRAJECTORY_HEADER`` columns in order; ``p_norm_sq`` and
+    ``r_norm_sq`` are the squared norms of the projection and residual of the observation the step consumed.
+    """
+
+    theta: float
+    alpha: float
+    p_norm_sq: float
+    r_norm_sq: float
+    skipped: bool
 
 
 def derive_trial_seed(master_seed: int, trial_id: int) -> tuple[np.random.SeedSequence, int]:
@@ -205,18 +210,13 @@ def _step_alone(step_cfg: StepConfig, bases, x, energy, nonskipped, i: int):
 
 
 def _trial_rows(history: list[tuple]) -> list[TrajectoryRow]:
-    """A trajectory's rows from its ``(t, zeta, epsilon, cosines, step)`` history, one entry per recorded iterate.
+    """A trajectory's rows from its ``(t, zeta, epsilon, cosines, step)`` history, one row per recorded iterate.
 
     ``step`` is the ``(theta, alpha, ||p||^2, ||r||^2, skipped)`` of the ``_step`` that reached the iterate, as
     ``_step`` returned them: each a one-element array or the float 0.0 (all 0.0 and ``False`` at the start).
     """
-    rows = []
-    for t, zeta, eps, cos, step in history:
-        theta, alpha, p_sq, r_sq, skipped = (np.ravel(value)[0].item() for value in step)
-        sample = MetricSample(t=t, zeta=float(zeta), epsilon=float(eps), cos_angles=cos,
-                              residual_norm_sq=r_sq, projection_norm_sq=p_sq)
-        rows.append(TrajectoryRow(sample=sample, theta=theta, alpha=alpha, skipped=skipped))
-    return rows
+    return [TrajectoryRow(t, float(zeta), float(eps), cos, *(np.ravel(value)[0].item() for value in step))
+            for t, zeta, eps, cos, step in history]
 
 
 def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None, rows=False):
@@ -320,14 +320,17 @@ def run_trajectory(
     initial and final iterates always included) and the recorded sequence
     is phase-split against the config's targets.  ``initial_basis``
     overrides the random start (pass the model's own basis to simulate a
-    converged start); it must be an orthonormal ``(n, d)`` basis, else
-    ``ValueError`` is raised before any draw.
+    converged start); it must be an orthonormal ``(n, d)`` basis, and
+    ``trial_id`` an integer >= 0, else ``ValueError`` is raised before any draw.
     """
+    _check_int(trial_id=trial_id)
+    if trial_id < 0:
+        raise ValueError(f"trial_id must be >= 0, got {trial_id}")
     if initial_basis is not None:
         if np.shape(initial_basis) != (cfg.n, cfg.d):
             raise ValueError(f"initial_basis must have shape {(cfg.n, cfg.d)}, got {np.shape(initial_basis)}")
         initial_basis = check_orthonormal(initial_basis)
-    ((_, outcome, rows),) = _run_stack(cfg, [trial_id], initial_basis, rows=True)
+    ((_, outcome, rows),) = _run_stack(cfg, [int(trial_id)], initial_basis, rows=True)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome, rows
@@ -346,12 +349,8 @@ def write_trajectory_csv(path: str, cfg: ExperimentConfig, rows: Sequence[Trajec
     """Persist a recorded trajectory with its configuration header."""
     lines = _metadata_lines(cfg)
     lines.append(TRAJECTORY_HEADER)
-    for row in rows:
-        s = row.sample
-        lines.append(
-            f"{s.t},{s.zeta!r},{s.epsilon!r},{row.theta!r},{row.alpha!r},"
-            f"{s.projection_norm_sq!r},{s.residual_norm_sq!r},{int(row.skipped)}"
-        )
+    lines.extend(f"{row.t},{row.zeta!r},{row.epsilon!r},{row.theta!r},{row.alpha!r},"
+                 f"{row.p_norm_sq!r},{row.r_norm_sq!r},{int(row.skipped)}" for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -426,7 +425,8 @@ def run_sweep(
 
     Per config, the measured ``K1`` is normalized by ``d^3 log(n)`` and the
     measured ``K2`` by ``d log(1/eps_star)``; the summary reports mean and
-    variance over converged trials, so every config needs ``eps_star < 1``
+    variance over converged trials, so every config needs ``eps_star < 1``,
+    and no config may set ``out_path``, since a sweep writes no trajectory
     (``ValueError`` before any trial runs).  With ``out_path`` the summary
     table is written as CSV and per-trial detail as ``<out_path>.json``.
     """
@@ -435,6 +435,8 @@ def run_sweep(
     for cfg in configs:
         if cfg.eps_star >= 1:
             raise ValueError(f"a sweep needs eps_star < 1 (K2 is normalized by d log(1/eps_star)), got {cfg.eps_star}")
+        if cfg.out_path is not None:
+            raise ValueError(f"a sweep writes no trajectory CSV, so a config takes no out_path, got {cfg.out_path!r}")
     summaries = [_run_config_trials(cfg) for cfg in configs]
     if out_path:
         write_sweep_csv(out_path, summaries)
@@ -473,23 +475,19 @@ def bounds_table(params_list: Sequence[BoundParams], out_path: str | None = None
 
     Returns CSV rows (without header); rows whose parameters violate a
     formula precondition carry the error message instead of values.
-    Written to ``out_path`` with the header when given.
+    Written to ``out_path`` with the header when given.  An empty
+    ``params_list`` raises ``ValueError``.
     """
+    if not params_list:
+        raise ValueError("bounds table needs at least one parameter row")
     rows = []
     for p in params_list:
+        given = f"{p.n},{p.d},{p.sigma_sq!r},{p.rho!r},{p.rho_prime!r},{p.eps_star!r},"
         try:
-            mu0_value = mu0(p)
-            k1 = k1_bound(p)
-            k2 = k2_bound(p)
-            rows.append(
-                f"{p.n},{p.d},{p.sigma_sq!r},{p.rho!r},{p.rho_prime!r},{p.eps_star!r},"
-                f"{mu0_value!r},{k1!r},{k2!r},{k1 + k2!r},"
-            )
+            mu0_value, k1, k2 = mu0(p), k1_bound(p), k2_bound(p)
+            rows.append(given + f"{mu0_value!r},{k1!r},{k2!r},{k1 + k2!r},")
         except ValueError as exc:
-            rows.append(
-                f"{p.n},{p.d},{p.sigma_sq!r},{p.rho!r},{p.rho_prime!r},{p.eps_star!r},"
-                f",,,,\"{exc}\""
-            )
+            rows.append(given + f",,,,\"{exc}\"")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(BOUNDS_HEADER + "\n")

@@ -282,37 +282,21 @@ class MetricSample:
 
     ``zeta`` and ``epsilon`` are the determinant similarity and Frobenius
     discrepancy at iteration ``t``; ``cos_angles`` holds the principal-angle
-    cosines.  ``projection_norm_sq`` / ``residual_norm_sq`` are the squared
-    norms of the projection and residual of the observation consumed by the
-    step that produced this iterate (both 0.0 for the initial basis).
+    cosines.  No field has a default, so a subclass may add fields without
+    one (``harness.TrajectoryRow`` adds the step that reached the iterate).
     """
 
     t: int
     zeta: float
     epsilon: float
     cos_angles: np.ndarray
-    residual_norm_sq: float = 0.0
-    projection_norm_sq: float = 0.0
 
 
-def metric_sample(
-    t: int,
-    U: np.ndarray,
-    Ubar: np.ndarray,
-    residual_norm_sq: float = 0.0,
-    projection_norm_sq: float = 0.0,
-) -> MetricSample:
+def metric_sample(t: int, U: np.ndarray, Ubar: np.ndarray) -> MetricSample:
     """Evaluate both convergence metrics of ``U`` against ``Ubar`` at iteration ``t``.
 
     The cross-Gram matrix is formed once and shared by the two metrics.
     """
     gram = _cross_gram(U, Ubar)
     cosines = _cosines(gram)
-    return MetricSample(
-        t=t,
-        zeta=float(_similarity(cosines)),
-        epsilon=float(_discrepancy(gram)),
-        cos_angles=cosines,
-        residual_norm_sq=float(residual_norm_sq),
-        projection_norm_sq=float(projection_norm_sq),
-    )
+    return MetricSample(t=t, zeta=float(_similarity(cosines)), epsilon=float(_discrepancy(gram)), cos_angles=cosines)

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 import grouse.checks
 from grouse.checks import PropertyResult, VerifyReport
-from grouse.cli import _trial_out_path, main
+from grouse.cli import _trial_out_path, build_parser, main
 
 
 def test_run_writes_trajectory_and_prints_summary(tmp_path, capsys):
@@ -136,6 +137,26 @@ def test_sweep_with_eps_star_one_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("grouse: error: a sweep needs eps_star < 1")
+
+
+@pytest.mark.parametrize("content", ["[]", "[1]", "1", '"n"', '[{"n": 100, "d": 5}, 2]'])
+@pytest.mark.parametrize("command, flag", [("sweep", "--config"), ("bounds", "--params")])
+def test_json_input_must_be_an_object_or_objects(command, flag, content, tmp_path, capsys):
+    path, out = tmp_path / "in.json", tmp_path / "out.csv"
+    path.write_text(content)
+    assert main([command, flag, str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"grouse: error: {path} must hold a JSON object or a non-empty list of objects\n"
+
+
+def test_run_flags_leave_defaults_to_the_config():
+    """No ``run`` flag restates an ``ExperimentConfig`` default: an absent flag sets no field."""
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = [a for a in subparsers.choices["run"]._actions if a.option_strings]
+    assert len(flags) == 13 and all(a.default is argparse.SUPPRESS for a in flags)
+    assert vars(parser.parse_args(["run", "--n", "40", "--d", "3"])) == {"command": "run", "n": 40, "d": 3}
 
 
 def test_verify_quick_suite(capsys):

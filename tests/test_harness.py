@@ -125,8 +125,8 @@ def test_noiseless_trajectory_converges_within_theory_bound():
         assert result.phase.k1 is not None and result.phase.k2 is not None
         assert result.phase.k1 + result.phase.k2 <= budget
         assert result.iters_run <= budget
-        assert rows[0].sample.t == 0
-        assert rows[-1].sample.t == result.iters_run
+        assert rows[0].t == 0
+        assert rows[-1].t == result.iters_run
 
 
 def test_trajectory_with_injected_converged_start():
@@ -139,7 +139,7 @@ def test_trajectory_with_injected_converged_start():
     result, rows = run_trajectory(cfg, 0, initial_basis=model.ubar)
     assert result.phase.k1 == 0
     assert result.phase.k2 == 0
-    assert rows[0].sample.epsilon == pytest.approx(0.0, abs=1e-12)
+    assert rows[0].epsilon == pytest.approx(0.0, abs=1e-12)
     assert result.iters_run == 0
 
 
@@ -178,8 +178,8 @@ def test_noisy_trajectory_floors_eps_while_zeta_improves():
                            mode=StepMode.PRACTICAL_NOISY, sparse_ubar=True,
                            eps_star=1e-4, record_every=50)
     result, rows = run_trajectory(cfg, 0)
-    zetas = [r.sample.zeta for r in rows]
-    epss = [r.sample.epsilon for r in rows]
+    zetas = [r.zeta for r in rows]
+    epss = [r.epsilon for r in rows]
     # similarity climbs by many orders of magnitude
     assert zetas[0] < 1e-20
     assert zetas[-1] > 0.5
@@ -362,7 +362,7 @@ def test_sweep_takes_similarity_svd_only_until_k1(monkeypatch):
     grams.clear()
     for trial_id in range(cfg.trials):
         _, rows = run_trajectory(cfg, trial_id)
-        assert len(rows) == 501 and all(len(row.sample.cos_angles) == cfg.d for row in rows)
+        assert len(rows) == 501 and all(len(row.cos_angles) == cfg.d for row in rows)
     assert sum(grams) == 4 * 501
 
 
@@ -398,8 +398,8 @@ def test_sweep_phase_split_equals_trajectory_at_edges(case, mode, record_every, 
     summary = run_sweep([cfg])[0]
     result, rows = run_trajectory(cfg, 0, initial_basis=start)
     assert summary.errors == {} and summary.results == [result]
-    assert result.phase == detect_phases([row.sample for row in rows], cfg.bound_params(), noisy=cfg.sigma_sq > 0)
-    assert result.final_zeta == rows[-1].sample.zeta and math.isfinite(result.final_zeta)
+    assert result.phase == detect_phases(rows, cfg.bound_params(), noisy=cfg.sigma_sq > 0)
+    assert result.final_zeta == rows[-1].zeta and math.isfinite(result.final_zeta)
     split = (result.phase.k1, result.phase.k2)
     if case == "short_of_k1":
         assert split == (None, None) and result.iters_run == 5
@@ -444,6 +444,35 @@ def test_sweep_rejects_eps_star_from_one_before_any_trial(eps_star, monkeypatch)
     assert stacks == []
 
 
+def test_sweep_rejects_a_config_out_path_before_any_trial(tmp_path, monkeypatch):
+    """A sweep writes no trajectory CSV, so a config's ``out_path`` would be accepted and then ignored."""
+    stacks = []
+    monkeypatch.setattr(grouse.harness, "_run_stack", lambda *args: stacks.append(args) or iter(()))
+    configs = [ExperimentConfig(n=40, d=3, trials=2), ExperimentConfig(n=5, d=2, out_path=str(tmp_path / "t.csv"))]
+    with pytest.raises(ValueError, match="out_path"):
+        run_sweep(configs)
+    assert stacks == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("trial_id, message", [
+    (True, "trial_id must be an integer, got True"),
+    (1.5, "trial_id must be an integer, got 1.5"),
+    (-1, "trial_id must be >= 0, got -1"),
+])
+def test_run_trajectory_rejects_a_bad_trial_id_before_any_draw(trial_id, message, monkeypatch):
+    starts = []
+    monkeypatch.setattr(grouse.harness, "_start_trial", lambda *args: starts.append(args))
+    with pytest.raises(ValueError, match=message):
+        run_trajectory(ExperimentConfig(n=40, d=3), trial_id)
+    assert starts == []
+
+
+def test_run_trajectory_records_a_numpy_trial_id_as_an_int():
+    result, _ = run_trajectory(ExperimentConfig(n=30, d=2, max_iters=5), np.int64(2))
+    assert json.loads(json.dumps(result.to_dict()))["trial_id"] == 2
+    assert result == run_trajectory(ExperimentConfig(n=30, d=2, max_iters=5), 2)[0]
+
+
 # ---------------------------------------------------------------------------
 # bounds table
 
@@ -472,6 +501,13 @@ def test_bounds_table_purity():
     p = BoundParams(n=300, d=6)
     rows = bounds_table([p, p, p])
     assert rows[0] == rows[1] == rows[2]
+
+
+def test_bounds_table_rejects_no_rows(tmp_path):
+    out = tmp_path / "bounds.csv"
+    with pytest.raises(ValueError, match="at least one parameter row"):
+        bounds_table([], out_path=str(out))
+    assert not out.exists()
 
 
 def test_bounds_table_row_level_errors():

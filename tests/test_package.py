@@ -101,6 +101,22 @@ def test_basis_layout_has_one_owner():
     assert "swapaxes" not in source and "slots" not in source
 
 
+def test_trajectory_row_has_one_owner():
+    """A trajectory row is one ``MetricSample`` subclass whose fields are the CSV columns plus the cosines.
+
+    ``MetricSample`` holds an iterate's metrics and nothing of the step that reached it.
+    """
+    import dataclasses
+
+    from grouse.harness import TRAJECTORY_HEADER, TrajectoryRow
+    from grouse.subspaces import MetricSample
+
+    assert [f.name for f in dataclasses.fields(MetricSample)] == ["t", "zeta", "epsilon", "cos_angles"]
+    assert issubclass(TrajectoryRow, MetricSample)
+    row_fields = [f.name for f in dataclasses.fields(TrajectoryRow) if f.name != "cos_angles"]
+    assert row_fields == TRAJECTORY_HEADER.split(",")
+
+
 def test_package_runs_no_threads():
     """Trials run one after another: no module of the package imports a thread or process pool."""
     package = Path(grouse.__file__).parent

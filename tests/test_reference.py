@@ -221,22 +221,24 @@ def test_stacked_step_with_exactly_zero_norms_raises_no_warning():
         assert np.array_equal(updated[i], grouse_step(basis, x[i], cfg).updated)
 
 
-def _reference_metric(t, U, ubar, r_norm_sq=0.0, p_norm_sq=0.0):
+def _reference_metric(t, U, ubar):
     gram = ubar.T @ U
     cosines = np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0)
     epsilon = max(U.shape[1] - float(np.linalg.norm(gram)) ** 2, 0.0)
-    return MetricSample(t=t, zeta=float(np.prod(np.square(cosines))), epsilon=epsilon, cos_angles=cosines,
-                        residual_norm_sq=r_norm_sq, projection_norm_sq=p_norm_sq)
+    return MetricSample(t=t, zeta=float(np.prod(np.square(cosines))), epsilon=epsilon, cos_angles=cosines)
 
 
 def _reference_trial(cfg, trial_id, initial_basis=None):
-    """(TrialResult, [(sample, theta, alpha, skipped), ...]) of one trial, one reference draw and step at a time."""
+    """(TrialResult, [(sample, theta, alpha, p_norm_sq, r_norm_sq, skipped), ...]) of one trial.
+
+    One reference draw and step at a time.
+    """
     ss, derived_seed = derive_trial_seed(cfg.seed, trial_id)
     rng = np.random.default_rng(ss)
     model = make_planted(cfg.n, cfg.d, cfg.sigma_sq, cfg.sparse_ubar, rng)
     basis = np.asfortranarray(initial_basis if initial_basis is not None else random_orthonormal(cfg.n, cfg.d, rng))
     step_cfg, record_every, max_iters = cfg.step_config(), cfg.resolved_record_every(), cfg.resolved_max_iters()
-    rows = [(_reference_metric(0, basis, model.ubar), 0.0, 0.0, False)]
+    rows = [(_reference_metric(0, basis, model.ubar), 0.0, 0.0, 0.0, 0.0, False)]
     nonskipped = t = 0
     while rows[-1][0].epsilon > cfg.eps_star and t < max_iters:
         x, v, _, _ = _reference_draw(model, rng)
@@ -246,7 +248,7 @@ def _reference_trial(cfg, trial_id, initial_basis=None):
         nonskipped += not skipped
         t += 1
         if t % record_every == 0 or t == max_iters:
-            rows.append((_reference_metric(t, basis, model.ubar, float(r @ r), float(p @ p)), theta, alpha, skipped))
+            rows.append((_reference_metric(t, basis, model.ubar), theta, alpha, float(p @ p), float(r @ r), skipped))
     samples = [row[0] for row in rows]
     result = TrialResult(trial_id=trial_id, derived_seed=derived_seed,
                          phase=detect_phases(samples, cfg.bound_params(), noisy=cfg.sigma_sq > 0),
@@ -257,11 +259,10 @@ def _reference_trial(cfg, trial_id, initial_basis=None):
 
 def _assert_rows_equal_reference(rows, expected):
     assert len(rows) == len(expected)
-    for row, (sample, theta, alpha, skipped) in zip(rows, expected):
-        got = row.sample
-        assert (got.t, got.zeta, got.epsilon) == (sample.t, sample.zeta, sample.epsilon)
-        assert np.array_equal(got.cos_angles, sample.cos_angles)
-        assert (got.residual_norm_sq, got.projection_norm_sq) == (sample.residual_norm_sq, sample.projection_norm_sq)
+    for row, (sample, theta, alpha, p_norm_sq, r_norm_sq, skipped) in zip(rows, expected):
+        assert (row.t, row.zeta, row.epsilon) == (sample.t, sample.zeta, sample.epsilon)
+        assert np.array_equal(row.cos_angles, sample.cos_angles)
+        assert (row.p_norm_sq, row.r_norm_sq) == (p_norm_sq, r_norm_sq)
         assert (row.theta, row.alpha, row.skipped) == (theta, alpha, skipped)
 
 

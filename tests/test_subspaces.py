@@ -321,7 +321,7 @@ def test_metric_sample_internal_consistency():
     rng = np.random.default_rng(18)
     u = random_orthonormal(25, 5, rng)
     ubar = random_orthonormal(25, 5, rng)
-    sample = metric_sample(3, u, ubar, residual_norm_sq=0.5, projection_norm_sq=0.7)
+    sample = metric_sample(3, u, ubar)
     assert sample.t == 3
     assert sample.zeta == pytest.approx(float(np.prod(sample.cos_angles**2)), abs=1e-9)
     assert sample.epsilon == pytest.approx(5.0 - float(np.sum(sample.cos_angles**2)), abs=1e-9)
