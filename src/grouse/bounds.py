@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import StepConfig, StepMode, _energy_outside, _step
 from .data import PlantedModel, draw_batch
-from .subspaces import (MetricSample, _check_finite, _check_int, _column_major, _cosines, _cross_gram,
-                         _discrepancy, _similarity, _squares, frobenius_discrepancy, principal_angles)
+from .subspaces import (MetricSample, _column_major, _cosines, _cross_gram, _discrepancy, _own_fields, _similarity,
+                         _squares, frobenius_discrepancy, principal_angles)
 
 __all__ = [
     "BoundParams",
@@ -65,7 +65,7 @@ class BoundParams:
     tau2: float | None = None
 
     def __post_init__(self) -> None:
-        _check_int(n=self.n, d=self.d)
+        _own_fields(self)
         if not 0 < self.d < self.n:
             raise ValueError(f"need 0 < d < n, got n={self.n}, d={self.d}")
         if self.sigma_sq < 0:
@@ -78,11 +78,9 @@ class BoundParams:
             raise ValueError(f"eps_star must lie in (0, d), got {self.eps_star}")
         if self.c0 <= 0:
             raise ValueError(f"c0 must be > 0, got {self.c0}")
-        if self.tau1 is None:
-            object.__setattr__(self, "tau1", math.log(self.d))
-        if self.tau2 is None:
-            object.__setattr__(self, "tau2", math.log(self.d))
-        _check_finite(sigma_sq=self.sigma_sq, c0=self.c0, tau1=self.tau1, tau2=self.tau2)
+        for name in ("tau1", "tau2"):  # each defaults to log(d)
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, math.log(self.d))
 
 
 @dataclass(frozen=True)

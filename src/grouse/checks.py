@@ -32,7 +32,7 @@ from .bounds import (
 from .core import OracleInfo, StepConfig, StepMode, StepOutcome, grouse_step
 from .data import _sparse_density, _sparse_matrix, draw_batch, draw_sample, make_planted
 from .subspaces import (
-    _check_int,
+    _typed,
     basis_with_similarity,
     determinant_similarity,
     expected_initial_similarity_exact,
@@ -521,7 +521,7 @@ def verify(suite: str = "all", seed: int = 0, intensity: str = "quick") -> Verif
     under a minute, ``full`` spends more draws on the statistical checks).
     ``seed`` must be a non-negative integer.
     """
-    _check_int(seed=seed)
+    seed = _typed("seed", seed, int)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if suite not in SUITES + ("all",):

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .subspaces import _check_finite, _check_optional_int, _column_major, _squares, reorthonormalize
+from .subspaces import _column_major, _own_fields, _squares, reorthonormalize
 
 __all__ = [
     "OracleInfo",
@@ -45,6 +45,8 @@ __all__ = [
     "project",
     "rotate_update",
 ]
+
+_SKIP_NORM_TOL = 1e-12  # a step whose coefficient, projection or residual norm is at or below this is skipped
 
 
 class StepMode(Enum):
@@ -62,7 +64,7 @@ class StepConfig:
     ``sigma_sq`` is the known upper bound on the noise-to-signal energy
     ratio; ``c`` the positive constant scaling the practical schedule.
     Steps whose coefficient, projection, or residual norm falls at or
-    below ``skip_norm_tol`` are skipped.  ``_step``, given a caller's count
+    below ``_SKIP_NORM_TOL`` are skipped.  ``_step``, given a caller's count
     of non-skipped steps, re-orthonormalizes every ``reorth_period``-th
     non-skipped step (``None`` disables periodic correction).
     """
@@ -70,18 +72,14 @@ class StepConfig:
     mode: StepMode = StepMode.GREEDY_NOISELESS
     sigma_sq: float = 0.0
     c: float = 1.0
-    skip_norm_tol: float = 1e-12
     reorth_period: int | None = 100
 
     def __post_init__(self) -> None:
-        _check_finite(sigma_sq=self.sigma_sq, c=self.c, skip_norm_tol=self.skip_norm_tol)
+        _own_fields(self)
         if self.sigma_sq < 0:
             raise ValueError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
         if self.c <= 0:
             raise ValueError(f"c must be > 0, got {self.c}")
-        if self.skip_norm_tol <= 0:
-            raise ValueError(f"skip_norm_tol must be > 0, got {self.skip_norm_tol}")
-        _check_optional_int(reorth_period=self.reorth_period)
         if self.reorth_period is not None and self.reorth_period < 1:
             raise ValueError(f"reorth_period must be a positive int or None, got {self.reorth_period}")
 
@@ -97,7 +95,7 @@ class OracleInfo:
     v_perp_norm_sq: float
 
     def __post_init__(self) -> None:
-        _check_finite(v_perp_norm_sq=self.v_perp_norm_sq)
+        _own_fields(self)
         if self.v_perp_norm_sq < 0:
             raise ValueError(f"v_perp_norm_sq must be >= 0, got {self.v_perp_norm_sq}")
 
@@ -259,8 +257,7 @@ def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None, no
     w, p, r = _project(U, x)
     p_sq, r_sq = np.vecdot(p, p), np.vecdot(r, r)
     w_norm, p_norm, r_norm = np.sqrt(np.vecdot(w, w)), np.sqrt(p_sq), np.sqrt(r_sq)
-    tol = cfg.skip_norm_tol
-    skipped = (w_norm <= tol) | (p_norm <= tol) | (r_norm <= tol)
+    skipped = (w_norm <= _SKIP_NORM_TOL) | (p_norm <= _SKIP_NORM_TOL) | (r_norm <= _SKIP_NORM_TOL)
     if skipped.all():
         return w, p, r, p_sq, r_sq, 0.0, 0.0, U, skipped
     # a skipped row of a stack divides by its norms plus 1, so it raises no division warning

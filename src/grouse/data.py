@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .subspaces import _check_finite, check_orthonormal, random_orthonormal, reorthonormalize
+from .subspaces import _own_fields, _typed, check_orthonormal, random_orthonormal, reorthonormalize
 
 __all__ = [
     "PlantedModel",
@@ -44,7 +44,7 @@ class PlantedModel:
 
     def __post_init__(self) -> None:
         check_orthonormal(self.ubar)
-        _check_finite(sigma_sq=self.sigma_sq)
+        _own_fields(self)
         if self.sigma_sq < 0:
             raise ValueError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
         if self.sparsity is not None and not 0 < self.sparsity <= 1:
@@ -127,14 +127,13 @@ def make_planted(
     """
     if not 0 < d < n:
         raise ValueError(f"need 0 < d < n, got n={n}, d={d}")
-    _check_finite(sigma_sq=sigma_sq)
+    sigma_sq = _typed("sigma_sq", sigma_sq, float)
     if sigma_sq < 0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
-    if sparse:
+    if _typed("sparse", sparse, bool):
         density = _sparse_density(n, d)
         ubar = _sparse_orthonormal(n, d, density, rng)
-        return PlantedModel(ubar=ubar, sigma_sq=sigma_sq, normalize_signal=normalize_signal,
-                            sparsity=float(density))
+        return PlantedModel(ubar=ubar, sigma_sq=sigma_sq, normalize_signal=normalize_signal, sparsity=density)
     ubar = random_orthonormal(n, d, rng)
     return PlantedModel(ubar=ubar, sigma_sq=sigma_sq, normalize_signal=normalize_signal)
 

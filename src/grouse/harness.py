@@ -24,8 +24,8 @@ import numpy as np
 from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, mu0
 from .core import OracleInfo, StepConfig, StepMode, _checked, _energy_outside, _step
 from .data import PlantedModel, _draw_each, make_planted
-from .subspaces import (MetricSample, _check_int, _check_optional_int, _column_major, _cosines, _discrepancy,
-                        _similarity, check_orthonormal, random_orthonormal)
+from .subspaces import (MetricSample, _column_major, _cosines, _discrepancy, _own_fields, _similarity, _typed,
+                        check_orthonormal, random_orthonormal)
 
 __all__ = [
     "ExperimentConfig",
@@ -55,6 +55,8 @@ BOUNDS_HEADER = "n,d,sigma_sq,rho,rho_prime,eps_star,mu0,k1_bound,k2_bound,k_bou
 class ExperimentConfig:
     """Full description of one experiment: problem size, stream, stopping, output.
 
+    Each field is stored as its declared type by ``subspaces._typed`` (``mode="practical"`` as its ``StepMode``,
+    a path as ``str``) or raises a ``ValueError`` naming it: a config that builds runs and serializes.
     ``max_iters=None`` resolves to three times the combined theoretical
     iteration bound (at failure probabilities 0.1/0.1), so convergence
     checks against the bound can fail meaningfully instead of timing out.
@@ -65,9 +67,9 @@ class ExperimentConfig:
     reaches ``K1`` and at its last step.
     ``eps_star`` has a floor on noiseless runs with unit-norm data: the
     true discrepancy stops near 1e-24, where ``||r||`` falls below the
-    step's ``skip_norm_tol``, and the computed one reads 0.0 or 1.78e-15
-    once the true one is below about 1e-14, so an ``eps_star`` under that
-    records a false ``K2``.
+    step's skip tolerance ``core._SKIP_NORM_TOL``, and the computed one
+    reads 0.0 or 1.78e-15 once the true one is below about 1e-14, so an
+    ``eps_star`` under that records a false ``K2``.
     ``threads`` must be >= 1 and has no effect: a sweep steps the trials
     of a config together in the calling thread, in stacks whose width
     depends only on ``n * d``, and each trial's results are those it gets
@@ -89,8 +91,7 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        _check_int(trials=self.trials, seed=self.seed, threads=self.threads)
-        _check_optional_int(max_iters=self.max_iters, record_every=self.record_every)
+        _own_fields(self)
         # BoundParams checks n, d, sigma_sq and eps_star; StepConfig checks c
         self.bound_params()
         self.step_config()
@@ -123,21 +124,15 @@ class ExperimentConfig:
         return int(math.ceil(3.0 * (k1_bound(p) + k2_bound(p))))
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["mode"] = self.mode.value
-        return out
+        return {**dataclasses.asdict(self), "mode": self.mode.value}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON-style dict whose keys mirror the field names."""
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    data = dict(raw)
-    if "mode" in data and not isinstance(data["mode"], StepMode):
-        data["mode"] = StepMode(data["mode"])
-    return ExperimentConfig(**data)
+    return ExperimentConfig(**raw)
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def _step_alone(step_cfg: StepConfig, bases, x, energy, nonskipped, i: int):
     one = slice(i, i + 1)
     try:
         if energy is not None:
-            OracleInfo(v_perp_norm_sq=float(energy[i]))
+            OracleInfo(v_perp_norm_sq=energy[i])
         _checked(bases[i], x[i])
         return _step(bases[one], x[one], step_cfg, None if energy is None else energy[one], nonskipped[one])[-2:]
     except Exception as exc:  # the trial ends; the others go on
@@ -323,14 +318,14 @@ def run_trajectory(
     converged start); it must be an orthonormal ``(n, d)`` basis, and
     ``trial_id`` an integer >= 0, else ``ValueError`` is raised before any draw.
     """
-    _check_int(trial_id=trial_id)
+    trial_id = _typed("trial_id", trial_id, int)
     if trial_id < 0:
         raise ValueError(f"trial_id must be >= 0, got {trial_id}")
     if initial_basis is not None:
         if np.shape(initial_basis) != (cfg.n, cfg.d):
             raise ValueError(f"initial_basis must have shape {(cfg.n, cfg.d)}, got {np.shape(initial_basis)}")
         initial_basis = check_orthonormal(initial_basis)
-    ((_, outcome, rows),) = _run_stack(cfg, [int(trial_id)], initial_basis, rows=True)
+    ((_, outcome, rows),) = _run_stack(cfg, [trial_id], initial_basis, rows=True)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome, rows

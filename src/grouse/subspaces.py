@@ -15,9 +15,13 @@ All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+import os
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,23 +95,37 @@ def _discrepancy(gram: np.ndarray) -> np.ndarray:
     return np.maximum(d - _squares(np.sqrt(np.vecdot(flat, flat))), 0.0)
 
 
-def _check_finite(**values: float) -> None:
-    """Raise ``ValueError`` naming the first of ``values`` that is NaN or infinite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} is non-finite: {value}")
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),  # what a type takes
+          bool: ((bool, np.bool_), "a bool"), str: ((str, os.PathLike), "a string or path")}
+_field_types = functools.cache(lambda cls: [(f.name, typing.get_type_hints(cls)[f.name]) for f in fields(cls)])
 
 
-def _check_int(**values: int) -> None:
-    """Raise ``ValueError`` naming the first of ``values`` that is not an integer; ``None`` and bools raise too."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _typed(name: str, value, kind):
+    """``value`` as the declared type ``kind`` of the field ``name``, or a ``ValueError`` naming the field.
+
+    ``int`` takes any integer and ``float`` any finite real, but not a bool; ``bool`` takes ``np.bool_`` too, ``str``
+    an ``os.PathLike``, an enum a member's value and ``X | None`` ``None``; numpy scalars come back as Python values.
+    """
+    if value is None and type(None) in typing.get_args(kind):
+        return None
+    kind = (typing.get_args(kind) or (kind,))[0]  # X of X | None
+    if kind not in _KINDS:  # an enum: a member or its value
+        with contextlib.suppress(ValueError):
+            return kind(value)
+    takes, expected = _KINDS[kind] if kind in _KINDS else (kind, f"one of {[member.value for member in kind]}")
+    if not isinstance(value, takes) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    with contextlib.suppress(OverflowError):  # math.isfinite raises it on an int no float holds
+        if kind is not float or math.isfinite(value):
+            return os.fspath(value) if kind is str else kind(value)
+    raise ValueError(f"{name} is non-finite: {value}")
 
 
-def _check_optional_int(**values: int | None) -> None:
-    """``_check_int`` on those of ``values`` that are not ``None``."""
-    _check_int(**{name: value for name, value in values.items() if value is not None})
+def _own_fields(obj) -> None:
+    """Store each field of the frozen dataclass ``obj`` as its declared type (``_field_types``) by ``_typed``."""
+    for name, kind in _field_types(type(obj)):
+        if kind is not np.ndarray:  # an array field is the class's own check
+            object.__setattr__(obj, name, _typed(name, getattr(obj, name), kind))
 
 
 def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
@@ -256,8 +274,10 @@ def expected_initial_similarity(n: int, d: int, c0: float = 1.0) -> float:
     This is the exponential-order approximation; see
     ``expected_initial_similarity_exact`` for the closed form.  The
     prefactor ``c0`` absorbs the sub-exponential correction and is close
-    to 1 only for large ``d``.
+    to 1 only for large ``d``.  Requires ``0 < d < n`` and ``c0 > 0``.
     """
+    if not 0 < d < n or not c0 > 0:
+        raise ValueError(f"need 0 < d < n and c0 > 0, got n={n}, d={d}, c0={c0}")
     return c0 * (d / (n * math.e)) ** d
 
 

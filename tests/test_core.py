@@ -366,7 +366,7 @@ def test_step_config_validation():
         OracleInfo(v_perp_norm_sq=-0.5)
 
 
-@pytest.mark.parametrize("field", ["sigma_sq", "c", "skip_norm_tol"])
+@pytest.mark.parametrize("field", ["sigma_sq", "c"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_step_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):

@@ -75,6 +75,27 @@ def test_trial_loop_has_one_owner():
         assert len(calls.findall(inspect.getsource(owner))) == 1
 
 
+def test_field_types_have_one_owner():
+    """Each config field's type is enforced once, by ``subspaces._typed`` and its table, from the field's annotation.
+
+    No other code tests ``numbers.Integral`` or ``math.isfinite`` or calls
+    ``StepMode(``, no config lists its field names for a type check, and
+    ``config_from_dict`` only rejects unknown keys: it has no ``mode`` branch.
+    """
+    import grouse.subspaces
+    from grouse.harness import config_from_dict
+
+    package = Path(grouse.__file__).parent
+    typed = re.compile(r"numbers\.Integral|math\.isfinite|(?<!class )StepMode\(")
+    hits = [(path.name, line) for path in sorted(package.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines() if typed.search(line)]
+    source = inspect.getsource(grouse.subspaces)
+    helper = source[source.index("_KINDS = "):source.index("def _own_fields(")]
+    assert hits and all(line.strip() in helper for _, line in hits), hits
+    assert "mode" not in inspect.getsource(config_from_dict)
+    assert {"_check_int", "_check_optional_int", "_check_finite"}.isdisjoint(vars(grouse.subspaces))
+
+
 def test_reorth_rule_has_one_owner():
     """Whether a step re-orthonormalizes, and what a skipped row reports, is decided once, in ``core._step``.
 

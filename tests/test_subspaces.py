@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,18 @@ def test_random_initial_similarity_matches_exact_expectation():
 def test_asymptotic_initial_similarity_value():
     # (d / (n e))^d at n=20, d=2
     assert expected_initial_similarity(20, 2) == pytest.approx(1.3533528e-3, rel=1e-6)
+
+
+@pytest.mark.parametrize(("args", "message"), [
+    ((5, 10), "need 0 < d < n and c0 > 0, got n=5, d=10, c0=1.0"),
+    ((0, 1), "need 0 < d < n and c0 > 0, got n=0, d=1, c0=1.0"),
+    ((10, 2, -1.0), "need 0 < d < n and c0 > 0, got n=10, d=2, c0=-1.0"),
+    ((10, 2, 0.0), "need 0 < d < n and c0 > 0, got n=10, d=2, c0=0.0"),
+])
+def test_asymptotic_initial_similarity_checks_its_domain(args, message):
+    """As ``expected_initial_similarity_exact`` does: no value outside ``0 < d < n``, ``c0 > 0``."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        expected_initial_similarity(*args)
 
 
 # ---------------------------------------------------------------------------
