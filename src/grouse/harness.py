@@ -6,18 +6,23 @@ only on its config and id.  The trials of a config run in the calling
 thread in lock-step: step t of every running trial is one update of a
 stack of bases through ``core._step``, and each trial gets the bits it gets
 alone, whatever the stack holds.  Trajectories are persisted as CSV with a
-``#``-prefixed metadata header embedding the full configuration; sweep
-summaries are written as CSV plus a JSON document carrying per-trial detail.
+``#``-prefixed metadata header embedding the full configuration, each row
+written as it is recorded; sweep summaries are written as CSV plus a JSON
+document carrying per-trial detail.  Every output file is opened before the
+first step and appears only when its run succeeds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import errno
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -204,38 +209,27 @@ def _step_alone(step_cfg: StepConfig, bases, x, energy, nonskipped, i: int):
         return exc
 
 
-def _trial_rows(history: list[tuple]) -> list[TrajectoryRow]:
-    """A trajectory's rows from its ``(t, zeta, epsilon, cosines, step)`` history, one row per recorded iterate.
-
-    ``step`` is the ``(theta, alpha, ||p||^2, ||r||^2, skipped)`` of the ``_step`` that reached the iterate, as
-    ``_step`` returned them: each a one-element array or the float 0.0 (all 0.0 and ``False`` at the start).
-    """
-    return [TrajectoryRow(t, float(zeta), float(eps), cos, *(np.ravel(value)[0].item() for value in step))
-            for t, zeta, eps, cos, step in history]
-
-
-def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None, rows=False):
-    """Run trials of ``cfg`` in one lock-step stack; yield ``(trial_id, result, rows)`` as each ends.
+def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None, row=None):
+    """Run trials of ``cfg`` in one lock-step stack; yield ``(trial_id, result)`` as each ends.
 
     A trial that raises, at set-up or in a step, yields its exception for
-    the result and ``None`` for the rows, and leaves the stack.  Each trial
-    keeps its own generator, model and phase split, and gets the bits it
-    gets alone whatever the stack holds.  At each recorded step every
-    running trial's discrepancy decides stopping and ``K2``, and
-    ``bounds._PhaseRule`` advances ``K1`` and ``K2``.  The rows are ``None``
-    and the similarity's SVD is taken only short of ``K1`` or at a trial's
-    last step, unless ``rows`` is set: then the stack's one trial keeps a
-    ``(t, zeta, epsilon, cosines, step)`` history entry per recorded iterate
-    and yields them as ``_trial_rows``; more trials raise ``ValueError``.
+    the result and leaves the stack.  Each trial keeps its own generator,
+    model and phase split, and gets the bits it gets alone whatever the
+    stack holds.  At each recorded step every running trial's discrepancy
+    decides stopping and ``K2``, and ``bounds._PhaseRule`` advances ``K1``
+    and ``K2``.  The similarity's SVD is taken only short of ``K1`` or at a
+    trial's last step, unless ``row`` is given: then the stack's one trial
+    hands each recorded iterate to ``row`` as a ``TrajectoryRow`` when it is
+    recorded, and nothing is kept; more trials raise ``ValueError``.
     """
-    if rows and len(trial_ids) > 1:
+    if row is not None and len(trial_ids) > 1:
         raise ValueError(f"rows are kept for one trial, got {len(trial_ids)} trials")
     trials = []
     for trial_id in trial_ids:
         try:
             trials.append((trial_id, *_start_trial(cfg, trial_id, initial_basis)))
         except Exception as exc:  # keep the other trials alive
-            yield trial_id, exc, None
+            yield trial_id, exc
     if not trials:
         return
     # one row per trial in each array: the stacks of column-major bases and ground truths, and the rest
@@ -256,8 +250,9 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     step_cfg = cfg.step_config()
     record_every = cfg.resolved_record_every()
     max_iters = cfg.resolved_max_iters()
-    history: list[tuple] = []  # with rows, an entry per recorded iterate
-    step = (0.0, 0.0, 0.0, 0.0, False)  # (theta, alpha, ||p||^2, ||r||^2, skipped) of the step that reached t
+    # (theta, alpha, ||p||^2, ||r||^2, skipped) of the step that reached t, as _step returns them for one trial:
+    # each a one-element array or a Python scalar
+    step = (0.0, 0.0, 0.0, 0.0, False)
     t, record = 0, True
     while True:
         if record:
@@ -268,19 +263,20 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
                 done[:] = True
             # zeta decides K1 and is the final zeta: without rows, a trial past K1 needs it only at its last step
             zeta = np.full(len(ids), np.nan)
-            need = done | (k1 < 0) | rows
+            need = done | (k1 < 0) | (row is not None)
             if need.any():
                 cosines = _cosines(gram[need])
                 zeta[need] = _similarity(cosines)
-            if rows:
-                history.append((t, zeta[0], eps[0], cosines[0], step))
+            if row is not None:
+                row(TrajectoryRow(t, float(zeta[0]), float(eps[0]), cosines[0],
+                                  *(np.asarray(value).item() for value in step)))
             k1, k2 = rule.advance(k1, k2, t, zeta, eps)
             if done.any():
                 for i in np.flatnonzero(done):
                     result = TrialResult(trial_id=ids[i], derived_seed=seeds[i], phase=rule.report(k1[i], k2[i]),
                                          final_zeta=float(zeta[i]), final_eps=float(eps[i]), iters_run=t,
                                          skipped_steps=t - int(nonskipped[i]))
-                    yield ids[i], result, _trial_rows(history) if rows else None
+                    yield ids[i], result
                 leave(~done)
                 if not len(ids):
                     return
@@ -295,7 +291,7 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
             outs = [_step_alone(step_cfg, bases, sample.x, energy, nonskipped, i) for i in range(len(ids))]
             failed = np.array([isinstance(out, Exception) for out in outs])
             for i in np.flatnonzero(failed):
-                yield ids[i], outs[i], None
+                yield ids[i], outs[i]
             leave(~failed)
             if not len(ids):
                 return
@@ -303,12 +299,30 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
         nonskipped += ~skipped
 
 
+def _one_trial(cfg: ExperimentConfig, trial_id: int, initial_basis: np.ndarray | None, row) -> TrialResult:
+    """Trial ``trial_id`` of ``cfg`` run alone, handing each recorded row to ``row`` unless it is ``None``.
+
+    ``trial_id`` and ``initial_basis`` are checked before any draw; a trial that fails raises its error.
+    """
+    trial_id = _typed("trial_id", trial_id, int)
+    if trial_id < 0:
+        raise ValueError(f"trial_id must be >= 0, got {trial_id}")
+    if initial_basis is not None:
+        if np.shape(initial_basis) != (cfg.n, cfg.d):
+            raise ValueError(f"initial_basis must have shape {(cfg.n, cfg.d)}, got {np.shape(initial_basis)}")
+        initial_basis = check_orthonormal(initial_basis)
+    ((_, outcome),) = _run_stack(cfg, [trial_id], initial_basis, row)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def run_trajectory(
     cfg: ExperimentConfig,
     trial_id: int = 0,
     initial_basis: np.ndarray | None = None,
 ) -> tuple[TrialResult, list[TrajectoryRow]]:
-    """Run one trajectory to the accuracy target or the iteration horizon.
+    """Run one trajectory to the accuracy target or the iteration horizon; return its result and every row.
 
     The trial's stream seeds the planted model, the starting basis, and
     all observations.  Metrics are recorded at the configured cadence (the
@@ -318,17 +332,29 @@ def run_trajectory(
     converged start); it must be an orthonormal ``(n, d)`` basis, and
     ``trial_id`` an integer >= 0, else ``ValueError`` is raised before any draw.
     """
-    trial_id = _typed("trial_id", trial_id, int)
-    if trial_id < 0:
-        raise ValueError(f"trial_id must be >= 0, got {trial_id}")
-    if initial_basis is not None:
-        if np.shape(initial_basis) != (cfg.n, cfg.d):
-            raise ValueError(f"initial_basis must have shape {(cfg.n, cfg.d)}, got {np.shape(initial_basis)}")
-        initial_basis = check_orthonormal(initial_basis)
-    ((_, outcome, rows),) = _run_stack(cfg, [trial_id], initial_basis, rows=True)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome, rows
+    rows: list[TrajectoryRow] = []
+    return _one_trial(cfg, trial_id, initial_basis, rows.append), rows
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """A text file for ``path``: written as a temporary sibling, moved onto ``path`` on success, removed on error.
+
+    Entering it raises ``OSError`` when ``path`` cannot be written, so enter
+    it before the work that fills it; ``path`` is untouched until then.
+    """
+    if os.path.isdir(path):  # os.replace would refuse it only after the work
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    partial = f"{path}.{os.getpid()}.tmp"
+    fh = open(partial, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def _metadata_lines(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]:
@@ -340,22 +366,35 @@ def _metadata_lines(cfg: ExperimentConfig, extra: dict | None = None) -> list[st
     return lines
 
 
+def _trajectory_head(cfg: ExperimentConfig) -> str:
+    return "\n".join([*_metadata_lines(cfg), TRAJECTORY_HEADER, ""])
+
+
+def _trajectory_line(row: TrajectoryRow) -> str:
+    return (f"{row.t},{row.zeta!r},{row.epsilon!r},{row.theta!r},{row.alpha!r},"
+            f"{row.p_norm_sq!r},{row.r_norm_sq!r},{int(row.skipped)}\n")
+
+
 def write_trajectory_csv(path: str, cfg: ExperimentConfig, rows: Sequence[TrajectoryRow]) -> None:
-    """Persist a recorded trajectory with its configuration header."""
-    lines = _metadata_lines(cfg)
-    lines.append(TRAJECTORY_HEADER)
-    lines.extend(f"{row.t},{row.zeta!r},{row.epsilon!r},{row.theta!r},{row.alpha!r},"
-                 f"{row.p_norm_sq!r},{row.r_norm_sq!r},{int(row.skipped)}" for row in rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Persist recorded rows with their configuration header, as ``run_single`` streams them."""
+    with _output(path) as fh:
+        fh.write(_trajectory_head(cfg))
+        fh.writelines(map(_trajectory_line, rows))
 
 
 def run_single(cfg: ExperimentConfig, trial_id: int = 0) -> TrialResult:
-    """Run one trajectory and, when configured, persist its CSV."""
-    result, rows = run_trajectory(cfg, trial_id)
-    if cfg.out_path:
-        write_trajectory_csv(cfg.out_path, cfg, rows)
-    return result
+    """Run one trajectory and, when ``cfg.out_path`` is set, stream its CSV.
+
+    The CSV is opened before the first step and each row is written as it
+    is recorded, so memory does not grow with the horizon.  Without
+    ``out_path`` no row is built, and the similarity's SVD is taken only
+    until ``K1`` and at the last step, as in a sweep.
+    """
+    if not cfg.out_path:
+        return _one_trial(cfg, trial_id, None, None)
+    with _output(cfg.out_path) as fh:
+        fh.write(_trajectory_head(cfg))
+        return _one_trial(cfg, trial_id, None, lambda row: fh.write(_trajectory_line(row)))
 
 
 @dataclass(frozen=True)
@@ -400,7 +439,7 @@ def _run_config_trials(cfg: ExperimentConfig) -> SweepConfigSummary:
     width = max(1, _CHUNK_ELEMENTS // (cfg.n * cfg.d))
     trial_ids = range(cfg.trials)
     outcomes = {trial_id: outcome for start in range(0, cfg.trials, width)
-                for trial_id, outcome, _ in _run_stack(cfg, trial_ids[start:start + width], None)}
+                for trial_id, outcome in _run_stack(cfg, trial_ids[start:start + width], None)}
     ordered = [outcomes[i] for i in sorted(outcomes) if isinstance(outcomes[i], TrialResult)]
     errors = {i: f"{type(outcomes[i]).__name__}: {outcomes[i]}" for i in sorted(outcomes)
               if isinstance(outcomes[i], Exception)}
@@ -423,7 +462,8 @@ def run_sweep(
     variance over converged trials, so every config needs ``eps_star < 1``,
     and no config may set ``out_path``, since a sweep writes no trajectory
     (``ValueError`` before any trial runs).  With ``out_path`` the summary
-    table is written as CSV and per-trial detail as ``<out_path>.json``.
+    table is written as CSV and per-trial detail as ``<out_path>.json``:
+    both are opened before the first trial and appear only if the sweep ends.
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
@@ -432,22 +472,24 @@ def run_sweep(
             raise ValueError(f"a sweep needs eps_star < 1 (K2 is normalized by d log(1/eps_star)), got {cfg.eps_star}")
         if cfg.out_path is not None:
             raise ValueError(f"a sweep writes no trajectory CSV, so a config takes no out_path, got {cfg.out_path!r}")
-    summaries = [_run_config_trials(cfg) for cfg in configs]
-    if out_path:
-        write_sweep_csv(out_path, summaries)
-        write_sweep_json(out_path + ".json", summaries)
+    with contextlib.ExitStack() as outputs:
+        files = [outputs.enter_context(_output(path)) for path in (out_path, out_path + ".json")] if out_path else []
+        summaries = [_run_config_trials(cfg) for cfg in configs]
+        for fh, write in zip(files, (write_sweep_csv, write_sweep_json)):
+            write(fh, summaries)
     return summaries
 
 
-def write_sweep_csv(path: str, summaries: Sequence[SweepConfigSummary]) -> None:
+def write_sweep_csv(fh: TextIO, summaries: Sequence[SweepConfigSummary]) -> None:
+    """Write the summary table, with its metadata header, to the open text file ``fh``."""
     lines = _metadata_lines(summaries[0].cfg, extra={"configs": len(summaries)})
     lines.append(SWEEP_HEADER)
     lines.extend(summary.csv_row() for summary in summaries)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fh.write("\n".join(lines) + "\n")
 
 
-def write_sweep_json(path: str, summaries: Sequence[SweepConfigSummary]) -> None:
+def write_sweep_json(fh: TextIO, summaries: Sequence[SweepConfigSummary]) -> None:
+    """Write the per-trial detail document to the open text file ``fh``."""
     doc = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "configs": [
@@ -460,9 +502,8 @@ def write_sweep_json(path: str, summaries: Sequence[SweepConfigSummary]) -> None
             for summary in summaries
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def bounds_table(params_list: Sequence[BoundParams], out_path: str | None = None) -> list[str]:
@@ -484,7 +525,6 @@ def bounds_table(params_list: Sequence[BoundParams], out_path: str | None = None
         except ValueError as exc:
             rows.append(given + f",,,,\"{exc}\"")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(BOUNDS_HEADER + "\n")
-            fh.write("\n".join(rows) + "\n")
+        with _output(out_path) as fh:
+            fh.write("\n".join([BOUNDS_HEADER, *rows, ""]))
     return rows

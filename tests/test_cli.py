@@ -200,6 +200,22 @@ def test_io_error_exit_code(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 3
 
 
+def test_unwritable_out_exits_3_before_any_step(tmp_path, monkeypatch, capsys):
+    """``run`` and ``sweep`` open their outputs first: an ``--out`` in a missing directory exits 3 with no step taken."""
+    import grouse.harness
+
+    steps = []
+    step = grouse.harness._step
+    monkeypatch.setattr(grouse.harness, "_step", lambda *args: steps.append(1) or step(*args))
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({"n": 60, "d": 3, "trials": 2, "max_iters": 50}))
+    out = str(tmp_path / "missing_dir" / "out.csv")
+    assert main(["run", "--n", "60", "--d", "3", "--max-iters", "50", "--out", out]) == 3
+    assert main(["sweep", "--config", str(config_path), "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert steps == [] and captured.out == "" and captured.err.count("grouse: i/o error:") == 2
+
+
 @pytest.mark.parametrize("argv, field", [
     (["run", "--n", "40", "--d", "3", "--max-iters", "5", "--sigma2", "nan"], "sigma_sq"),
     (["run", "--n", "40", "--d", "3", "--max-iters", "5", "--sigma2", "nan", "--mode", "practical"], "sigma_sq"),

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +242,106 @@ def test_trajectory_csv_reproducible_body(tmp_path):
     assert csv_body(a) == csv_body(b)
 
 
+def _without_timestamp(path):
+    return [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("# generated_at=")]
+
+
+@pytest.mark.parametrize("fields", [
+    {"n": 100, "d": 5, "seed": 9, "sparse_ubar": True},
+    {"n": 60, "d": 3, "sigma_sq": 1e-3, "seed": 4, "max_iters": 200, "record_every": 7, "mode": StepMode.ORACLE_NOISY},
+])
+def test_streamed_csv_equals_written_rows(fields, tmp_path):
+    """The CSV ``run_single`` streams is, bar its time stamp, the file ``write_trajectory_csv`` makes of the same rows."""
+    streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
+    cfg = ExperimentConfig(**fields, out_path=str(streamed))
+    result = run_single(cfg)
+    direct, rows = run_trajectory(cfg)
+    write_trajectory_csv(str(written), cfg, rows)
+    assert result == direct
+    assert _without_timestamp(streamed) == _without_timestamp(written)
+    assert streamed.read_bytes().endswith(b"\n") and sorted(p.name for p in tmp_path.iterdir()) == [
+        "streamed.csv", "written.csv"]
+
+
+def _traced_peak(cfg):
+    """Peak bytes ``tracemalloc`` sees while ``run_single(cfg)`` runs."""
+    tracemalloc.start()
+    try:
+        run_single(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_csv_memory_does_not_grow_with_the_horizon(tmp_path):
+    """Rows go to the CSV as they are recorded: 1,800 more rows at (20, 2) add less than 64 KiB to the peak.
+
+    Kept in memory until the end, as before, the rows cost about 1.4 kB each.
+    """
+    def cfg(steps):
+        return ExperimentConfig(n=20, d=2, sigma_sq=1e-3, seed=5, max_iters=steps, eps_star=1e-12, record_every=1,
+                                mode=StepMode.PRACTICAL_NOISY, out_path=str(tmp_path / f"t{steps}.csv"))
+
+    _traced_peak(cfg(20))  # first calls allocate caches
+    short, long = _traced_peak(cfg(200)), _traced_peak(cfg(2000))
+    assert len(csv_body(tmp_path / "t2000.csv")) == 2002
+    assert long - short < 64 * 1024, (short, long)
+
+
+def test_run_single_without_out_path_builds_no_rows(monkeypatch):
+    """Without an ``out_path`` the trial builds no row and takes the similarity's SVD only until K1 and at its end.
+
+    Its result is ``run_trajectory``'s.
+    """
+    grams, built = [], []
+    cosines, row_type = grouse.harness._cosines, grouse.harness.TrajectoryRow
+    monkeypatch.setattr(grouse.harness, "_cosines", lambda gram: grams.append(len(gram)) or cosines(gram))
+    monkeypatch.setattr(grouse.harness, "TrajectoryRow", lambda *args: built.append(1) or row_type(*args))
+    cfg = ExperimentConfig(n=150, d=4, sigma_sq=1e-3, seed=1, max_iters=500, mode=StepMode.PRACTICAL_NOISY)
+    result = run_single(cfg)
+    assert result.phase.k1 is not None and result.iters_run == 500
+    assert built == [] and sum(grams) <= result.phase.k1 // cfg.resolved_record_every() + 2
+    assert result == run_trajectory(cfg)[0]
+    assert len(built) == 501
+
+
+def test_unwritable_outputs_fail_before_the_first_step(tmp_path, monkeypatch):
+    """``run_single`` and ``run_sweep`` open every output before any trial.
+
+    A missing directory, or a directory where the file should go, raises ``OSError`` with no step taken and no file
+    left behind.
+    """
+    steps = []
+    step = grouse.harness._step
+    monkeypatch.setattr(grouse.harness, "_step", lambda *args: steps.append(1) or step(*args))
+    cfg = ExperimentConfig(n=60, d=3, seed=3, max_iters=50)
+    missing = tmp_path / "missing" / "out.csv"
+    with pytest.raises(FileNotFoundError):
+        run_single(dataclasses.replace(cfg, out_path=str(missing)))
+    with pytest.raises(FileNotFoundError):
+        run_sweep([cfg], out_path=str(missing))
+    (tmp_path / "taken.csv.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        run_sweep([cfg], out_path=str(tmp_path / "taken.csv"))
+    with pytest.raises(IsADirectoryError):
+        run_single(dataclasses.replace(cfg, out_path=str(tmp_path / "taken.csv.json")))
+    assert steps == [] and [p.name for p in tmp_path.iterdir()] == ["taken.csv.json"]
+
+
+def test_failed_sweep_leaves_no_output(tmp_path, monkeypatch):
+    """A sweep that raises after opening its outputs leaves neither file, and a file already there untouched."""
+    out = tmp_path / "sweep.csv"
+    out.write_text("before\n")
+
+    def failing(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(grouse.harness, "_run_config_trials", failing)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep([ExperimentConfig(n=60, d=3)], out_path=str(out))
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"] and out.read_text() == "before\n"
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -331,10 +433,9 @@ def test_sweep_is_invariant_to_stack_width(tmp_path, monkeypatch):
     # trial 0 starts orthogonal to its own ground truth and skips every step; trials 1 and 2 step from there
     mixed = ExperimentConfig(n=60, d=3, seed=3, eps_star=1e-30, max_iters=40)
     start = _orthogonal_start(mixed)
-    stacked = {trial_id: result for trial_id, result, _ in grouse.harness._run_stack(mixed, [0, 1, 2], start)}
+    stacked = dict(grouse.harness._run_stack(mixed, [0, 1, 2], start))
     for trial_id in range(3):
-        ((_, alone, rows),) = grouse.harness._run_stack(mixed, [trial_id], start)
-        assert rows is None
+        ((_, alone),) = grouse.harness._run_stack(mixed, [trial_id], start)
         assert stacked[trial_id] == alone == run_trajectory(mixed, trial_id, start)[0]
     assert [stacked[trial_id].skipped_steps for trial_id in range(3)] == [40, 0, 0]
 
@@ -342,7 +443,7 @@ def test_sweep_is_invariant_to_stack_width(tmp_path, monkeypatch):
 def test_rows_are_kept_for_one_trial_only():
     cfg = ExperimentConfig(n=60, d=3, seed=3, max_iters=5)
     with pytest.raises(ValueError, match="rows are kept for one trial, got 2 trials"):
-        next(grouse.harness._run_stack(cfg, [0, 1], None, rows=True))
+        next(grouse.harness._run_stack(cfg, [0, 1], None, row=[].append))
 
 
 def test_sweep_takes_similarity_svd_only_until_k1(monkeypatch):

@@ -18,7 +18,7 @@ from grouse import core
 from grouse.bounds import detect_phases
 from grouse.core import OracleInfo, StepConfig, StepMode, grouse_step
 from grouse.data import draw_batch, draw_sample, make_planted
-from grouse.harness import ExperimentConfig, TrialResult, derive_trial_seed, run_sweep, run_trajectory
+from grouse.harness import ExperimentConfig, TrialResult, derive_trial_seed, run_single, run_sweep, run_trajectory
 from grouse.subspaces import MetricSample, basis_with_angles, basis_with_similarity, random_orthonormal
 
 
@@ -373,6 +373,15 @@ def test_oracle_trial_failing_mid_stack_fails_its_oracle_check(monkeypatch):
     summary = run_sweep([cfg])[0]
     assert summary.errors == {1: "ValueError: v_perp_norm_sq is non-finite: nan"}
     assert summary.results == [_reference_trial(cfg, trial_id)[0] for trial_id in (0, 2, 3)]
+
+
+def test_failed_trajectory_leaves_no_csv(monkeypatch, tmp_path):
+    """Trial 1 fails mid-run while its CSV streams: ``run_single`` raises and leaves neither the CSV nor its partial file."""
+    _poison_second_trial(monkeypatch)
+    cfg = dataclasses.replace(_POISONED, out_path=str(tmp_path / "traj.csv"))
+    with pytest.raises(ValueError, match="observation contains non-finite entries"):
+        run_single(cfg, 1)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_engine_steps_column_major_stacks(monkeypatch):
