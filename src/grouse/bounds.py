@@ -22,8 +22,9 @@ import numpy as np
 
 from .core import StepConfig, StepMode, _energy_outside, _step
 from .data import PlantedModel, draw_batch
-from .subspaces import (MetricSample, _column_major, _cosines, _cross_gram, _discrepancy, _own_fields, _similarity,
-                         _squares, frobenius_discrepancy, principal_angles)
+from .subspaces import (MetricSample, _column_major, _cosines, _cross_gram, _discrepancy, _own_fields, _squares,
+                         frobenius_discrepancy)
+from .subspaces import _similarity as _gram_similarity  # determinant_similarity of each Gram Ubar^T U of a stack
 
 __all__ = [
     "BoundParams",
@@ -256,11 +257,6 @@ _CHUNK_ELEMENTS = 2**16
 _MIN_CHUNK = 4
 
 
-def _gram_similarity(gram: np.ndarray) -> np.ndarray:
-    """``determinant_similarity`` of each ``Ubar^T U`` of a stack of Gram matrices."""
-    return _similarity(_cosines(gram))
-
-
 def _oracle_steps(
     model: PlantedModel,
     basis: np.ndarray,
@@ -307,12 +303,13 @@ def _resolved_zeta(basis: np.ndarray, ubar: np.ndarray) -> float:
     when the smallest principal-angle cosine is at most ``n`` machine
     epsilons: a rate or ratio against such a similarity measures rounding.
     """
-    cosines = principal_angles(basis, ubar)
+    gram = _cross_gram(basis, ubar)
+    smallest = _cosines(gram)[-1]  # the SVD sorts the cosines non-increasing
     floor = basis.shape[0] * np.finfo(float).eps
-    if cosines[-1] <= floor:  # principal_angles sorts the cosines non-increasing
+    if smallest <= floor:
         raise ValueError(f"iterate is unresolved: smallest principal-angle cosine "
-                         f"{cosines[-1]:.3e} <= n * eps = {floor:.3e}")
-    return float(_similarity(cosines))
+                         f"{smallest:.3e} <= n * eps = {floor:.3e}")
+    return float(_gram_similarity(gram))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:

@@ -33,6 +33,7 @@ from .core import OracleInfo, StepConfig, StepMode, StepOutcome, grouse_step
 from .data import _sparse_density, _sparse_matrix, draw_batch, draw_sample, make_planted
 from .subspaces import (
     _typed,
+    basis_with_angles,
     basis_with_similarity,
     determinant_similarity,
     expected_initial_similarity_exact,
@@ -129,7 +130,7 @@ def _random_pair(rng: np.random.Generator, n_max: int = 50) -> tuple[np.ndarray,
 
 
 def zeta_determinant_agreement(rng: np.random.Generator, pairs: int) -> PropertyResult:
-    """Product-of-squared-singular-values route vs explicit determinant."""
+    """``determinant_similarity``, ``det(M)^2`` with ``M = Ubar^T U``, vs the determinant of the product ``M M^T``."""
     worst = 0.0
     for _ in range(pairs):
         u, ubar = _random_pair(rng)
@@ -217,6 +218,30 @@ def reorth_agreement(rng: np.random.Generator, pairs: int) -> PropertyResult:
         agreement = max(agreement, float(np.max(np.abs(q @ q.T - q_qr @ q_qr.T))))
     return _result("reorth_agreement", "metrics", max(orth / 1e-14, agreement / 1e-12) if pairs > 0 else None,
                    1.0, f"max|Q^T Q - I|={orth:.1e} projector gap={agreement:.1e}")
+
+
+def similarity_forms_agree(rng: np.random.Generator, pairs: int) -> PropertyResult:
+    """``determinant_similarity`` (``det(Ubar^T U)^2`` by LU) is the product of squared SVD cosines to 1e-12 relative.
+
+    The cases cycle through the sizes (30, 4), (200, 5) and (2000, 20), on
+    ``basis_with_angles`` bases whose smallest cosine is log-uniform in
+    1e-9 ... 1 and whose other cosines lie in 0.1 ... 1 - 1e-12, with
+    ``1 - cos`` log-uniform.  One cosine at most is small: with two or more
+    below 1e-3 beside larger ones the SVD leaves the small singular values an
+    error of about machine epsilon absolute, and the product is the less
+    accurate form.
+    ``measured`` is the largest relative gap.
+    """
+    worst = 0.0
+    for i in range(pairs):
+        n, d = ((30, 4), (200, 5), (2000, 20))[i % 3]
+        ubar = random_orthonormal(n, d, rng)
+        cosines = 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.9), d)
+        cosines[-1] = 10.0 ** rng.uniform(-9.0, 0.0)
+        u = basis_with_angles(ubar, cosines, rng)
+        product = float(np.prod(np.square(principal_angles(u, ubar))))
+        worst = max(worst, abs(determinant_similarity(u, ubar) - product) / product)
+    return _result("similarity_forms_agree", "metrics", worst if pairs > 0 else None, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +564,10 @@ def verify(suite: str = "all", seed: int = 0, intensity: str = "quick") -> Verif
         results.append(trace_expectation_mc(rng, counts["trace_draws"]))
         results.append(random_init_similarity_mc(rng, counts["init_draws"]))
         # a child generator: the draws of the properties after this one do not depend on it
-        results.append(reorth_agreement(rng.spawn(1)[0], counts["pairs"]))
+        child = rng.spawn(1)[0]
+        results.append(reorth_agreement(child, counts["pairs"]))
+        # a child of that child, so rng spawns no second child and the step suite's child keeps its draws
+        results.append(similarity_forms_agree(child.spawn(1)[0], counts["pairs"]))
     if suite in ("step", "all"):
         for check in (step_orthonormality, rank_one_structure, monotonic_zeta_identity, monotonic_eps_identity,
                       greedy_optimality, step_equivariance, alpha_one_fixed_point):

@@ -266,17 +266,22 @@ def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None, no
     if cfg.mode is not StepMode.GREEDY_NOISELESS:
         alpha = _alpha(cfg, np.vecdot(x, x), _squares(r_norm), *U.shape[-2:], v_perp_norm_sq)
     theta = _theta(alpha, r_norm, p_norm)
-    updated = _rotate(U, w / w_norm[..., None], p / p_norm[..., None], r / r_norm[..., None], theta)
+    factors = w / w_norm[..., None], p / p_norm[..., None], r / r_norm[..., None]
+    updated = _rotate(U, *factors, theta)
     if skipped.any():
         np.copyto(updated, U, where=skipped[..., None, None])
         alpha, theta = np.where(skipped, 0.0, alpha), np.where(skipped, 0.0, theta)
-    if not np.isfinite(updated).all():
+    # U' - U is w_hat times a direction made of theta, p_hat and r_hat, so U' is finite iff all four are (a non-finite
+    # x or U makes w_hat NaN).  Their entries are at most 1 and theta < 2, so their one sum is finite iff they are:
+    # O(n + d) per row, where a test of U' is O(nd)
+    if not np.isfinite(sum(np.add.reduce(a, axis=None) for a in (theta, *factors))):
         raise ValueError("update produced non-finite entries")
     if nonskipped is not None and cfg.reorth_period is not None:
         due = ~skipped & (nonskipped % cfg.reorth_period == cfg.reorth_period - 1)
-        stack = updated[None] if updated.ndim == 2 else updated  # a view with one basis per row
-        for i in np.flatnonzero(due):
-            stack[i] = reorthonormalize(stack[i])
+        if due.any():
+            stack = updated[None] if updated.ndim == 2 else updated  # a view with one basis per row
+            for i in np.flatnonzero(due):
+                stack[i] = reorthonormalize(stack[i])
     return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped
 
 

@@ -67,9 +67,8 @@ class ExperimentConfig:
     checks against the bound can fail meaningfully instead of timing out.
     ``record_every=None`` resolves to 1 when ``n * d <= 1e5`` and 10
     otherwise.  A recorded step costs a d x d Gram matrix, which gives the
-    discrepancy; a trajectory also takes its SVD (the cosines and the
-    similarity) at every recorded step, a sweep only until the trial
-    reaches ``K1`` and at its last step.
+    discrepancy and, by one LU determinant, the similarity; only the rows of
+    ``run_trajectory`` also take its SVD, for the cosines.
     ``eps_star`` has a floor on noiseless runs with unit-norm data: the
     true discrepancy stops near 1e-24, where ``||r||`` falls below the
     step's skip tolerance ``core._SKIP_NORM_TOL``, and the computed one
@@ -215,12 +214,14 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     A trial that raises, at set-up or in a step, yields its exception for
     the result and leaves the stack.  Each trial keeps its own generator,
     model and phase split, and gets the bits it gets alone whatever the
-    stack holds.  At each recorded step every running trial's discrepancy
-    decides stopping and ``K2``, and ``bounds._PhaseRule`` advances ``K1``
-    and ``K2``.  The similarity's SVD is taken only short of ``K1`` or at a
-    trial's last step, unless ``row`` is given: then the stack's one trial
-    hands each recorded iterate to ``row`` as a ``TrajectoryRow`` when it is
-    recorded, and nothing is kept; more trials raise ``ValueError``.
+    stack holds.  At each recorded step one stacked Gram ``Ubar^T U`` gives
+    every running trial's discrepancy, which decides stopping and ``K2``,
+    and its similarity (one LU determinant, no SVD), which decides ``K1``;
+    ``bounds._PhaseRule`` advances both.  With ``row`` the stack's one trial
+    hands each recorded iterate to it when it is recorded, as
+    ``row(gram, t, zeta, epsilon, theta, alpha, p_norm_sq, r_norm_sq, skipped)``
+    with the (1, d, d) Gram and Python scalars in ``TRAJECTORY_HEADER``
+    order, and nothing is kept; more trials raise ``ValueError``.
     """
     if row is not None and len(trial_ids) > 1:
         raise ValueError(f"rows are kept for one trial, got {len(trial_ids)} trials")
@@ -257,19 +258,12 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     while True:
         if record:
             gram = np.matmul(ubars.mT, bases)
-            eps = _discrepancy(gram)
+            eps, zeta = _discrepancy(gram), _similarity(gram)
             done = eps <= cfg.eps_star
             if t == max_iters:
                 done[:] = True
-            # zeta decides K1 and is the final zeta: without rows, a trial past K1 needs it only at its last step
-            zeta = np.full(len(ids), np.nan)
-            need = done | (k1 < 0) | (row is not None)
-            if need.any():
-                cosines = _cosines(gram[need])
-                zeta[need] = _similarity(cosines)
             if row is not None:
-                row(TrajectoryRow(t, float(zeta[0]), float(eps[0]), cosines[0],
-                                  *(np.asarray(value).item() for value in step)))
+                row(gram, t, float(zeta[0]), float(eps[0]), *(np.asarray(value).item() for value in step))
             k1, k2 = rule.advance(k1, k2, t, zeta, eps)
             if done.any():
                 for i in np.flatnonzero(done):
@@ -333,7 +327,11 @@ def run_trajectory(
     ``trial_id`` an integer >= 0, else ``ValueError`` is raised before any draw.
     """
     rows: list[TrajectoryRow] = []
-    return _one_trial(cfg, trial_id, initial_basis, rows.append), rows
+
+    def keep(gram, t, zeta, epsilon, *step):  # the cosines are the one SVD of a row
+        rows.append(TrajectoryRow(t, zeta, epsilon, _cosines(gram)[0], *step))
+
+    return _one_trial(cfg, trial_id, initial_basis, keep), rows
 
 
 @contextlib.contextmanager
@@ -370,31 +368,31 @@ def _trajectory_head(cfg: ExperimentConfig) -> str:
     return "\n".join([*_metadata_lines(cfg), TRAJECTORY_HEADER, ""])
 
 
-def _trajectory_line(row: TrajectoryRow) -> str:
-    return (f"{row.t},{row.zeta!r},{row.epsilon!r},{row.theta!r},{row.alpha!r},"
-            f"{row.p_norm_sq!r},{row.r_norm_sq!r},{int(row.skipped)}\n")
+def _trajectory_line(t, zeta, epsilon, theta, alpha, p_norm_sq, r_norm_sq, skipped) -> str:
+    return f"{t},{zeta!r},{epsilon!r},{theta!r},{alpha!r},{p_norm_sq!r},{r_norm_sq!r},{int(skipped)}\n"
 
 
 def write_trajectory_csv(path: str, cfg: ExperimentConfig, rows: Sequence[TrajectoryRow]) -> None:
     """Persist recorded rows with their configuration header, as ``run_single`` streams them."""
+    columns = TRAJECTORY_HEADER.split(",")
     with _output(path) as fh:
         fh.write(_trajectory_head(cfg))
-        fh.writelines(map(_trajectory_line, rows))
+        fh.writelines(_trajectory_line(*(getattr(row, column) for column in columns)) for row in rows)
 
 
 def run_single(cfg: ExperimentConfig, trial_id: int = 0) -> TrialResult:
     """Run one trajectory and, when ``cfg.out_path`` is set, stream its CSV.
 
     The CSV is opened before the first step and each row is written as it
-    is recorded, so memory does not grow with the horizon.  Without
-    ``out_path`` no row is built, and the similarity's SVD is taken only
-    until ``K1`` and at the last step, as in a sweep.
+    is recorded, so memory does not grow with the horizon.  No row object
+    is built and no SVD is taken: the CSV has no cosines, and the
+    similarity is one LU determinant per recorded step, as in a sweep.
     """
     if not cfg.out_path:
         return _one_trial(cfg, trial_id, None, None)
     with _output(cfg.out_path) as fh:
         fh.write(_trajectory_head(cfg))
-        return _one_trial(cfg, trial_id, None, lambda row: fh.write(_trajectory_line(row)))
+        return _one_trial(cfg, trial_id, None, lambda gram, *values: fh.write(_trajectory_line(*values)))
 
 
 @dataclass(frozen=True)

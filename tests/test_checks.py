@@ -18,6 +18,7 @@ from grouse.checks import (
     rank_one_structure,
     reorth_agreement,
     rotation_forms_agree,
+    similarity_forms_agree,
     step_equivariance,
     step_orthonormality,
     verify,
@@ -34,7 +35,7 @@ def test_quick_suite_passes_within_time_budget():
     failed = [r.line() for r in report.results if not r.passed]
     assert report.passed, f"failing properties: {failed}"
     assert elapsed < 60.0
-    assert len(report.results) == 25
+    assert len(report.results) == 26
 
 
 def test_quick_suite_other_seed():
@@ -118,6 +119,17 @@ def test_rotation_forms_agree_fails_on_a_wrong_angle_and_without_cases(monkeypat
     rotate = grouse.core._rotate
     monkeypatch.setattr(grouse.core, "_rotate", lambda U, w, p, r, theta: rotate(U, w, p, r, 1.01 * theta))
     assert not rotation_forms_agree(np.random.default_rng(0), 20).passed
+
+
+def test_similarity_forms_agree_fails_on_a_perturbed_similarity_and_without_cases(monkeypatch):
+    result = similarity_forms_agree(np.random.default_rng(0), 12)
+    assert result.passed and result.measured < 1e-13, result.line()
+    empty = similarity_forms_agree(np.random.default_rng(0), 0)
+    assert not empty.passed and empty.measured == math.inf and "no case evaluated" in empty.detail
+    # negative control: a similarity off by 1e-11 relative
+    similarity = grouse.checks.determinant_similarity
+    monkeypatch.setattr(grouse.checks, "determinant_similarity", lambda u, ubar: similarity(u, ubar) * (1.0 + 1e-11))
+    assert not similarity_forms_agree(np.random.default_rng(0), 12).passed
 
 
 def test_greedy_optimality_fails_without_cases():

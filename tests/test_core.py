@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from grouse import core
 from grouse.core import (
     OracleInfo,
     StepConfig,
@@ -392,3 +393,87 @@ def test_project_rejects_non_finite_basis(value):
     u[4, 1] = value
     with pytest.raises(ValueError, match="basis contains non-finite"):
         project(u, rng.standard_normal(10))
+
+
+# ---------------------------------------------------------------------------
+# the finite-update check
+
+
+def _whole_basis_rule(U, x, cfg):
+    """``(updated, skipped)`` of ``core._step``, or its ``ValueError``, checking every entry of the updated bases.
+
+    The step's arithmetic through the pieces of ``core``, with the finite check ``np.isfinite(updated).all()``
+    over the (n, d) update in place of the check on the update's factors.
+    """
+    w, p, r = core._project(U, x)
+    w_norm, p_norm, r_norm = (np.sqrt(np.vecdot(a, a)) for a in (w, p, r))
+    tol = core._SKIP_NORM_TOL
+    skipped = (w_norm <= tol) | (p_norm <= tol) | (r_norm <= tol)
+    if skipped.all():
+        return U, skipped
+    w_norm, p_norm, r_norm = w_norm + skipped, p_norm + skipped, r_norm + skipped
+    alpha = 0.0
+    if cfg.mode is not StepMode.GREEDY_NOISELESS:
+        alpha = core._alpha(cfg, np.vecdot(x, x), np.float_power(r_norm, 2), *U.shape[-2:], None)
+    theta = core._theta(alpha, r_norm, p_norm)
+    updated = core._rotate(U, w / w_norm[..., None], p / p_norm[..., None], r / r_norm[..., None], theta)
+    np.copyto(updated, U, where=skipped[..., None, None])
+    if not np.isfinite(updated).all():
+        return ValueError("update produced non-finite entries")
+    return updated, skipped
+
+
+def _edge_stack(rng, n, d):
+    """A basis (shared or one per row) and 1-4 observations, with rows and entries at the edges of float64."""
+    rows = int(rng.integers(1, 5))
+    shared = bool(rng.integers(2))
+    U = np.stack([random_orthonormal(n, d, rng) for _ in range(1 if shared else rows)])
+    x = rng.standard_normal((rows, n))
+    for i in range(rows):
+        kind = rng.choice(4, p=[0.55, 0.15, 0.15, 0.15])
+        if kind == 1:  # inside the span: a skipped row
+            x[i] = U[0 if shared else i] @ rng.standard_normal(d)
+        elif kind == 2:
+            x[i] = 0.0
+        elif kind == 3:
+            x[i] *= 1e155
+    for _ in range(rng.choice(3, p=[0.7, 0.2, 0.1])):  # non-finite, huge or subnormal entries in x or in U
+        value = rng.choice([np.nan, np.inf, -np.inf, 1e300, 1e-320])
+        target = x if rng.integers(2) else U
+        target[tuple(rng.integers(size) for size in target.shape)] = value
+    U = np.ascontiguousarray(U.swapaxes(-1, -2)).swapaxes(-1, -2)  # column-major, as the package's bases
+    if shared:
+        U = U[0]
+    if rows == 1 and rng.integers(2):
+        x = x[0]  # one observation (n,)
+    return U, x
+
+
+@pytest.mark.parametrize("cfg", [GREEDY, StepConfig(mode=StepMode.PRACTICAL_NOISY, sigma_sq=1e-3, reorth_period=None)],
+                         ids=["greedy", "practical"])
+def test_finite_check_on_the_factors_equals_the_check_on_the_update(cfg):
+    """``_step`` raises exactly when the updated bases hold a non-finite entry, and otherwise returns the same bases."""
+    rng = np.random.default_rng(41)
+    raised = 0
+    with np.errstate(all="ignore"):
+        for _ in range(400):
+            U, x = _edge_stack(rng, 12, 3)
+            expected = _whole_basis_rule(U, x, cfg)
+            try:
+                got = core._step(U, x, cfg)[-2:]
+            except ValueError as exc:
+                assert isinstance(expected, ValueError) and str(exc) == str(expected)
+                raised += 1
+                continue
+            assert not isinstance(expected, ValueError)
+            assert np.array_equal(got[0], expected[0], equal_nan=True) and np.array_equal(got[1], expected[1])
+    assert 100 < raised < 300, raised
+
+
+def test_rotate_update_keeps_its_contract():
+    """``rotate_update`` returns the step's update, and returns a non-finite one without raising."""
+    rng = np.random.default_rng(43)
+    ubar, u, v = noiseless_case(rng)
+    out = grouse_step(u, v, GREEDY)
+    assert np.array_equal(rotate_update(u, out.w, out.p, out.r, out.theta), out.updated)
+    assert np.isnan(rotate_update(u, out.w, out.p, out.r, np.nan)).all()

@@ -467,6 +467,33 @@ def test_sweep_takes_similarity_svd_only_until_k1(monkeypatch):
     assert sum(grams) == 4 * 501
 
 
+def test_no_hot_path_takes_an_svd(tmp_path, monkeypatch):
+    """A sweep, ``run_single`` with and without a CSV and the ``mc_*`` similarity kernel take no SVD.
+
+    Their similarity is one LU determinant of each Gram; only a caller that reads cosines takes the SVD.
+    """
+    import grouse.bounds
+    import grouse.subspaces
+    from grouse.data import make_planted
+    from grouse.subspaces import basis_with_similarity
+
+    calls, cosines = [], grouse.subspaces._cosines
+    for module in (grouse.subspaces, grouse.harness, grouse.bounds):
+        monkeypatch.setattr(module, "_cosines", lambda gram: calls.append(len(gram)) or cosines(gram))
+    cfg = ExperimentConfig(n=150, d=4, sigma_sq=1e-3, seed=1, trials=3, max_iters=300,
+                           mode=StepMode.PRACTICAL_NOISY)
+    assert len(run_sweep([cfg])[0].results) == 3
+    one = dataclasses.replace(cfg, trials=1)
+    result = run_single(one)
+    assert run_single(dataclasses.replace(one, out_path=str(tmp_path / "t.csv"))) == result
+    assert len(csv_body(tmp_path / "t.csv")) == 302
+    rng = np.random.default_rng(3)
+    model = make_planted(60, 3, 1e-3, sparse=False, rng=rng)
+    basis = basis_with_similarity(model.ubar, 0.3, rng)
+    values, _ = grouse.bounds._oracle_steps(model, basis, 40, rng, grouse.bounds._gram_similarity)
+    assert len(values) == 40 and calls == []
+
+
 _EDGE_MODES = {
     "greedy": {"mode": StepMode.GREEDY_NOISELESS},
     "practical": {"mode": StepMode.PRACTICAL_NOISY, "sigma_sq": 1e-3},

@@ -30,12 +30,12 @@ def test_standard_error_has_one_owner():
 
 
 def test_similarity_formula_has_one_owner():
-    """The product of squared cosines is written once, in ``subspaces._similarity``."""
+    """The squared determinant of the Gram is written once, in ``subspaces._similarity``."""
     from grouse.subspaces import _similarity
 
     package = Path(grouse.__file__).parent
     hits = [(path.name, line) for path in sorted(package.glob("*.py"))
-            for line in path.read_text(encoding="utf-8").splitlines() if "np.prod(cosines * cosines" in line]
+            for line in path.read_text(encoding="utf-8").splitlines() if "_squares(np.linalg.det(" in line]
     assert len(hits) == 1, hits
     assert hits[0][1].strip() in inspect.getsource(_similarity)
 

@@ -225,7 +225,7 @@ def _reference_metric(t, U, ubar):
     gram = ubar.T @ U
     cosines = np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0)
     epsilon = max(U.shape[1] - float(np.linalg.norm(gram)) ** 2, 0.0)
-    return MetricSample(t=t, zeta=float(np.prod(np.square(cosines))), epsilon=epsilon, cos_angles=cosines)
+    return MetricSample(t=t, zeta=min(float(np.linalg.det(gram)) ** 2, 1.0), epsilon=epsilon, cos_angles=cosines)
 
 
 def _reference_trial(cfg, trial_id, initial_basis=None):

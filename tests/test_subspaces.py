@@ -355,7 +355,7 @@ def test_metric_sample_equals_separate_metrics():
 
 def test_metric_owners_on_a_stack_equal_single_grams():
     """Row ``i`` of the stacked similarity and discrepancy is the one-basis metric, bit for bit."""
-    from grouse.subspaces import _cosines, _discrepancy, _similarity
+    from grouse.subspaces import _discrepancy, _similarity
 
     rng = np.random.default_rng(27)
     for n, d in ((6, 1), (30, 4), (200, 10), (299, 25)):
@@ -363,7 +363,7 @@ def test_metric_owners_on_a_stack_equal_single_grams():
         bases = [random_orthonormal(n, d, rng) for _ in range(3)]
         grams = np.stack([ubar.T @ u for u in bases])
         assert _discrepancy(grams).tolist() == [frobenius_discrepancy(u, ubar) for u in bases]
-        assert _similarity(_cosines(grams)).tolist() == [determinant_similarity(u, ubar) for u in bases]
+        assert _similarity(grams).tolist() == [determinant_similarity(u, ubar) for u in bases]
 
 
 def test_trace_expectation_identity():
