@@ -29,6 +29,7 @@ from .core import (
     StepConfig,
     StepMode,
     StepOutcome,
+    Tracker,
     compute_alpha,
     compute_theta,
     grouse_step,

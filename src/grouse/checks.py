@@ -32,6 +32,7 @@ from .bounds import (
 from .core import OracleInfo, StepConfig, StepMode, StepOutcome, grouse_step
 from .data import _sparse_density, _sparse_matrix, draw_batch, draw_sample, make_planted
 from .subspaces import (
+    _similarity,
     _typed,
     basis_with_angles,
     basis_with_similarity,
@@ -183,14 +184,14 @@ def trace_expectation_mc(rng: np.random.Generator, draws: int, d: int = 6) -> Pr
 def random_init_similarity_mc(rng: np.random.Generator, draws: int, n: int = 20, d: int = 2) -> PropertyResult:
     """Mean initial similarity of random bases equals the exact value 1/binom(n, d)."""
     ubar = random_orthonormal(n, d, rng)
-    dets = np.empty(draws)
+    zetas = np.empty(draws)
     chunk = 10_000
     for done in range(0, draws, chunk):
         q = np.linalg.qr(rng.standard_normal((min(chunk, draws - done), n, d)))[0]
-        dets[done:done + len(q)] = np.linalg.det(np.swapaxes(q, 1, 2) @ ubar) ** 2
+        zetas[done:done + len(q)] = _similarity(np.swapaxes(q, 1, 2) @ ubar)  # Q^T Ubar: det(A^T) = det(A)
     target = expected_initial_similarity_exact(n, d)
-    return _result("random_init_similarity_mc", "metrics", _z(dets, target), 3.0,
-                   f"mean={dets.mean():.4e} exact={target:.4e}")
+    return _result("random_init_similarity_mc", "metrics", _z(zetas, target), 3.0,
+                   f"mean={zetas.mean():.4e} exact={target:.4e}")
 
 
 def reorth_agreement(rng: np.random.Generator, pairs: int) -> PropertyResult:
@@ -208,7 +209,7 @@ def reorth_agreement(rng: np.random.Generator, pairs: int) -> PropertyResult:
         n, d = u.shape
         if i % 2 == 0:
             for _ in range(99):
-                u = grouse_step(u, rng.standard_normal(n), _NO_REORTH).updated
+                u = grouse_step(u, rng.standard_normal(n), StepConfig()).updated
         else:
             singular_values = np.logspace(0, -rng.uniform(0, 4), d)
             u = (u * singular_values) @ np.linalg.qr(rng.standard_normal((d, d)))[0]
@@ -257,12 +258,9 @@ def _noiseless_case(rng: np.random.Generator, n: int = 40, d: int = 4):
     return ubar, u, v
 
 
-_NO_REORTH = StepConfig(reorth_period=None)
-
-
 def _worst_step(rng: np.random.Generator, cases: int,
                 deviation: Callable[[np.ndarray, np.ndarray, np.ndarray, StepOutcome], float | None],
-                cfg: StepConfig = _NO_REORTH, oracle: OracleInfo | None = None,
+                cfg: StepConfig = StepConfig(), oracle: OracleInfo | None = None,
                 n: int = 40, d: int = 4) -> float | None:
     """Largest ``deviation(ubar, u, v, out)`` over noise-free cases and their steps, or ``None``.
 
@@ -354,7 +352,7 @@ def step_equivariance(rng: np.random.Generator, cases: int) -> PropertyResult:
     def deviation(ubar, u, v, out):
         d = u.shape[1]
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
-        out_b = grouse_step(u @ q, v, _NO_REORTH)
+        out_b = grouse_step(u @ q, v, StepConfig())
         if out_b.skipped:
             return None
         return 1.0 - determinant_similarity(out.updated, out_b.updated)
@@ -363,7 +361,7 @@ def step_equivariance(rng: np.random.Generator, cases: int) -> PropertyResult:
 
 def alpha_one_fixed_point(rng: np.random.Generator, cases: int) -> PropertyResult:
     """With full damping the rotation angle is zero and the basis is unchanged."""
-    cfg = StepConfig(mode=StepMode.ORACLE_NOISY, sigma_sq=1.0, reorth_period=None)
+    cfg = StepConfig(mode=StepMode.ORACLE_NOISY, sigma_sq=1.0)
 
     def deviation(ubar, u, v, out):
         return max(abs(out.alpha - 1.0), abs(out.theta), float(np.max(np.abs(out.updated - u))))
@@ -394,7 +392,7 @@ def rotation_forms_agree(rng: np.random.Generator, cases: int) -> PropertyResult
         z = rng.standard_normal(u.shape[0])
         z -= u @ (u.T @ z)
         x = u @ (u.T @ v) + 1e-9 * z / np.linalg.norm(z)  # residual 1e-9 of a projection near 1: theta near 1e-9
-        out = grouse_step(u, x, _NO_REORTH)
+        out = grouse_step(u, x, StepConfig())
         if not out.skipped:
             orth = float(np.max(np.abs(out.updated.T @ out.updated - np.eye(u.shape[1]))))
             worst_orth, evaluated = max(worst_orth, orth), evaluated + 1

@@ -32,13 +32,14 @@ from enum import Enum
 
 import numpy as np
 
-from .subspaces import _column_major, _own_fields, _squares, reorthonormalize
+from .subspaces import _column_major, _own_fields, _squares, check_orthonormal, reorthonormalize
 
 __all__ = [
     "OracleInfo",
     "StepConfig",
     "StepMode",
     "StepOutcome",
+    "Tracker",
     "compute_alpha",
     "compute_theta",
     "grouse_step",
@@ -64,9 +65,9 @@ class StepConfig:
     ``sigma_sq`` is the known upper bound on the noise-to-signal energy
     ratio; ``c`` the positive constant scaling the practical schedule.
     Steps whose coefficient, projection, or residual norm falls at or
-    below ``_SKIP_NORM_TOL`` are skipped.  ``_step``, given a caller's count
-    of non-skipped steps, re-orthonormalizes every ``reorth_period``-th
-    non-skipped step (``None`` disables periodic correction).
+    below ``_SKIP_NORM_TOL`` are skipped.  A ``Tracker`` re-orthonormalizes
+    every ``reorth_period``-th non-skipped step of its stream (``None``
+    disables periodic correction); one ``grouse_step`` never does.
     """
 
     mode: StepMode = StepMode.GREEDY_NOISELESS
@@ -285,13 +286,17 @@ def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None, no
     return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped
 
 
-def grouse_step(
-    U: np.ndarray,
-    x: np.ndarray,
-    cfg: StepConfig,
-    oracle: OracleInfo | None = None,
-    nonskipped_steps: int | None = None,
-) -> StepOutcome:
+def _outcome(U: np.ndarray, x: np.ndarray, cfg: StepConfig, oracle: OracleInfo | None, nonskipped) -> StepOutcome:
+    """``grouse_step`` of ``U`` and ``x``, passing ``nonskipped`` (``None`` or a count) on to ``_step``."""
+    U = np.asarray(U, dtype=float)
+    basis, x = _checked(U, x)
+    energy = None if oracle is None else oracle.v_perp_norm_sq
+    w, p, r, _, _, alpha, theta, updated, skipped = _step(basis, x, cfg, energy, nonskipped)
+    return StepOutcome(w=w, p=p, r=r, alpha=float(alpha), theta=float(theta),
+                       updated=U if skipped else updated, skipped=bool(skipped))
+
+
+def grouse_step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, oracle: OracleInfo | None = None) -> StepOutcome:
     """Run one full update of the basis ``U`` with observation ``x``.
 
     Degenerate observations -- ``x`` (numerically) inside ``span(U)`` or
@@ -301,14 +306,30 @@ def grouse_step(
     another layout), so its bits do not depend on the caller's layout, and
     the updated basis is column-major.
 
-    ``nonskipped_steps`` is the caller's count of previously completed
-    non-skipped steps; when given, ``_step`` re-orthonormalizes every
-    ``cfg.reorth_period``-th non-skipped step before it is returned.  The
-    function itself keeps no state.
+    The function keeps no state, so it never re-orthonormalizes, whatever
+    ``cfg.reorth_period``: a ``Tracker`` counts a stream's steps and does.
     """
-    U = np.asarray(U, dtype=float)
-    basis, x = _checked(U, x)
-    energy = None if oracle is None else oracle.v_perp_norm_sq
-    w, p, r, _, _, alpha, theta, updated, skipped = _step(basis, x, cfg, energy, nonskipped_steps)
-    return StepOutcome(w=w, p=p, r=r, alpha=float(alpha), theta=float(theta),
-                       updated=U if skipped else updated, skipped=bool(skipped))
+    return _outcome(U, x, cfg, oracle, None)
+
+
+class Tracker:
+    """One stream's estimate: its ``basis`` and counts of ``steps`` taken and of ``skipped_steps`` among them.
+
+    The start basis must be an orthonormal (n, d) basis with 0 < d < n
+    (``check_orthonormal``); it is kept column-major.  ``update(x)`` is
+    ``grouse_step`` on the current basis, and it re-orthonormalizes every
+    ``cfg.reorth_period``-th non-skipped step, by ``_step``'s rule.
+    """
+
+    def __init__(self, basis: np.ndarray, cfg: StepConfig = StepConfig()) -> None:
+        self.basis = _column_major(check_orthonormal(basis))
+        self.cfg = cfg
+        self.steps = self.skipped_steps = 0
+
+    def update(self, x: np.ndarray, oracle: OracleInfo | None = None) -> StepOutcome:
+        """Step the basis with observation ``x``; an invalid ``x`` raises ``grouse_step``'s error and counts no step."""
+        out = _outcome(self.basis, x, self.cfg, oracle, self.steps - self.skipped_steps)
+        self.basis = out.updated
+        self.steps += 1
+        self.skipped_steps += out.skipped
+        return out

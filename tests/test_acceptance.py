@@ -18,7 +18,7 @@ from grouse.bounds import (
     mc_eps_rate_check,
     mc_zeta_rate_check,
 )
-from grouse.core import StepConfig, StepMode, grouse_step
+from grouse.core import StepConfig, StepMode, Tracker
 from grouse.data import make_planted, draw_sample
 from grouse.harness import ExperimentConfig, run_sweep
 from grouse.subspaces import (
@@ -48,21 +48,18 @@ def test_criterion_01_noiseless_monotonicity_identities():
     for trial in range(trajectories):
         rng = np.random.default_rng(np.random.SeedSequence(1001, spawn_key=(trial,)))
         model = make_planted(n, d, 0.0, sparse=True, rng=rng)
-        basis = random_orthonormal(n, d, rng)
-        zeta_now = determinant_similarity(basis, model.ubar)
-        eps_now = frobenius_discrepancy(basis, model.ubar)
-        nonskipped = 0
+        tracker = Tracker(random_orthonormal(n, d, rng), cfg)
+        zeta_now = determinant_similarity(tracker.basis, model.ubar)
+        eps_now = frobenius_discrepancy(tracker.basis, model.ubar)
         for _ in range(steps):
             sample = draw_sample(model, rng)
-            v_par = basis @ (basis.T @ sample.v)
+            v_par = tracker.basis @ (tracker.basis.T @ sample.v)
             v_perp = sample.v - v_par
-            out = grouse_step(basis, sample.x, cfg, nonskipped_steps=nonskipped)
-            basis = out.updated
+            out = tracker.update(sample.x)
             if out.skipped:
                 continue
-            nonskipped += 1
-            zeta_next = determinant_similarity(basis, model.ubar)
-            eps_next = frobenius_discrepancy(basis, model.ubar)
+            zeta_next = determinant_similarity(out.updated, model.ubar)
+            eps_next = frobenius_discrepancy(out.updated, model.ubar)
             ratio_predicted = 1.0 + float(v_perp @ v_perp) / float(v_par @ v_par)
             worst_rel = max(worst_rel, abs(zeta_next / zeta_now / ratio_predicted - 1.0))
             proj = model.ubar @ (model.ubar.T @ v_par)
@@ -277,17 +274,11 @@ def test_criterion_09_numerical_hygiene():
     n, d, steps = 1000, 10, 100_000
     rng = np.random.default_rng(909)
     model = make_planted(n, d, 0.0, sparse=True, rng=rng)
-    basis = random_orthonormal(n, d, rng)
-    cfg = StepConfig()  # default re-orthonormalization period of 100
+    tracker = Tracker(random_orthonormal(n, d, rng))  # default re-orthonormalization period of 100
     eye = np.eye(d)
     worst = 0.0
-    nonskipped = 0
     for _ in range(steps):
-        sample = draw_sample(model, rng)
-        out = grouse_step(basis, sample.x, cfg, nonskipped_steps=nonskipped)
-        basis = out.updated
-        if not out.skipped:
-            nonskipped += 1
+        basis = tracker.update(draw_sample(model, rng).x).updated
         worst = max(worst, float(np.max(np.abs(basis.T @ basis - eye))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9
@@ -296,7 +287,7 @@ def test_criterion_09_numerical_hygiene():
         "numerical-hygiene-long-run",
         ok,
         f"max orthonormality drift {worst:.2e} over {steps} steps "
-        f"(tol 1e-9, {nonskipped} non-skipped); {elapsed:.1f}s",
+        f"(tol 1e-9, {tracker.steps - tracker.skipped_steps} non-skipped); {elapsed:.1f}s",
     )
 
 

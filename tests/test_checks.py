@@ -81,7 +81,7 @@ def test_report_failure_accounting():
 
 def test_property_without_evaluated_case_fails(monkeypatch):
     """Negative control: a step property whose every step is skipped checked nothing."""
-    def skipped_step(U, x, cfg, oracle=None, nonskipped_steps=0):
+    def skipped_step(U, x, cfg, oracle=None):
         zero = np.zeros(U.shape[1])
         return StepOutcome(w=zero, p=x * 0, r=x * 0, alpha=0.0, theta=0.0, updated=U, skipped=True)
 

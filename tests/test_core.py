@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from grouse.core import (
     OracleInfo,
     StepConfig,
     StepMode,
+    StepOutcome,
+    Tracker,
     compute_alpha,
     compute_theta,
     grouse_step,
     project,
     rotate_update,
 )
+from grouse.data import draw_sample, make_planted
 from grouse.subspaces import determinant_similarity, frobenius_discrepancy, random_orthonormal
 
 GREEDY = StepConfig(reorth_period=None)
@@ -314,25 +319,29 @@ def test_periodic_reorthonormalization_trigger():
     cfg = StepConfig(reorth_period=5)
     ubar, u, v = noiseless_case(rng)
     # counts 0..3 leave the raw rank-one update; count 4 (the 5th step) re-orthonormalizes
-    out_raw = grouse_step(u, v, cfg, nonskipped_steps=3)
-    out_reorth = grouse_step(u, v, cfg, nonskipped_steps=4)
-    assert determinant_similarity(out_raw.updated, out_reorth.updated) == pytest.approx(
+    raw = core._step(u, v, cfg, None, 3)[-2]
+    reorth = core._step(u, v, cfg, None, 4)[-2]
+    assert determinant_similarity(raw, reorth) == pytest.approx(
         1.0, abs=1e-12
     )
-    drift_raw = np.max(np.abs(out_raw.updated.T @ out_raw.updated - np.eye(4)))
-    drift_reorth = np.max(np.abs(out_reorth.updated.T @ out_reorth.updated - np.eye(4)))
+    drift_raw = np.max(np.abs(raw.T @ raw - np.eye(4)))
+    drift_reorth = np.max(np.abs(reorth.T @ reorth - np.eye(4)))
     assert drift_reorth <= drift_raw + 1e-15
     assert drift_reorth <= 1e-14
 
 
-@pytest.mark.parametrize("nonskipped_steps", [None, 99])
+@pytest.mark.parametrize("nonskipped", [None, 99])
 @pytest.mark.parametrize("cfg", [
     StepConfig(),
     StepConfig(mode=StepMode.PRACTICAL_NOISY, sigma_sq=1e-2),
     StepConfig(mode=StepMode.ORACLE_NOISY, sigma_sq=1e-2),
 ])
-def test_step_bits_do_not_depend_on_basis_layout(cfg, nonskipped_steps):
-    """A C-order basis and its column-major copy give identical bits, with and without a re-orthonormalization."""
+def test_step_bits_do_not_depend_on_basis_layout(cfg, nonskipped):
+    """A C-order basis and its column-major copy give identical bits, with and without a re-orthonormalization.
+
+    ``None`` steps by ``grouse_step``; 99 by ``core._outcome``, the step ``Tracker.update`` takes, as a tracker's
+    100th non-skipped step, which re-orthonormalizes.
+    """
     rng = np.random.default_rng(14)
     u = random_orthonormal(70, 5, rng)
     c_order = np.ascontiguousarray(u)
@@ -340,13 +349,77 @@ def test_step_bits_do_not_depend_on_basis_layout(cfg, nonskipped_steps):
     oracle = OracleInfo(v_perp_norm_sq=0.5)
     for _ in range(5):
         x = rng.standard_normal(70)
-        a = grouse_step(c_order, x, cfg, oracle=oracle, nonskipped_steps=nonskipped_steps)
-        b = grouse_step(u, x, cfg, oracle=oracle, nonskipped_steps=nonskipped_steps)
+        if nonskipped is None:
+            a, b = (grouse_step(basis, x, cfg, oracle=oracle) for basis in (c_order, u))
+        else:
+            a, b = (core._outcome(basis, x, cfg, oracle, nonskipped) for basis in (c_order, u))
         for got, want in ((a.w, b.w), (a.p, b.p), (a.r, b.r), (a.updated, b.updated)):
             assert np.array_equal(got, want)
         assert (a.alpha, a.theta, a.skipped) == (b.alpha, b.theta, b.skipped)
         assert a.updated.flags.f_contiguous and b.updated.flags.f_contiguous
         u, c_order = b.updated, np.ascontiguousarray(b.updated)
+
+
+def test_tracker_without_reorth_equals_a_grouse_step_loop():
+    """With ``reorth_period=None`` a ``Tracker``'s updates and basis are a ``grouse_step`` loop's, bit for bit."""
+    cfg = StepConfig(mode=StepMode.PRACTICAL_NOISY, sigma_sq=1e-3, reorth_period=None)
+    rng = np.random.default_rng(44)
+    model = make_planted(60, 4, 1e-3, sparse=True, rng=rng)
+    basis = random_orthonormal(60, 4, rng)
+    tracker, skipped = Tracker(basis, cfg), 0
+    for _ in range(200):
+        x = draw_sample(model, rng).x
+        got, want = tracker.update(x), grouse_step(basis, x, cfg)
+        for field in dataclasses.fields(StepOutcome):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+        basis, skipped = want.updated, skipped + want.skipped
+        assert np.array_equal(tracker.basis, basis)
+    assert (tracker.steps, tracker.skipped_steps) == (200, skipped)
+
+
+def test_tracker_counts_only_non_skipped_steps_for_reorth():
+    """With ``reorth_period=2`` the steps x1, an in-span x, x2 re-orthonormalize at x2 only, the 2nd non-skipped step.
+
+    A tracker that counted the skipped step would leave x2's update raw.
+    """
+    cfg = StepConfig(reorth_period=2)
+    rng = np.random.default_rng(45)
+    _, start, x1 = noiseless_case(rng)
+    x2 = rng.standard_normal(40)
+    tracker = Tracker(start, cfg)
+    first = tracker.update(x1)
+    assert np.array_equal(first.updated, core._step(start, x1, cfg, None, 0)[-2])
+    assert np.array_equal(first.updated, core._step(start, x1, cfg)[-2])
+    in_span = tracker.update(first.updated @ rng.standard_normal(4))
+    assert in_span.skipped and in_span.updated is first.updated
+    last = tracker.update(x2)
+    assert np.array_equal(last.updated, core._step(first.updated, x2, cfg, None, 1)[-2])
+    assert not np.array_equal(last.updated, core._step(first.updated, x2, cfg)[-2])
+    assert tracker.basis is last.updated
+    assert (tracker.steps, tracker.skipped_steps) == (3, 1)
+
+
+def test_tracker_rejects_bad_input():
+    """A bad start basis raises ``ValueError`` in the constructor.
+
+    A bad ``x`` raises ``grouse_step``'s error and leaves the basis and the counts as they were.
+    """
+    rng = np.random.default_rng(46)
+    u = random_orthonormal(20, 3, rng)
+    not_finite = u.copy()
+    not_finite[0, 0] = np.nan
+    for bad in (2.0 * u, not_finite, u[:, 0], u.T, np.eye(3)):
+        with pytest.raises(ValueError):
+            Tracker(bad)
+    tracker = Tracker(u)
+    tracker.update(rng.standard_normal(20))
+    basis = tracker.basis
+    for x in (np.full(20, np.nan), rng.standard_normal(21)):
+        with pytest.raises(ValueError) as expected:
+            grouse_step(basis, x, tracker.cfg)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            tracker.update(x)
+        assert (tracker.steps, tracker.skipped_steps) == (1, 0) and tracker.basis is basis
 
 
 def test_rotate_update_rejects_degenerate_directions():

@@ -289,9 +289,9 @@ def test_streamed_csv_memory_does_not_grow_with_the_horizon(tmp_path):
 
 
 def test_run_single_without_out_path_builds_no_rows(monkeypatch):
-    """Without an ``out_path`` the trial builds no row and takes the similarity's SVD only until K1 and at its end.
+    """Without an ``out_path`` the trial builds no row and takes no SVD: its similarity is one LU determinant.
 
-    Its result is ``run_trajectory``'s.
+    Its result is ``run_trajectory``'s, which builds a row, with its cosines, at every recorded step.
     """
     grams, built = [], []
     cosines, row_type = grouse.harness._cosines, grouse.harness.TrajectoryRow
@@ -300,7 +300,7 @@ def test_run_single_without_out_path_builds_no_rows(monkeypatch):
     cfg = ExperimentConfig(n=150, d=4, sigma_sq=1e-3, seed=1, max_iters=500, mode=StepMode.PRACTICAL_NOISY)
     result = run_single(cfg)
     assert result.phase.k1 is not None and result.iters_run == 500
-    assert built == [] and sum(grams) <= result.phase.k1 // cfg.resolved_record_every() + 2
+    assert built == [] and grams == []
     assert result == run_trajectory(cfg)[0]
     assert len(built) == 501
 
@@ -446,20 +446,19 @@ def test_rows_are_kept_for_one_trial_only():
         next(grouse.harness._run_stack(cfg, [0, 1], None, row=[].append))
 
 
-def test_sweep_takes_similarity_svd_only_until_k1(monkeypatch):
-    """A sweep takes the SVD behind a trial's similarity only up to its K1 and at its last step.
+def test_sweep_takes_no_svd_and_trajectories_record_cosines(monkeypatch):
+    """A sweep takes no SVD: each trial's similarity is one LU determinant of its Gram.
 
-    A trajectory still records the cosines of every row.
+    A trajectory still records the cosines of every row, one SVD each.
     """
     grams = []
     cosines = grouse.harness._cosines
     monkeypatch.setattr(grouse.harness, "_cosines", lambda gram: grams.append(len(gram)) or cosines(gram))
     cfg = ExperimentConfig(n=150, d=4, sigma_sq=1e-3, seed=1, trials=4, max_iters=500,
                            mode=StepMode.PRACTICAL_NOISY)
-    every = cfg.resolved_record_every()
     results = run_sweep([cfg])[0].results
     assert len(results) == 4 and all(r.phase.k1 is not None and r.iters_run == 500 for r in results)
-    assert sum(grams) <= sum(r.phase.k1 // every + 2 for r in results)
+    assert grams == []
     grams.clear()
     for trial_id in range(cfg.trials):
         _, rows = run_trajectory(cfg, trial_id)

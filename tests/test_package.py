@@ -30,7 +30,11 @@ def test_standard_error_has_one_owner():
 
 
 def test_similarity_formula_has_one_owner():
-    """The squared determinant of the Gram is written once, in ``subspaces._similarity``."""
+    """The squared determinant of the Gram is written once, in ``subspaces._similarity``.
+
+    The package's one other determinant is the unsquared ``det(M M^T)`` that ``zeta_determinant_agreement`` checks
+    ``_similarity`` against.
+    """
     from grouse.subspaces import _similarity
 
     package = Path(grouse.__file__).parent
@@ -38,6 +42,10 @@ def test_similarity_formula_has_one_owner():
             for line in path.read_text(encoding="utf-8").splitlines() if "_squares(np.linalg.det(" in line]
     assert len(hits) == 1, hits
     assert hits[0][1].strip() in inspect.getsource(_similarity)
+    dets = [(path.name, line.strip()) for path in sorted(package.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines() if "linalg.det(" in line]
+    reference = ("checks.py", "z_det = float(np.linalg.det(m @ m.T))")
+    assert dets == [reference, ("subspaces.py", hits[0][1].strip())], dets
 
 
 def test_phase_rule_has_one_owner():
@@ -99,10 +107,12 @@ def test_field_types_have_one_owner():
 def test_reorth_rule_has_one_owner():
     """Whether a step re-orthonormalizes, and what a skipped row reports, is decided once, in ``core._step``.
 
-    The harness binds no ``reorthonormalize`` and zeroes no skipped row's angles.
+    The harness binds no ``reorthonormalize`` and zeroes no skipped row's angles.  In ``grouse.core`` only the
+    helper ``_outcome`` calls ``_step``, and ``grouse_step`` and ``Tracker.update`` both step through it.
     """
+    import grouse.core
     import grouse.harness
-    from grouse.core import _step
+    from grouse.core import Tracker, _outcome, _step, grouse_step
 
     package = Path(grouse.__file__).parent
     hits = [(path.name, line) for path in sorted(package.glob("*.py"))
@@ -111,6 +121,20 @@ def test_reorth_rule_has_one_owner():
     assert hits[0][1].strip() in inspect.getsource(_step)
     assert "reorthonormalize" not in vars(grouse.harness)
     assert "np.where(skipped" not in inspect.getsource(grouse.harness)
+    calls = re.compile(r"(?<!def )\b_step\(")
+    assert len(calls.findall(inspect.getsource(grouse.core))) == 1 and calls.search(inspect.getsource(_outcome))
+    assert all("_outcome(" in inspect.getsource(caller) for caller in (grouse_step, Tracker.update))
+
+
+def test_no_caller_counts_steps():
+    """The count of non-skipped steps that re-orthonormalization needs is kept by ``Tracker``, never by a caller.
+
+    ``grouse_step`` takes no count, and ``nonskipped_steps`` appears nowhere in the package, the README or the demos.
+    """
+    root = Path(__file__).resolve().parents[1]
+    paths = [*sorted((root / "src").rglob("*.py")), root / "README.md", *sorted((root / "demos").glob("*.py"))]
+    assert [path.name for path in paths if "nonskipped_steps" in path.read_text(encoding="utf-8")] == []
+    assert list(inspect.signature(grouse.grouse_step).parameters) == ["U", "x", "cfg", "oracle"]
 
 
 def test_basis_layout_has_one_owner():

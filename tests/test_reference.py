@@ -16,7 +16,7 @@ import pytest
 import grouse.harness
 from grouse import core
 from grouse.bounds import detect_phases
-from grouse.core import OracleInfo, StepConfig, StepMode, grouse_step
+from grouse.core import OracleInfo, StepConfig, StepMode, Tracker, grouse_step
 from grouse.data import draw_batch, draw_sample, make_planted
 from grouse.harness import ExperimentConfig, TrialResult, derive_trial_seed, run_single, run_sweep, run_trajectory
 from grouse.subspaces import MetricSample, basis_with_angles, basis_with_similarity, random_orthonormal
@@ -123,14 +123,16 @@ def test_skipped_step_equals_reference(schedule):
 
 @pytest.mark.parametrize("schedule", sorted(_CONFIGS))
 def test_reorth_step_equals_reference(schedule):
+    """A ``Tracker``'s first three steps equal the reference given counts 0, 1 and 2: the third re-orthonormalizes."""
     cfg = StepConfig(mode=_CONFIGS[schedule].mode, sigma_sq=1e-2, reorth_period=3)
     rng = np.random.default_rng(2)
     model = make_planted(80, 4, 1e-2, sparse=True, rng=rng)
-    basis = random_orthonormal(80, 4, rng)
-    sample = draw_sample(model, rng)
-    oracle = OracleInfo.from_signal(basis, sample.v)
-    got = grouse_step(basis, sample.x, cfg, oracle=oracle, nonskipped_steps=2)
-    _assert_step_equals_reference(got, _reference_step(basis, sample.x, cfg, oracle, nonskipped_steps=2))
+    tracker = Tracker(random_orthonormal(80, 4, rng), cfg)
+    for nonskipped_steps in range(3):
+        basis, sample = tracker.basis, draw_sample(model, rng)
+        oracle = OracleInfo.from_signal(basis, sample.v)
+        got = tracker.update(sample.x, oracle)
+        _assert_step_equals_reference(got, _reference_step(basis, sample.x, cfg, oracle, nonskipped_steps))
 
 
 def test_oracle_energy_equals_reference():
