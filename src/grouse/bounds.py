@@ -22,9 +22,8 @@ import numpy as np
 
 from .core import StepConfig, StepMode, _energy_outside, _step
 from .data import PlantedModel, draw_batch
-from .subspaces import (MetricSample, _column_major, _cosines, _cross_gram, _discrepancy, _own_fields, _squares,
-                         frobenius_discrepancy)
-from .subspaces import _similarity as _gram_similarity  # determinant_similarity of each Gram Ubar^T U of a stack
+from .subspaces import (MetricSample, _column_major, _cosines, _cross_gram, _discrepancy, _own_fields, _similarity,
+                         _squares, frobenius_discrepancy)
 
 __all__ = [
     "BoundParams",
@@ -269,7 +268,7 @@ def _oracle_steps(
     Returns per-draw arrays of the metric of the next iterate and of the
     realized gain term ``(1 - alpha)^2 ||r||^2 / ||p||^2``.  ``gram_metric``
     maps a stack of Gram matrices ``Ubar^T U`` to their metrics:
-    ``_gram_similarity`` or ``subspaces._discrepancy``.
+    ``subspaces._similarity`` or ``subspaces._discrepancy``.
 
     The draws run in stacks through ``draw_batch`` and ``core._step`` (the
     step ``grouse_step`` runs on one row), and every value is bit-identical
@@ -287,8 +286,10 @@ def _oracle_steps(
     for start in range(0, n_draws, chunk):
         stop = min(start + chunk, n_draws)
         batch = draw_batch(model, stop - start, rng)
-        _, _, _, p_sq, r_sq, alpha, _, updated, skipped = _step(
+        _, _, _, p_sq, r_sq, alpha, _, updated, skipped, failed = _step(
             basis, batch.x, cfg, _energy_outside(basis, batch.v))
+        if failed.any():
+            raise ValueError("update produced non-finite entries")
         values[start:stop] = gram_metric(np.matmul(model.ubar.T, updated))
         del updated  # the next stack's update is built without this one held
         gains[start:stop] = np.divide(_squares(1.0 - alpha) * r_sq, p_sq,
@@ -309,7 +310,7 @@ def _resolved_zeta(basis: np.ndarray, ubar: np.ndarray) -> float:
     if smallest <= floor:
         raise ValueError(f"iterate is unresolved: smallest principal-angle cosine "
                          f"{smallest:.3e} <= n * eps = {floor:.3e}")
-    return float(_gram_similarity(gram))
+    return float(_similarity(gram))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -344,7 +345,7 @@ def mc_zeta_rate_check(
     at most ``n * eps``, where the current similarity is rounding.
     """
     bound = expected_zeta_rate_bound(_resolved_zeta(basis, model.ubar), params)
-    zetas, _ = _oracle_steps(model, basis, n_draws, rng, _gram_similarity)
+    zetas, _ = _oracle_steps(model, basis, n_draws, rng, _similarity)
     return _rate_check(*_mean_se(zetas), bound, n_draws, above=True)
 
 
@@ -378,7 +379,7 @@ def mc_zeta_ratio_check(
     at most ``n * eps``, where the current similarity is rounding.
     """
     zeta_now = _resolved_zeta(basis, model.ubar)
-    zetas, gains = _oracle_steps(model, basis, n_draws, rng, _gram_similarity)
+    zetas, gains = _oracle_steps(model, basis, n_draws, rng, _similarity)
     ratios = zetas / zeta_now
     se = math.sqrt(ratios.var(ddof=1) / n_draws + gains.var(ddof=1) / n_draws)
     return _rate_check(float(ratios.mean()), se, 1.0 + float(gains.mean()), n_draws, above=True)

@@ -27,12 +27,12 @@ noise level, the oracle schedule uses the true out-of-span signal energy
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .subspaces import _column_major, _own_fields, _squares, check_orthonormal, reorthonormalize
+from .subspaces import _column_major, _own_fields, _real, _squares, check_orthonormal, reorthonormalize
 
 __all__ = [
     "OracleInfo",
@@ -66,8 +66,8 @@ class StepConfig:
     ratio; ``c`` the positive constant scaling the practical schedule.
     Steps whose coefficient, projection, or residual norm falls at or
     below ``_SKIP_NORM_TOL`` are skipped.  A ``Tracker`` re-orthonormalizes
-    every ``reorth_period``-th non-skipped step of its stream (``None``
-    disables periodic correction); one ``grouse_step`` never does.
+    every ``reorth_period``-th non-skipped step of each stream it holds
+    (``None`` disables periodic correction); ``grouse_step`` never does.
     """
 
     mode: StepMode = StepMode.GREEDY_NOISELESS
@@ -127,8 +127,8 @@ class StepOutcome:
 
 def _checked(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``U`` column-major and ``x`` as float arrays; raises unless they are an (n, d) basis and a finite (n,) vector."""
-    U = _column_major(U)
-    x = np.asarray(x, dtype=float)
+    U = _column_major(_real("U", U))
+    x = _real("x", x)
     if x.ndim != 1 or U.ndim != 2 or x.shape[0] != U.shape[0]:
         raise ValueError(f"incompatible shapes: basis {U.shape}, vector {x.shape}")
     if not np.isfinite(x).all():
@@ -237,30 +237,29 @@ def rotate_update(
     w_norm, p_norm, r_norm = (np.linalg.norm(a) for a in (w, p, r))
     if min(w_norm, p_norm, r_norm) <= 0:
         raise ValueError("rank-one update is undefined for zero coefficient, projection, or residual")
-    return _rotate(np.asarray(U, dtype=float), w / w_norm, p / p_norm, r / r_norm, theta)
+    return _rotate(_real("U", U), w / w_norm, p / p_norm, r / r_norm, theta)
 
 
-def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None, nonskipped=None) -> tuple:
+def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None) -> tuple:
     """The step over the leading axes of ``x``: one observation ``(n,)`` or a stack ``(b, n)``.
 
     ``U`` is one basis ``(n, d)`` shared by every row, or one basis per row
     ``(b, n, d)`` (the lock-step trials of a sweep), column-major
     (``subspaces._column_major``) as the updated bases are.  ``v_perp_norm_sq``
-    holds the oracle energy of each row, ``nonskipped`` its count of earlier
-    non-skipped steps: only here is a row re-orthonormalized, when this step
-    brings its count to a multiple of ``cfg.reorth_period``.  Returns ``w``,
-    ``p``, ``r``, the squared norms of ``p`` and ``r``, ``alpha``, ``theta``,
-    the updated bases and the skipped flags.  A skipped row's basis is its
-    input basis and its ``alpha`` and ``theta`` are 0.0 (``U`` itself is the
-    update when every row is skipped).  Each row gets the bits it gets
-    alone.  Raises ``ValueError`` on a non-finite update.
+    holds the oracle energy of each row.  Returns ``w``, ``p``, ``r``, the
+    squared norms of ``p`` and ``r``, ``alpha``, ``theta``, the updated bases
+    and the skipped and failed flags.  A skipped row's basis is its input
+    basis and its ``alpha`` and ``theta`` are 0.0 (``U`` itself is the
+    update when every row is skipped); a failed row's holds a non-finite
+    entry.  Each row gets the bits it gets alone.  The step keeps no state
+    and never raises for a row: a ``Tracker`` re-orthonormalizes.
     """
     w, p, r = _project(U, x)
     p_sq, r_sq = np.vecdot(p, p), np.vecdot(r, r)
     w_norm, p_norm, r_norm = np.sqrt(np.vecdot(w, w)), np.sqrt(p_sq), np.sqrt(r_sq)
     skipped = (w_norm <= _SKIP_NORM_TOL) | (p_norm <= _SKIP_NORM_TOL) | (r_norm <= _SKIP_NORM_TOL)
     if skipped.all():
-        return w, p, r, p_sq, r_sq, 0.0, 0.0, U, skipped
+        return w, p, r, p_sq, r_sq, 0.0, 0.0, U, skipped, np.zeros_like(skipped)
     # a skipped row of a stack divides by its norms plus 1, so it raises no division warning
     w_norm, p_norm, r_norm = w_norm + skipped, p_norm + skipped, r_norm + skipped
     alpha = 0.0
@@ -272,28 +271,11 @@ def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None, no
     if skipped.any():
         np.copyto(updated, U, where=skipped[..., None, None])
         alpha, theta = np.where(skipped, 0.0, alpha), np.where(skipped, 0.0, theta)
-    # U' - U is w_hat times a direction made of theta, p_hat and r_hat, so U' is finite iff all four are (a non-finite
-    # x or U makes w_hat NaN).  Their entries are at most 1 and theta < 2, so their one sum is finite iff they are:
-    # O(n + d) per row, where a test of U' is O(nd)
-    if not np.isfinite(sum(np.add.reduce(a, axis=None) for a in (theta, *factors))):
-        raise ValueError("update produced non-finite entries")
-    if nonskipped is not None and cfg.reorth_period is not None:
-        due = ~skipped & (nonskipped % cfg.reorth_period == cfg.reorth_period - 1)
-        if due.any():
-            stack = updated[None] if updated.ndim == 2 else updated  # a view with one basis per row
-            for i in np.flatnonzero(due):
-                stack[i] = reorthonormalize(stack[i])
-    return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped
-
-
-def _outcome(U: np.ndarray, x: np.ndarray, cfg: StepConfig, oracle: OracleInfo | None, nonskipped) -> StepOutcome:
-    """``grouse_step`` of ``U`` and ``x``, passing ``nonskipped`` (``None`` or a count) on to ``_step``."""
-    U = np.asarray(U, dtype=float)
-    basis, x = _checked(U, x)
-    energy = None if oracle is None else oracle.v_perp_norm_sq
-    w, p, r, _, _, alpha, theta, updated, skipped = _step(basis, x, cfg, energy, nonskipped)
-    return StepOutcome(w=w, p=p, r=r, alpha=float(alpha), theta=float(theta),
-                       updated=U if skipped else updated, skipped=bool(skipped))
+    # U' - U is w_hat times a direction made of theta, p_hat and r_hat, so a row of U' is finite iff its four are (a
+    # non-finite x or U makes w_hat NaN).  Their entries are at most 1 and theta < 2, so a row's one sum of them is
+    # finite iff they are: O(n + d) per row, where a test of U' is O(nd)
+    failed = ~np.isfinite(theta + sum(np.add.reduce(a, axis=-1) for a in factors))
+    return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped, failed
 
 
 def grouse_step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, oracle: OracleInfo | None = None) -> StepOutcome:
@@ -304,32 +286,74 @@ def grouse_step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, oracle: OracleInf
     step is skipped and ``U`` is returned unchanged with ``skipped=True``.
     Otherwise the step runs on ``U`` column-major (a copy when ``U`` has
     another layout), so its bits do not depend on the caller's layout, and
-    the updated basis is column-major.
+    the updated basis is column-major.  Raises ``ValueError`` on a bad
+    argument or a non-finite update.
 
     The function keeps no state, so it never re-orthonormalizes, whatever
     ``cfg.reorth_period``: a ``Tracker`` counts a stream's steps and does.
     """
-    return _outcome(U, x, cfg, oracle, None)
+    if not isinstance(cfg, StepConfig):
+        raise ValueError(f"cfg must be a StepConfig, got {cfg!r}")
+    if oracle is not None and not isinstance(oracle, OracleInfo):
+        raise ValueError(f"oracle must be an OracleInfo or None, got {oracle!r}")
+    U = _real("U", U)
+    basis, x = _checked(U, x)
+    energy = None if oracle is None else oracle.v_perp_norm_sq
+    w, p, r, _, _, alpha, theta, updated, skipped, failed = _step(basis, x, cfg, energy)
+    if failed:
+        raise ValueError("update produced non-finite entries")
+    return StepOutcome(w=w, p=p, r=r, alpha=float(alpha), theta=float(theta),
+                       updated=U if skipped else updated, skipped=bool(skipped))
 
 
 class Tracker:
-    """One stream's estimate: its ``basis`` and counts of ``steps`` taken and of ``skipped_steps`` among them.
+    """One stream's estimate, or a stack of lock-step streams: ``basis``, ``steps`` taken, ``skipped_steps`` among them.
 
     The start basis must be an orthonormal (n, d) basis with 0 < d < n
-    (``check_orthonormal``); it is kept column-major.  ``update(x)`` is
+    (``check_orthonormal``), or a (b, n, d) stack of them with one count of
+    skipped steps per row; it is kept column-major.  ``update(x)`` is
     ``grouse_step`` on the current basis, and it re-orthonormalizes every
-    ``cfg.reorth_period``-th non-skipped step, by ``_step``'s rule.
+    ``cfg.reorth_period``-th non-skipped step, as the stacked update does.
     """
 
     def __init__(self, basis: np.ndarray, cfg: StepConfig = StepConfig()) -> None:
-        self.basis = _column_major(check_orthonormal(basis))
+        if not isinstance(cfg, StepConfig):
+            raise ValueError(f"cfg must be a StepConfig, got {cfg!r}")
+        stacked = np.ndim(basis) == 3  # one basis and one count of skipped steps per row
+        for u in basis if stacked else [basis]:
+            check_orthonormal(u)
+        self.basis = _column_major(basis)
         self.cfg = cfg
-        self.steps = self.skipped_steps = 0
+        self.steps, self.skipped_steps = 0, np.zeros(len(basis), dtype=int) if stacked else 0
+
+    def _due(self):
+        """Whether each stream's next non-skipped step is its ``cfg.reorth_period``-th: one flag, or one per row."""
+        reorth_period = self.cfg.reorth_period
+        return reorth_period is not None and (self.steps - self.skipped_steps) % reorth_period == reorth_period - 1
 
     def update(self, x: np.ndarray, oracle: OracleInfo | None = None) -> StepOutcome:
         """Step the basis with observation ``x``; an invalid ``x`` raises ``grouse_step``'s error and counts no step."""
-        out = _outcome(self.basis, x, self.cfg, oracle, self.steps - self.skipped_steps)
-        self.basis = out.updated
-        self.steps += 1
-        self.skipped_steps += out.skipped
+        out = grouse_step(self.basis, x, self.cfg, oracle)
+        if not out.skipped and self._due():
+            out = replace(out, updated=reorthonormalize(out.updated))
+        self.basis, self.steps, self.skipped_steps = out.updated, self.steps + 1, self.skipped_steps + out.skipped
         return out
+
+    def _update_rows(self, x: np.ndarray, energy=None) -> tuple:
+        """``update`` of each row of a stack with its row of ``x`` and of the oracle ``energy``: the bits it gets alone.
+
+        Returns ``_step``'s values with ``{row: exception}`` for ``failed``: a
+        failed row's ``grouse_step`` error, or its re-orthonormalization's.
+        Every row advances; the caller drops the failed rows.
+        """
+        *values, updated, skipped, failed = _step(self.basis, x, self.cfg, energy)
+        errors = {}
+        for i in np.flatnonzero(failed | (~skipped & self._due())):
+            try:
+                if failed[i]:  # the row alone raises grouse_step's error: an input check's, else the update's
+                    grouse_step(self.basis[i], x[i], self.cfg, None if energy is None else OracleInfo(energy[i]))
+                updated[i] = reorthonormalize(updated[i])
+            except Exception as exc:  # the row's stream ends; the others go on
+                errors[i] = exc
+        self.basis, self.steps, self.skipped_steps = updated, self.steps + 1, self.skipped_steps + skipped
+        return *values, updated, skipped, errors

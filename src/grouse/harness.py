@@ -4,8 +4,8 @@ Every trial derives its own random stream from ``(master seed, trial_id)``
 through a counter-based ``SeedSequence`` spawn, so a trial's result depends
 only on its config and id.  The trials of a config run in the calling
 thread in lock-step: step t of every running trial is one update of a
-stack of bases through ``core._step``, and each trial gets the bits it gets
-alone, whatever the stack holds.  Trajectories are persisted as CSV with a
+stacked ``core.Tracker``, and each trial gets the bits it gets alone,
+whatever the stack holds.  Trajectories are persisted as CSV with a
 ``#``-prefixed metadata header embedding the full configuration, each row
 written as it is recorded; sweep summaries are written as CSV plus a JSON
 document carrying per-trial detail.  Every output file is opened before the
@@ -27,7 +27,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, mu0
-from .core import OracleInfo, StepConfig, StepMode, _checked, _energy_outside, _step
+from .core import StepConfig, StepMode, Tracker, _energy_outside
 from .data import PlantedModel, _draw_each, make_planted
 from .subspaces import (MetricSample, _column_major, _cosines, _discrepancy, _own_fields, _similarity, _typed,
                         check_orthonormal, random_orthonormal)
@@ -196,28 +196,17 @@ def _start_trial(
     return derived_seed, rng, model, basis
 
 
-def _step_alone(step_cfg: StepConfig, bases, x, energy, nonskipped, i: int):
-    """Trial ``i``'s ``(updated, skipped)`` by ``_step`` alone, after ``grouse_step``'s input checks, or their error."""
-    one = slice(i, i + 1)
-    try:
-        if energy is not None:
-            OracleInfo(v_perp_norm_sq=energy[i])
-        _checked(bases[i], x[i])
-        return _step(bases[one], x[one], step_cfg, None if energy is None else energy[one], nonskipped[one])[-2:]
-    except Exception as exc:  # the trial ends; the others go on
-        return exc
-
-
 def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None, row=None):
     """Run trials of ``cfg`` in one lock-step stack; yield ``(trial_id, result)`` as each ends.
 
     A trial that raises, at set-up or in a step, yields its exception for
-    the result and leaves the stack.  Each trial keeps its own generator,
-    model and phase split, and gets the bits it gets alone whatever the
-    stack holds.  At each recorded step one stacked Gram ``Ubar^T U`` gives
-    every running trial's discrepancy, which decides stopping and ``K2``,
-    and its similarity (one LU determinant, no SVD), which decides ``K1``;
-    ``bounds._PhaseRule`` advances both.  With ``row`` the stack's one trial
+    the result and leaves the stack; a step's exception is the one
+    ``grouse_step`` raises for the trial alone.  Each trial keeps its own
+    generator, model and phase split, and gets the bits it gets alone
+    whatever the stack holds.  At each recorded step one stacked Gram
+    ``Ubar^T U`` gives every running trial's discrepancy, which decides
+    stopping and ``K2``, and its similarity (one LU determinant, no SVD),
+    which decides ``K1``; ``bounds._PhaseRule`` advances both.  With ``row`` the stack's one trial
     hands each recorded iterate to it when it is recorded, as
     ``row(gram, t, zeta, epsilon, theta, alpha, p_norm_sq, r_norm_sq, skipped)``
     with the (1, d, d) Gram and Python scalars in ``TRAJECTORY_HEADER``
@@ -233,31 +222,30 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
             yield trial_id, exc
     if not trials:
         return
-    # one row per trial in each array: the stacks of column-major bases and ground truths, and the rest
+    # one row per trial in each array: the tracker's stack of bases and its counts, the column-major ground truths
     ids, seeds, rngs, models, starts = zip(*trials)
     ids, seeds, rngs = (np.array(column, dtype=object) for column in (ids, seeds, rngs))
-    bases, ubars = (_column_major(np.stack(stack)) for stack in (starts, [model.ubar for model in models]))
+    tracker = Tracker(np.stack(starts), cfg.step_config())
+    ubars = _column_major(np.stack([model.ubar for model in models]))
     normalize_signal = models[0].normalize_signal
-    del trials, models, starts  # the stacks hold the bases and ground truths from here on
-    nonskipped = np.zeros(len(ids), dtype=int)
+    del trials, models, starts  # the tracker and the stack hold the bases and ground truths from here on
     k1, k2 = np.full(len(ids), -1), np.full(len(ids), -1)  # each trial's phase split so far, -1 while unmet
 
     def leave(keep):  # the trials where keep is False end: drop them from every per-trial array
-        nonlocal ids, seeds, rngs, bases, ubars, nonskipped, k1, k2
-        ids, seeds, rngs, bases, ubars, nonskipped, k1, k2 = (
-            column[keep] for column in (ids, seeds, rngs, bases, ubars, nonskipped, k1, k2))
+        nonlocal ids, seeds, rngs, ubars, k1, k2
+        ids, seeds, rngs, ubars, k1, k2 = (column[keep] for column in (ids, seeds, rngs, ubars, k1, k2))
+        tracker.basis, tracker.skipped_steps = tracker.basis[keep], tracker.skipped_steps[keep]
 
     rule = _PhaseRule.of(cfg.bound_params(), noisy=cfg.sigma_sq > 0)
-    step_cfg = cfg.step_config()
     record_every = cfg.resolved_record_every()
     max_iters = cfg.resolved_max_iters()
     # (theta, alpha, ||p||^2, ||r||^2, skipped) of the step that reached t, as _step returns them for one trial:
     # each a one-element array or a Python scalar
     step = (0.0, 0.0, 0.0, 0.0, False)
     t, record = 0, True
-    while True:
+    while len(ids):  # a step's failures can leave the stack empty
         if record:
-            gram = np.matmul(ubars.mT, bases)
+            gram = np.matmul(ubars.mT, tracker.basis)
             eps, zeta = _discrepancy(gram), _similarity(gram)
             done = eps <= cfg.eps_star
             if t == max_iters:
@@ -269,28 +257,21 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
                 for i in np.flatnonzero(done):
                     result = TrialResult(trial_id=ids[i], derived_seed=seeds[i], phase=rule.report(k1[i], k2[i]),
                                          final_zeta=float(zeta[i]), final_eps=float(eps[i]), iters_run=t,
-                                         skipped_steps=t - int(nonskipped[i]))
+                                         skipped_steps=int(tracker.skipped_steps[i]))
                     yield ids[i], result
                 leave(~done)
                 if not len(ids):
                     return
         sample = _draw_each(ubars, cfg.sigma_sq, normalize_signal, rngs)
-        energy = _energy_outside(bases, sample.v) if cfg.mode is StepMode.ORACLE_NOISY else None
+        energy = _energy_outside(tracker.basis, sample.v) if cfg.mode is StepMode.ORACLE_NOISY else None
         t += 1
         record = t % record_every == 0 or t == max_iters
-        try:
-            _, _, _, p_sq, r_sq, alpha, theta, bases, skipped = _step(bases, sample.x, step_cfg, energy, nonskipped)
-            step = theta, alpha, p_sq, r_sq, skipped
-        except Exception:  # step the trials one at a time: a trial that raises ends alone
-            outs = [_step_alone(step_cfg, bases, sample.x, energy, nonskipped, i) for i in range(len(ids))]
-            failed = np.array([isinstance(out, Exception) for out in outs])
-            for i in np.flatnonzero(failed):
-                yield ids[i], outs[i]
-            leave(~failed)
-            if not len(ids):
-                return
-            bases, skipped = (np.concatenate(part) for part in zip(*(outs[i] for i in np.flatnonzero(~failed))))
-        nonskipped += ~skipped
+        _, _, _, p_sq, r_sq, alpha, theta, _, skipped, errors = tracker._update_rows(sample.x, energy)
+        step = theta, alpha, p_sq, r_sq, skipped
+        if errors:
+            for i, exc in errors.items():
+                yield ids[i], exc
+            leave(~np.isin(np.arange(len(ids)), list(errors)))
 
 
 def _one_trial(cfg: ExperimentConfig, trial_id: int, initial_basis: np.ndarray | None, row) -> TrialResult:

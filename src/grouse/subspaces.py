@@ -47,8 +47,8 @@ ORTHONORMALITY_TOL = 1e-10
 
 def _cross_gram(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
     """The (d, d) cross-Gram matrix ``Ubar^T U`` of two bases of identical shape."""
-    U = np.asarray(U, dtype=float)
-    Ubar = np.asarray(Ubar, dtype=float)
+    U = _real("U", U)
+    Ubar = _real("Ubar", Ubar)
     if U.ndim != 2 or Ubar.ndim != 2:
         raise ValueError("bases must be 2-D arrays")
     if U.shape != Ubar.shape:
@@ -67,6 +67,17 @@ def _column_major(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     rows = a.swapaxes(-1, -2)
     return a if rows.flags.c_contiguous else np.ascontiguousarray(rows).swapaxes(-1, -2)
+
+
+def _real(name: str, a) -> np.ndarray:
+    """``a`` as a float64 array, or a ``ValueError`` naming the argument ``name`` when ``a`` is complex.
+
+    A complex array cast to float would lose its imaginary part with only a warning.
+    """
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 def _squares(a):
@@ -141,10 +152,10 @@ def _own_fields(obj) -> None:
 def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
     """Validate that ``U`` is an (n, d) matrix with orthonormal columns, 0 < d < n.
 
-    Returns the array as float64.  Raises ``ValueError`` if the shape is
-    invalid or ``max|U^T U - I| > tol``.
+    Returns the array as float64.  Raises ``ValueError`` if it is complex,
+    its shape is invalid or ``max|U^T U - I| > tol``.
     """
-    U = np.asarray(U, dtype=float)
+    U = _real("basis", U)
     if U.ndim != 2:
         raise ValueError("basis must be a 2-D array")
     n, d = U.shape
@@ -222,9 +233,9 @@ def reorthonormalize(U: np.ndarray) -> np.ndarray:
     for n up to 2e5) and the span of ``U`` up to rounding.  Raises
     ``numpy.linalg.LinAlgError`` outside that domain or when ``U`` is
     numerically rank deficient (``min|diag L| <= n eps max|diag L|`` on the
-    first factor), and ``ValueError`` on a non-finite entry.
+    first factor), and ``ValueError`` on a complex ``U`` or a non-finite entry.
     """
-    U = np.asarray(U, dtype=float)
+    U = _real("U", U)
     if U.ndim != 2 or not 0 < U.shape[1] < U.shape[0]:
         raise ValueError(f"need an (n, d) matrix with 0 < d < n, got shape {U.shape}")
     if not np.isfinite(U).all():
@@ -260,7 +271,7 @@ def basis_with_angles(ubar: np.ndarray, cosines: np.ndarray, rng: np.random.Gene
     cosines = np.asarray(cosines, dtype=float)
     if cosines.shape != (d,):
         raise ValueError(f"need {d} cosines, got shape {cosines.shape}")
-    if np.any(cosines < 0) or np.any(cosines > 1):
+    if not np.all((cosines >= 0) & (cosines <= 1)):  # a NaN cosine fails both comparisons
         raise ValueError("cosines must lie in [0, 1]")
     gauss = rng.standard_normal((n, d))
     gauss -= ubar @ (ubar.T @ gauss)

@@ -24,6 +24,7 @@ from grouse.data import draw_sample, make_planted
 from grouse.subspaces import (
     MetricSample,
     _discrepancy,
+    _similarity,
     basis_with_angles,
     basis_with_similarity,
     determinant_similarity,
@@ -382,7 +383,7 @@ def test_mc_checks_equal_reference_loop(seed):
 def _assert_kernel_equals_reference_loop(model, basis, n_draws, seed):
     rng = np.random.default_rng(seed)
     zetas, epss, gains = _reference_step_stats(model, basis, n_draws, rng)
-    for gram_metric, expected in ((bounds._gram_similarity, zetas), (_discrepancy, epss)):
+    for gram_metric, expected in ((_similarity, zetas), (_discrepancy, epss)):
         kernel_rng = np.random.default_rng(seed)
         values, kernel_gains = bounds._oracle_steps(model, basis, n_draws, kernel_rng, gram_metric)
         assert np.array_equal(values, expected)
@@ -424,7 +425,7 @@ def test_oracle_steps_all_skipped():
     rng = np.random.default_rng(6)
     model = make_planted(60, 3, 0.0, sparse=True, rng=rng)
     _assert_kernel_equals_reference_loop(model, model.ubar, 30, seed=7)
-    values, gains = bounds._oracle_steps(model, model.ubar, 30, rng, bounds._gram_similarity)
+    values, gains = bounds._oracle_steps(model, model.ubar, 30, rng, _similarity)
     assert np.all(gains == 0.0)
     assert np.all(values == determinant_similarity(model.ubar, model.ubar))
 
@@ -436,7 +437,7 @@ def test_oracle_steps_reject_non_finite_update():
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             _reference_step_stats(model, basis, 10, np.random.default_rng(9))
-        for gram_metric in (bounds._gram_similarity, _discrepancy):
+        for gram_metric in (_similarity, _discrepancy):
             with pytest.raises(ValueError, match="non-finite"):
                 bounds._oracle_steps(model, basis, 10, np.random.default_rng(9), gram_metric)
 

@@ -202,11 +202,11 @@ def test_io_error_exit_code(tmp_path):
 
 def test_unwritable_out_exits_3_before_any_step(tmp_path, monkeypatch, capsys):
     """``run`` and ``sweep`` open their outputs first: an ``--out`` in a missing directory exits 3 with no step taken."""
-    import grouse.harness
+    import grouse.core
 
     steps = []
-    step = grouse.harness._step
-    monkeypatch.setattr(grouse.harness, "_step", lambda *args: steps.append(1) or step(*args))
+    step = grouse.core._step
+    monkeypatch.setattr(grouse.core, "_step", lambda *args: steps.append(1) or step(*args))
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps({"n": 60, "d": 3, "trials": 2, "max_iters": 50}))
     out = str(tmp_path / "missing_dir" / "out.csv")

@@ -19,7 +19,7 @@ from grouse.core import (
     rotate_update,
 )
 from grouse.data import draw_sample, make_planted
-from grouse.subspaces import determinant_similarity, frobenius_discrepancy, random_orthonormal
+from grouse.subspaces import determinant_similarity, frobenius_discrepancy, random_orthonormal, reorthonormalize
 
 GREEDY = StepConfig(reorth_period=None)
 
@@ -30,6 +30,13 @@ def noiseless_case(rng, n=40, d=4):
     s = rng.standard_normal(d)
     v = ubar @ s
     return ubar, u, v / np.linalg.norm(v)
+
+
+def tracker_at(basis, cfg, nonskipped):
+    """A ``Tracker`` at ``basis`` whose stream has taken ``nonskipped`` steps, none of them skipped."""
+    tracker = Tracker(basis, cfg)
+    tracker.steps = nonskipped
+    return tracker
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +326,8 @@ def test_periodic_reorthonormalization_trigger():
     cfg = StepConfig(reorth_period=5)
     ubar, u, v = noiseless_case(rng)
     # counts 0..3 leave the raw rank-one update; count 4 (the 5th step) re-orthonormalizes
-    raw = core._step(u, v, cfg, None, 3)[-2]
-    reorth = core._step(u, v, cfg, None, 4)[-2]
+    raw = tracker_at(u, cfg, 3).update(v).updated
+    reorth = tracker_at(u, cfg, 4).update(v).updated
     assert determinant_similarity(raw, reorth) == pytest.approx(
         1.0, abs=1e-12
     )
@@ -339,8 +346,8 @@ def test_periodic_reorthonormalization_trigger():
 def test_step_bits_do_not_depend_on_basis_layout(cfg, nonskipped):
     """A C-order basis and its column-major copy give identical bits, with and without a re-orthonormalization.
 
-    ``None`` steps by ``grouse_step``; 99 by ``core._outcome``, the step ``Tracker.update`` takes, as a tracker's
-    100th non-skipped step, which re-orthonormalizes.
+    ``None`` steps by ``grouse_step``; 99 by ``Tracker.update`` on a tracker started at the basis, as its 100th
+    non-skipped step, which re-orthonormalizes.
     """
     rng = np.random.default_rng(14)
     u = random_orthonormal(70, 5, rng)
@@ -352,7 +359,7 @@ def test_step_bits_do_not_depend_on_basis_layout(cfg, nonskipped):
         if nonskipped is None:
             a, b = (grouse_step(basis, x, cfg, oracle=oracle) for basis in (c_order, u))
         else:
-            a, b = (core._outcome(basis, x, cfg, oracle, nonskipped) for basis in (c_order, u))
+            a, b = (tracker_at(basis, cfg, nonskipped).update(x, oracle) for basis in (c_order, u))
         for got, want in ((a.w, b.w), (a.p, b.p), (a.r, b.r), (a.updated, b.updated)):
             assert np.array_equal(got, want)
         assert (a.alpha, a.theta, a.skipped) == (b.alpha, b.theta, b.skipped)
@@ -388,13 +395,14 @@ def test_tracker_counts_only_non_skipped_steps_for_reorth():
     x2 = rng.standard_normal(40)
     tracker = Tracker(start, cfg)
     first = tracker.update(x1)
-    assert np.array_equal(first.updated, core._step(start, x1, cfg, None, 0)[-2])
-    assert np.array_equal(first.updated, core._step(start, x1, cfg)[-2])
+    assert np.array_equal(first.updated, tracker_at(start, cfg, 0).update(x1).updated)
+    assert np.array_equal(first.updated, grouse_step(start, x1, cfg).updated)
     in_span = tracker.update(first.updated @ rng.standard_normal(4))
     assert in_span.skipped and in_span.updated is first.updated
     last = tracker.update(x2)
-    assert np.array_equal(last.updated, core._step(first.updated, x2, cfg, None, 1)[-2])
-    assert not np.array_equal(last.updated, core._step(first.updated, x2, cfg)[-2])
+    assert np.array_equal(last.updated, tracker_at(first.updated, cfg, 1).update(x2).updated)
+    assert np.array_equal(last.updated, reorthonormalize(grouse_step(first.updated, x2, cfg).updated))
+    assert not np.array_equal(last.updated, grouse_step(first.updated, x2, cfg).updated)
     assert tracker.basis is last.updated
     assert (tracker.steps, tracker.skipped_steps) == (3, 1)
 
@@ -408,13 +416,21 @@ def test_tracker_rejects_bad_input():
     u = random_orthonormal(20, 3, rng)
     not_finite = u.copy()
     not_finite[0, 0] = np.nan
-    for bad in (2.0 * u, not_finite, u[:, 0], u.T, np.eye(3)):
+    for bad in (2.0 * u, not_finite, u[:, 0], u.T, np.eye(3), u.astype(complex)):
         with pytest.raises(ValueError):
             Tracker(bad)
+    with pytest.raises(ValueError, match="^cfg must be a StepConfig, got None$"):
+        Tracker(u, None)
     tracker = Tracker(u)
     tracker.update(rng.standard_normal(20))
     basis = tracker.basis
-    for x in (np.full(20, np.nan), rng.standard_normal(21)):
+    with pytest.raises(ValueError, match="^cfg must be a StepConfig, got None$"):
+        grouse_step(basis, rng.standard_normal(20), None)
+    with pytest.raises(ValueError, match="^U must be real, got complex128$"):
+        grouse_step(basis.astype(complex), rng.standard_normal(20), tracker.cfg)
+    with pytest.raises(ValueError, match="^oracle must be an OracleInfo or None, got 0.5$"):
+        grouse_step(basis, rng.standard_normal(20), tracker.cfg, 0.5)
+    for x in (np.full(20, np.nan), rng.standard_normal(21), rng.standard_normal(20) + 1j):
         with pytest.raises(ValueError) as expected:
             grouse_step(basis, x, tracker.cfg)
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
@@ -473,17 +489,17 @@ def test_project_rejects_non_finite_basis(value):
 
 
 def _whole_basis_rule(U, x, cfg):
-    """``(updated, skipped)`` of ``core._step``, or its ``ValueError``, checking every entry of the updated bases.
+    """``(updated, skipped, failed)`` of ``core._step``, checking every entry of each updated basis.
 
-    The step's arithmetic through the pieces of ``core``, with the finite check ``np.isfinite(updated).all()``
-    over the (n, d) update in place of the check on the update's factors.
+    The step's arithmetic through the pieces of ``core``, with a row failed when ``np.isfinite`` of its (n, d)
+    update is not all true, in place of the check on the update's factors.
     """
     w, p, r = core._project(U, x)
     w_norm, p_norm, r_norm = (np.sqrt(np.vecdot(a, a)) for a in (w, p, r))
     tol = core._SKIP_NORM_TOL
     skipped = (w_norm <= tol) | (p_norm <= tol) | (r_norm <= tol)
     if skipped.all():
-        return U, skipped
+        return U, skipped, np.zeros_like(skipped)
     w_norm, p_norm, r_norm = w_norm + skipped, p_norm + skipped, r_norm + skipped
     alpha = 0.0
     if cfg.mode is not StepMode.GREEDY_NOISELESS:
@@ -491,9 +507,7 @@ def _whole_basis_rule(U, x, cfg):
     theta = core._theta(alpha, r_norm, p_norm)
     updated = core._rotate(U, w / w_norm[..., None], p / p_norm[..., None], r / r_norm[..., None], theta)
     np.copyto(updated, U, where=skipped[..., None, None])
-    if not np.isfinite(updated).all():
-        return ValueError("update produced non-finite entries")
-    return updated, skipped
+    return updated, skipped, ~np.isfinite(updated).all(axis=(-2, -1))
 
 
 def _edge_stack(rng, n, d):
@@ -525,22 +539,18 @@ def _edge_stack(rng, n, d):
 @pytest.mark.parametrize("cfg", [GREEDY, StepConfig(mode=StepMode.PRACTICAL_NOISY, sigma_sq=1e-3, reorth_period=None)],
                          ids=["greedy", "practical"])
 def test_finite_check_on_the_factors_equals_the_check_on_the_update(cfg):
-    """``_step`` raises exactly when the updated bases hold a non-finite entry, and otherwise returns the same bases."""
+    """``_step`` flags a row failed exactly when its updated basis holds a non-finite entry; the bases are the same."""
     rng = np.random.default_rng(41)
-    raised = 0
+    failing = 0
     with np.errstate(all="ignore"):
         for _ in range(400):
             U, x = _edge_stack(rng, 12, 3)
             expected = _whole_basis_rule(U, x, cfg)
-            try:
-                got = core._step(U, x, cfg)[-2:]
-            except ValueError as exc:
-                assert isinstance(expected, ValueError) and str(exc) == str(expected)
-                raised += 1
-                continue
-            assert not isinstance(expected, ValueError)
+            got = core._step(U, x, cfg)[-3:]
             assert np.array_equal(got[0], expected[0], equal_nan=True) and np.array_equal(got[1], expected[1])
-    assert 100 < raised < 300, raised
+            assert np.array_equal(got[2], expected[2])
+            failing += bool(expected[2].any())
+    assert 100 < failing < 300, failing
 
 
 def test_rotate_update_keeps_its_contract():

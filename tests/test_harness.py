@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import grouse.core
 import grouse.harness
 from grouse.bounds import BoundParams, k1_bound, k2_bound
 from grouse.core import StepMode
@@ -312,8 +313,8 @@ def test_unwritable_outputs_fail_before_the_first_step(tmp_path, monkeypatch):
     left behind.
     """
     steps = []
-    step = grouse.harness._step
-    monkeypatch.setattr(grouse.harness, "_step", lambda *args: steps.append(1) or step(*args))
+    step = grouse.core._step
+    monkeypatch.setattr(grouse.core, "_step", lambda *args: steps.append(1) or step(*args))
     cfg = ExperimentConfig(n=60, d=3, seed=3, max_iters=50)
     missing = tmp_path / "missing" / "out.csv"
     with pytest.raises(FileNotFoundError):
@@ -489,7 +490,7 @@ def test_no_hot_path_takes_an_svd(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     model = make_planted(60, 3, 1e-3, sparse=False, rng=rng)
     basis = basis_with_similarity(model.ubar, 0.3, rng)
-    values, _ = grouse.bounds._oracle_steps(model, basis, 40, rng, grouse.bounds._gram_similarity)
+    values, _ = grouse.bounds._oracle_steps(model, basis, 40, rng, grouse.subspaces._similarity)
     assert len(values) == 40 and calls == []
 
 

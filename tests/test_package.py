@@ -69,18 +69,17 @@ def test_phase_rule_has_one_owner():
 def test_trial_loop_has_one_owner():
     """The harness steps and draws only in its lock-step engine.
 
-    It binds neither ``grouse_step`` nor ``draw_sample``, and keeps no step
-    wrapper or private row layout: ``core._step`` is called in two places,
-    the stack in ``_run_stack`` and the one-trial fallback ``_step_alone``.
+    It binds neither ``grouse_step`` nor ``draw_sample`` nor ``core._step``, and keeps no step wrapper, private row
+    layout or one-trial fallback: its one step is the stacked ``Tracker``'s, taken in ``_run_stack``.
     """
     import grouse.harness
 
-    assert {"grouse_step", "draw_sample"}.isdisjoint(vars(grouse.harness))
-    assert {"_lockstep", "_lockstep_row", "_COSINES", "_HISTORY_CHUNK"}.isdisjoint(vars(grouse.harness))
-    calls = re.compile(r"\b_step\(")
-    assert len(calls.findall(inspect.getsource(grouse.harness))) == 2
-    for owner in (grouse.harness._run_stack, grouse.harness._step_alone):
-        assert len(calls.findall(inspect.getsource(owner))) == 1
+    assert {"grouse_step", "draw_sample", "_step"}.isdisjoint(vars(grouse.harness))
+    assert {"_lockstep", "_lockstep_row", "_COSINES", "_HISTORY_CHUNK", "_step_alone"}.isdisjoint(vars(grouse.harness))
+    source = inspect.getsource(grouse.harness)
+    calls = re.compile(r"\b_update_rows\(")
+    assert len(calls.findall(source)) == 1 and calls.search(inspect.getsource(grouse.harness._run_stack))
+    assert not re.search(r"\b_step\(", source)
 
 
 def test_field_types_have_one_owner():
@@ -105,25 +104,30 @@ def test_field_types_have_one_owner():
 
 
 def test_reorth_rule_has_one_owner():
-    """Whether a step re-orthonormalizes, and what a skipped row reports, is decided once, in ``core._step``.
+    """Whether a step re-orthonormalizes is decided once, in ``Tracker``; what a skipped row reports, in ``core._step``.
 
-    The harness binds no ``reorthonormalize`` and zeroes no skipped row's angles.  In ``grouse.core`` only the
-    helper ``_outcome`` calls ``_step``, and ``grouse_step`` and ``Tracker.update`` both step through it.
+    ``_step`` takes no count.  The harness binds no ``reorthonormalize`` and zeroes no skipped row's angles.  In
+    ``grouse.core`` only ``grouse_step`` and the tracker's stacked update call ``_step``, and ``Tracker.update`` steps
+    through ``grouse_step``.  No ``nonskipped`` count, ``_outcome`` helper or ``_step_alone`` is left in the package.
     """
     import grouse.core
     import grouse.harness
-    from grouse.core import Tracker, _outcome, _step, grouse_step
+    from grouse.core import Tracker, _step, grouse_step
 
     package = Path(grouse.__file__).parent
-    hits = [(path.name, line) for path in sorted(package.glob("*.py"))
-            for line in path.read_text(encoding="utf-8").splitlines() if re.search(r"%\s*[\w.]*reorth_period", line)]
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    hits = [(name, line) for name, text in sources.items()
+            for line in text.splitlines() if re.search(r"%\s*[\w.]*reorth_period", line)]
     assert len(hits) == 1, hits
-    assert hits[0][1].strip() in inspect.getsource(_step)
+    assert hits[0][1].strip() in inspect.getsource(Tracker)
+    assert list(inspect.signature(_step).parameters) == ["U", "x", "cfg", "v_perp_norm_sq"]
     assert "reorthonormalize" not in vars(grouse.harness)
     assert "np.where(skipped" not in inspect.getsource(grouse.harness)
     calls = re.compile(r"(?<!def )\b_step\(")
-    assert len(calls.findall(inspect.getsource(grouse.core))) == 1 and calls.search(inspect.getsource(_outcome))
-    assert all("_outcome(" in inspect.getsource(caller) for caller in (grouse_step, Tracker.update))
+    assert len(calls.findall(inspect.getsource(grouse.core))) == 2
+    assert all(calls.search(inspect.getsource(caller)) for caller in (grouse_step, Tracker._update_rows))
+    assert "grouse_step(" in inspect.getsource(Tracker.update)
+    assert [name for name, text in sources.items() if re.search(r"nonskipped|\b_outcome\b|_step_alone", text)] == []
 
 
 def test_no_caller_counts_steps():

@@ -179,8 +179,9 @@ def test_stacked_step_rows_equal_single_steps(schedule):
     batch = draw_batch(model, 7, rng)
     x, v = batch.x.copy(), batch.v.copy()
     x[3] = v[3] = basis @ rng.standard_normal(4)  # inside the span: skipped
-    w, p, r, p_sq, r_sq, alpha, theta, updated, skipped = core._step(basis, x, cfg, core._energy_outside(basis, v))
-    assert skipped.tolist() == [i == 3 for i in range(7)]
+    w, p, r, p_sq, r_sq, alpha, theta, updated, skipped, failed = core._step(
+        basis, x, cfg, core._energy_outside(basis, v))
+    assert skipped.tolist() == [i == 3 for i in range(7)] and not failed.any()
     for i in range(7):
         one = grouse_step(basis, x[i], cfg, oracle=OracleInfo.from_signal(basis, v[i]))
         assert np.array_equal(w[i], one.w) and np.array_equal(p[i], one.p) and np.array_equal(r[i], one.r)
@@ -201,8 +202,9 @@ def test_stacked_step_with_one_basis_per_row_equals_single_steps(schedule):
     batch = draw_batch(model, 5, rng)
     x, v = batch.x.copy(), batch.v.copy()
     x[2] = v[2] = bases[2] @ rng.standard_normal(4)  # inside its span: skipped
-    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped = core._step(bases, x, cfg, core._energy_outside(bases, v))
-    assert skipped.tolist() == [i == 2 for i in range(5)]
+    _, _, _, p_sq, r_sq, alpha, theta, updated, skipped, failed = core._step(
+        bases, x, cfg, core._energy_outside(bases, v))
+    assert skipped.tolist() == [i == 2 for i in range(5)] and not failed.any()
     for i in range(5):
         one = grouse_step(bases[i], x[i], cfg, oracle=OracleInfo.from_signal(bases[i], v[i]))
         assert p_sq[i] == float(one.p @ one.p) and r_sq[i] == float(one.r @ one.r)
@@ -217,8 +219,8 @@ def test_stacked_step_with_exactly_zero_norms_raises_no_warning():
     x = np.array([np.eye(6)[0], np.eye(6)[5], np.arange(1.0, 7.0)])
     cfg = _CONFIGS["practical"]
     with np.errstate(all="raise"):
-        _, _, _, _, _, _, _, updated, skipped = core._step(basis, x, cfg)
-    assert skipped.tolist() == [True, True, False]
+        _, _, _, _, _, _, _, updated, skipped, failed = core._step(basis, x, cfg)
+    assert skipped.tolist() == [True, True, False] and not failed.any()
     for i in range(3):
         assert np.array_equal(updated[i], grouse_step(basis, x[i], cfg).updated)
 
@@ -387,8 +389,8 @@ def test_failed_trajectory_leaves_no_csv(monkeypatch, tmp_path):
 
 
 def test_engine_steps_column_major_stacks(monkeypatch):
-    """Every stack the engine steps is column-major, after trials end and after a failed step's concatenation."""
-    step = grouse.harness._step
+    """Every stack the engine steps is column-major, after trials end and after a trial fails mid-stack."""
+    step = core._step
     widths = []
 
     def checked_step(U, x, *args):
@@ -396,11 +398,31 @@ def test_engine_steps_column_major_stacks(monkeypatch):
         widths.append(len(U))
         return step(U, x, *args)
 
-    monkeypatch.setattr(grouse.harness, "_step", checked_step)
+    monkeypatch.setattr(core, "_step", checked_step)
     results = run_sweep([ExperimentConfig(n=60, d=3, seed=23, trials=7, sparse_ubar=True)])[0].results
     assert len({result.iters_run for result in results}) > 2 and len(set(widths)) > 2
     widths.clear()
     _poison_second_trial(monkeypatch)
     assert run_sweep([_POISONED])[0].errors.keys() == {1}
-    # step 31 fails at width 4; trials 0, 2 and 3 step alone, trial 1 fails its input check; then width 3
-    assert widths[:35] == [4] * 31 + [1, 1, 1, 3]
+    # step 31 fails trial 1 at width 4, which leaves the stack; trials 0, 2 and 3 step on at width 3
+    assert widths[:35] == [4] * 31 + [3] * 4
+
+
+def test_trial_failing_its_reorthonormalization_ends_alone(monkeypatch):
+    """A trial whose re-orthonormalization raises ends with that error; the trial that re-orthonormalizes runs on.
+
+    Every basis with a positive top-left entry fails its re-orthonormalization: trials 0-4 end with that error,
+    and trial 5, whose bases have a non-positive one whenever they are due, runs to the end and equals its reference.
+    """
+    reorthonormalize = core.reorthonormalize
+
+    def failing(u):
+        if u[0, 0] > 0:
+            raise np.linalg.LinAlgError("injected")
+        return reorthonormalize(u)
+
+    monkeypatch.setattr(core, "reorthonormalize", failing)
+    cfg = dataclasses.replace(_TRIAL_CONFIGS["practical_reorth"], trials=6)
+    summary = run_sweep([cfg])[0]
+    assert summary.errors == {i: "LinAlgError: injected" for i in range(5)}
+    assert summary.results == [_reference_trial(cfg, 5)[0]]

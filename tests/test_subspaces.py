@@ -322,6 +322,17 @@ def test_basis_with_angles_hits_prescribed_cosines():
     assert principal_angles(u, ubar) == pytest.approx(np.sort(target)[::-1], abs=1e-10)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan])
+def test_basis_with_angles_rejects_a_cosine_outside_the_unit_interval(bad):
+    """A cosine below 0, above 1 or NaN raises before the draw: the generator is untouched."""
+    rng = np.random.default_rng(16)
+    ubar = random_orthonormal(30, 3, rng)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^cosines must lie in \[0, 1\]$"):
+        basis_with_angles(ubar, [0.5, bad, 0.3], rng)
+    assert rng.bit_generator.state == state
+
+
 def test_basis_with_similarity_hits_target_zeta():
     rng = np.random.default_rng(17)
     ubar = random_orthonormal(40, 5, rng)
