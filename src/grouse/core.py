@@ -191,7 +191,10 @@ def compute_alpha(
     ``c * sigma^2/(1+sigma^2) * (1 - d/n) * ||x||^2/||r||^2``; oracle mode
     returns ``1 - ||v_perp||^2/||r||^2`` and requires ``oracle``.  The clamp
     enforces the analyzed range: values above 1 would reverse the step.
+    A complex argument raises ``ValueError``, in greedy mode too.
     """
+    for name, value in {"x_norm_sq": x_norm_sq, "r_norm_sq": r_norm_sq, "n": n, "d": d}.items():
+        _real(name, value)
     if cfg.mode is StepMode.GREEDY_NOISELESS:
         return 0.0
     return float(_alpha(cfg, x_norm_sq, r_norm_sq, n, d, None if oracle is None else oracle.v_perp_norm_sq))
@@ -202,7 +205,9 @@ def _theta(alpha, r_norm, p_norm):
 
 
 def compute_theta(alpha: float, r_norm: float, p_norm: float) -> float:
-    """Rotation angle ``arctan((1 - alpha) * r_norm / p_norm)`` in [0, pi/2)."""
+    """Rotation angle ``arctan((1 - alpha) * r_norm / p_norm)`` in [0, pi/2); complex input raises ``ValueError``."""
+    for name, value in {"alpha": alpha, "r_norm": r_norm, "p_norm": p_norm}.items():
+        _real(name, value)
     if p_norm <= 0:
         raise ValueError("projection norm is degenerate; the step must be skipped")
     return float(_theta(alpha, r_norm, p_norm))
@@ -233,7 +238,10 @@ def rotate_update(
 
     All of ``w``, ``p``, ``r`` must be nonzero.  In exact arithmetic the
     result has orthonormal columns whenever ``U`` does; it is column-major.
+    A complex argument raises ``ValueError``.
     """
+    for name, value in {"w": w, "p": p, "r": r, "theta": theta}.items():
+        _real(name, value)
     w_norm, p_norm, r_norm = (np.linalg.norm(a) for a in (w, p, r))
     if min(w_norm, p_norm, r_norm) <= 0:
         raise ValueError("rank-one update is undefined for zero coefficient, projection, or residual")

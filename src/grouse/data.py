@@ -21,8 +21,6 @@ __all__ = [
     "Sample",
     "draw_batch",
     "draw_sample",
-    "export_basis_csv",
-    "export_samples_csv",
     "make_planted",
 ]
 
@@ -205,20 +203,3 @@ def draw_batch(model: PlantedModel, size: int, rng: np.random.Generator) -> Samp
         raise ValueError(f"size must be >= 1, got {size}")
     return _draw(model, (size,), rng)
 
-
-def _write_csv_matrix(path: str, model: PlantedModel, matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,d,sigma_sq\n")
-        fh.write(f"{model.n},{model.d},{model.sigma_sq!r}\n")
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(repr(float(value)) for value in row) + "\n")
-
-
-def export_basis_csv(model: PlantedModel, path: str) -> None:
-    """Write the ground-truth basis row-major after an ``n,d,sigma_sq`` header."""
-    _write_csv_matrix(path, model, model.ubar)
-
-
-def export_samples_csv(model: PlantedModel, batch: Sample, path: str) -> None:
-    """Write a batch of observations (one per row) after an ``n,d,sigma_sq`` header."""
-    _write_csv_matrix(path, model, batch.x)

@@ -8,7 +8,8 @@ stacked ``core.Tracker``, and each trial gets the bits it gets alone,
 whatever the stack holds.  Trajectories are persisted as CSV with a
 ``#``-prefixed metadata header embedding the full configuration, each row
 written as it is recorded; sweep summaries are written as CSV plus a JSON
-document carrying per-trial detail.  Every output file is opened before the
+document carrying per-trial detail; a planted model's basis and a batch of
+its observations export as CSV.  Every output file is opened before the
 first step and appears only when its run succeeds.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, mu0
 from .core import StepConfig, StepMode, Tracker, _energy_outside
-from .data import PlantedModel, _draw_each, make_planted
+from .data import PlantedModel, Sample, _draw_each, make_planted
 from .subspaces import (MetricSample, _column_major, _cosines, _discrepancy, _own_fields, _similarity, _typed,
                         check_orthonormal, random_orthonormal)
 
@@ -40,6 +41,8 @@ __all__ = [
     "bounds_table",
     "config_from_dict",
     "derive_trial_seed",
+    "export_basis_csv",
+    "export_samples_csv",
     "run_single",
     "run_sweep",
     "run_trajectory",
@@ -507,3 +510,21 @@ def bounds_table(params_list: Sequence[BoundParams], out_path: str | None = None
         with _output(out_path) as fh:
             fh.write("\n".join([BOUNDS_HEADER, *rows, ""]))
     return rows
+
+
+def _write_csv_matrix(path: str, model: PlantedModel, matrix: np.ndarray) -> None:
+    with _output(path) as fh:
+        fh.write("n,d,sigma_sq\n")
+        fh.write(f"{model.n},{model.d},{model.sigma_sq!r}\n")
+        for row in np.atleast_2d(matrix):
+            fh.write(",".join(repr(float(value)) for value in row) + "\n")
+
+
+def export_basis_csv(model: PlantedModel, path: str) -> None:
+    """Write the ground-truth basis row-major after an ``n,d,sigma_sq`` header."""
+    _write_csv_matrix(path, model, model.ubar)
+
+
+def export_samples_csv(model: PlantedModel, batch: Sample, path: str) -> None:
+    """Write a batch of observations (one per row) after an ``n,d,sigma_sq`` header."""
+    _write_csv_matrix(path, model, batch.x)

@@ -337,8 +337,11 @@ def metric_sample(t: int, U: np.ndarray, Ubar: np.ndarray) -> MetricSample:
     """Evaluate both convergence metrics of ``U`` against ``Ubar`` at iteration ``t``.
 
     The cross-Gram matrix is formed once and shared by the two metrics and
-    the cosines, the one SVD here.
+    the cosines, the one SVD here.  ``t`` must be an integer >= 0.
     """
+    t = _typed("t", t, int)
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     gram = _cross_gram(U, Ubar)
     return MetricSample(t=t, zeta=float(_similarity(gram)), epsilon=float(_discrepancy(gram)),
                         cos_angles=_cosines(gram))

@@ -438,6 +438,29 @@ def test_tracker_rejects_bad_input():
         assert (tracker.steps, tracker.skipped_steps) == (1, 0) and tracker.basis is basis
 
 
+_COMPLEX_CASES = [(layer, name) for layer, names in ((compute_alpha, ("x_norm_sq", "r_norm_sq", "n", "d")),
+                                                     (compute_theta, ("alpha", "r_norm", "p_norm")),
+                                                     (rotate_update, ("U", "w", "p", "r", "theta")))
+                  for name in names]
+
+
+@pytest.mark.parametrize("layer, name", _COMPLEX_CASES, ids=[f"{f.__name__}-{name}" for f, name in _COMPLEX_CASES])
+def test_step_layers_reject_complex_arguments(layer, name):
+    """A complex numeric argument of a public step layer raises ``ValueError`` naming it, in greedy mode too."""
+    rng = np.random.default_rng(47)
+    u = random_orthonormal(20, 3, rng)
+    w, p, r = project(u, rng.standard_normal(20))
+    args = {
+        compute_alpha: {"cfg": GREEDY, "x_norm_sq": 2.0, "r_norm_sq": 1.0, "n": 20, "d": 3},
+        compute_theta: {"alpha": 0.0, "r_norm": 1.0, "p_norm": 1.0},
+        rotate_update: {"U": u, "w": w, "p": p, "r": r, "theta": 0.3},
+    }[layer]
+    layer(**args)
+    args[name] = args[name] + 1j
+    with pytest.raises(ValueError, match=f"^{name} must be real, got complex128$"):
+        layer(**args)
+
+
 def test_rotate_update_rejects_degenerate_directions():
     rng = np.random.default_rng(13)
     u = random_orthonormal(10, 2, rng)

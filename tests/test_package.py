@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -16,6 +17,34 @@ def test_submodule_exports_are_package_attributes(name):
     module = importlib.import_module(f"grouse.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(grouse, attr)]
     assert missing == []
+
+
+def test_public_names_have_one_owner():
+    """Each public name of ``grouse`` is listed in exactly one submodule's ``__all__``, and only there.
+
+    ``grouse/__init__.py`` re-exports with ``from .<module> import *`` and imports nothing by name.  Submodules (``cli``
+    too, once imported) are attributes of the package, not names it re-exports.
+    """
+    modules = {name: importlib.import_module(f"grouse.{name}") for name in SUBMODULES}
+    public = [name for name, value in vars(grouse).items() if not name.startswith("_") and not inspect.ismodule(value)]
+    owners = {name: [m for m, module in modules.items() if name in module.__all__] for name in public}
+    assert public and all(len(found) == 1 for found in owners.values()), owners
+    assert all(getattr(grouse, name) is getattr(modules[found[0]], name) for name, found in owners.items())
+    tree = ast.parse(Path(grouse.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all(isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+                           for node in imports), [ast.unparse(node) for node in imports]
+
+
+def test_output_files_have_one_owner():
+    """Every file the package writes is opened by ``harness._output``; its one other ``open`` reads a config file."""
+    from grouse.harness import _output
+
+    package = Path(grouse.__file__).parent
+    hits = [(path.name, line.strip()) for path in sorted(package.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines() if re.search(r"\bopen\(", line)]
+    assert [name for name, _ in hits] == ["cli.py", "harness.py"], hits
+    assert '"w"' not in hits[0][1] and hits[1][1] in inspect.getsource(_output)
 
 
 def test_standard_error_has_one_owner():

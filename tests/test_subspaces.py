@@ -352,6 +352,17 @@ def test_metric_sample_internal_consistency():
     assert 1.0 - sample.zeta <= sample.epsilon + 1e-9
 
 
+def test_metric_sample_takes_an_iterate_index():
+    """``t`` is an integer >= 0, stored as a Python int; a float, a bool or a negative ``t`` raises."""
+    rng = np.random.default_rng(19)
+    u = random_orthonormal(10, 2, rng)
+    for bad in (1.5, True, -1):
+        with pytest.raises(ValueError, match="^t must be"):
+            metric_sample(bad, u, u)
+    sample = metric_sample(np.int64(3), u, u)
+    assert sample.t == 3 and type(sample.t) is int
+
+
 def test_metric_sample_equals_separate_metrics():
     rng = np.random.default_rng(26)
     for n, d in ((6, 1), (30, 4), (200, 10)):
