@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import StepConfig, StepMode, _energy_outside, _step
 from .data import PlantedModel, draw_batch
-from .subspaces import (MetricSample, _column_major, _cosines, _cross_gram, _discrepancy, _own_fields, _similarity,
-                         _squares, frobenius_discrepancy)
+from .subspaces import (MetricSample, _at_least, _column_major, _cosines, _cross_gram, _dims, _discrepancy,
+                         _own_fields, _similarity, _squares, frobenius_discrepancy)
 
 __all__ = [
     "BoundParams",
@@ -66,10 +66,8 @@ class BoundParams:
 
     def __post_init__(self) -> None:
         _own_fields(self)
-        if not 0 < self.d < self.n:
-            raise ValueError(f"need 0 < d < n, got n={self.n}, d={self.d}")
-        if self.sigma_sq < 0:
-            raise ValueError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
+        _dims(self.n, self.d)
+        _at_least("sigma_sq", self.sigma_sq, float)
         if not 0 < self.rho < 1 or not 0 < self.rho_prime < 1:
             raise ValueError("rho and rho_prime must lie in (0, 1)")
         if self.rho + self.rho_prime >= 1:
@@ -276,8 +274,7 @@ def _oracle_steps(
     or ``frobenius_discrepancy`` per draw.  Raises ``ValueError`` for fewer
     than two draws, before drawing, and for a non-finite update.
     """
-    if n_draws < 2:
-        raise ValueError(f"n_draws must be >= 2 for a standard error, got {n_draws}")
+    n_draws = _at_least("n_draws", n_draws, least=2)  # a standard error needs two draws
     basis = _column_major(basis)  # the layout grouse_step steps, so the bits are its bits
     chunk = min(n_draws, max(_MIN_CHUNK, _CHUNK_ELEMENTS // basis.size))
     cfg = StepConfig(mode=StepMode.ORACLE_NOISY)

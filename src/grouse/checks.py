@@ -32,8 +32,8 @@ from .bounds import (
 from .core import OracleInfo, StepConfig, StepMode, StepOutcome, grouse_step
 from .data import _sparse_density, _sparse_matrix, draw_batch, draw_sample, make_planted
 from .subspaces import (
+    _at_least,
     _similarity,
-    _typed,
     basis_with_angles,
     basis_with_similarity,
     determinant_similarity,
@@ -544,9 +544,7 @@ def verify(suite: str = "all", seed: int = 0, intensity: str = "quick") -> Verif
     under a minute, ``full`` spends more draws on the statistical checks).
     ``seed`` must be a non-negative integer.
     """
-    seed = _typed("seed", seed, int)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _at_least("seed", seed)
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITES + ('all',)}")
     if intensity not in _COUNTS:

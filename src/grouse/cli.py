@@ -1,6 +1,6 @@
 """Command-line front end: run, sweep, bounds, verify.
 
-Exit codes: 0 success, 1 usage error, 2 property failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error (a ``ValueError``), 2 property failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -115,11 +115,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.params:
         if given:
             raise ValueError(f"--params takes no parameter flags, got {sorted(given)}")
-        params = [BoundParams(**entry) for entry in _load_dicts(args.params)]
+        params = [config_from_dict(entry, BoundParams) for entry in _load_dicts(args.params)]
     else:
-        if "n" not in given or "d" not in given:
-            raise ValueError("bounds needs either --params or both --n and --d")
-        params = [BoundParams(**given)]
+        params = [config_from_dict(given, BoundParams)]
     for row in bounds_table(params, out_path=args.out):
         print(row)
     return 0
@@ -151,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"grouse: i/o error: {exc}", file=sys.stderr)
         return IO_ERROR
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError is one
         print(f"grouse: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

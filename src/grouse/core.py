@@ -32,7 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .subspaces import _column_major, _own_fields, _real, _squares, check_orthonormal, reorthonormalize
+from .subspaces import (_at_least, _basis, _column_major, _dims, _own_fields, _real, _squares, _typed,
+                         check_orthonormal, reorthonormalize)
 
 __all__ = [
     "OracleInfo",
@@ -77,12 +78,11 @@ class StepConfig:
 
     def __post_init__(self) -> None:
         _own_fields(self)
-        if self.sigma_sq < 0:
-            raise ValueError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
+        _at_least("sigma_sq", self.sigma_sq, float)
         if self.c <= 0:
             raise ValueError(f"c must be > 0, got {self.c}")
-        if self.reorth_period is not None and self.reorth_period < 1:
-            raise ValueError(f"reorth_period must be a positive int or None, got {self.reorth_period}")
+        if self.reorth_period is not None:
+            _at_least("reorth_period", self.reorth_period, least=1)
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ class OracleInfo:
 
     def __post_init__(self) -> None:
         _own_fields(self)
-        if self.v_perp_norm_sq < 0:
-            raise ValueError(f"v_perp_norm_sq must be >= 0, got {self.v_perp_norm_sq}")
+        _at_least("v_perp_norm_sq", self.v_perp_norm_sq, float)
 
     @classmethod
     def from_signal(cls, U: np.ndarray, v: np.ndarray) -> OracleInfo:
@@ -157,12 +156,10 @@ def project(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Because ``U`` has orthonormal columns the unique minimizer of
     ``||U w - x||`` is ``w = U^T x``, with projection ``p = U w`` and residual
-    ``r = x - p``.  Raises ``ValueError`` on dimension mismatch or a
-    non-finite basis or observation.
+    ``r = x - p``.  Raises ``ValueError`` on dimension mismatch, a basis
+    that ``subspaces._basis`` rejects or a non-finite observation.
     """
-    U, x = _checked(U, x)
-    if not np.isfinite(U).all():
-        raise ValueError("basis contains non-finite entries")
+    U, x = _checked(_basis("basis", U), x)
     return _project(U, x)
 
 
@@ -191,12 +188,16 @@ def compute_alpha(
     ``c * sigma^2/(1+sigma^2) * (1 - d/n) * ||x||^2/||r||^2``; oracle mode
     returns ``1 - ||v_perp||^2/||r||^2`` and requires ``oracle``.  The clamp
     enforces the analyzed range: values above 1 would reverse the step.
-    A complex argument raises ``ValueError``, in greedy mode too.
+    In greedy mode too, a ``ValueError`` names a complex or non-finite
+    argument, a negative norm and dimensions outside ``0 < d < n``; a noisy
+    schedule also needs ``r_norm_sq > 0``.
     """
-    for name, value in {"x_norm_sq": x_norm_sq, "r_norm_sq": r_norm_sq, "n": n, "d": d}.items():
-        _real(name, value)
+    x_norm_sq, r_norm_sq = _at_least("x_norm_sq", x_norm_sq, float), _at_least("r_norm_sq", r_norm_sq, float)
+    n, d = _dims(n, d)
     if cfg.mode is StepMode.GREEDY_NOISELESS:
         return 0.0
+    if r_norm_sq == 0:
+        raise ValueError("r_norm_sq must be > 0 in a noisy schedule, got 0.0")
     return float(_alpha(cfg, x_norm_sq, r_norm_sq, n, d, None if oracle is None else oracle.v_perp_norm_sq))
 
 
@@ -205,9 +206,15 @@ def _theta(alpha, r_norm, p_norm):
 
 
 def compute_theta(alpha: float, r_norm: float, p_norm: float) -> float:
-    """Rotation angle ``arctan((1 - alpha) * r_norm / p_norm)`` in [0, pi/2); complex input raises ``ValueError``."""
-    for name, value in {"alpha": alpha, "r_norm": r_norm, "p_norm": p_norm}.items():
-        _real(name, value)
+    """Rotation angle ``arctan((1 - alpha) * r_norm / p_norm)`` in [0, pi/2).
+
+    A ``ValueError`` names a complex or non-finite argument, an ``alpha``
+    outside [0, 1] and a negative norm; a zero ``p_norm`` raises too.
+    """
+    alpha = _typed("alpha", alpha, float)
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    r_norm, p_norm = _at_least("r_norm", r_norm, float), _at_least("p_norm", p_norm, float)
     if p_norm <= 0:
         raise ValueError("projection norm is degenerate; the step must be skipped")
     return float(_theta(alpha, r_norm, p_norm))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .subspaces import _own_fields, _typed, check_orthonormal, random_orthonormal, reorthonormalize
+from .subspaces import _at_least, _dims, _own_fields, _typed, check_orthonormal, random_orthonormal, reorthonormalize
 
 __all__ = [
     "PlantedModel",
@@ -43,8 +43,7 @@ class PlantedModel:
     def __post_init__(self) -> None:
         check_orthonormal(self.ubar)
         _own_fields(self)
-        if self.sigma_sq < 0:
-            raise ValueError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
+        _at_least("sigma_sq", self.sigma_sq, float)
         if self.sparsity is not None and not 0 < self.sparsity <= 1:
             raise ValueError(f"sparsity must lie in (0, 1], got {self.sparsity}")
 
@@ -123,11 +122,8 @@ def make_planted(
     full rank at small ``n``.  Either way the ground truth ``ubar`` is
     column-major, as every basis the package makes.
     """
-    if not 0 < d < n:
-        raise ValueError(f"need 0 < d < n, got n={n}, d={d}")
-    sigma_sq = _typed("sigma_sq", sigma_sq, float)
-    if sigma_sq < 0:
-        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
+    n, d = _dims(n, d)
+    sigma_sq = _at_least("sigma_sq", sigma_sq, float)
     if _typed("sparse", sparse, bool):
         density = _sparse_density(n, d)
         ubar = _sparse_orthonormal(n, d, density, rng)
@@ -199,7 +195,6 @@ def draw_batch(model: PlantedModel, size: int, rng: np.random.Generator) -> Samp
     Row ``i`` equals the ``i``-th of ``size`` successive ``draw_sample``
     calls, bit for bit, and the generator ends in the same state.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    size = _at_least("size", size, least=1)
     return _draw(model, (size,), rng)
 

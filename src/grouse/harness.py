@@ -30,7 +30,7 @@ import numpy as np
 from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, mu0
 from .core import StepConfig, StepMode, Tracker, _energy_outside
 from .data import PlantedModel, Sample, _draw_each, make_planted
-from .subspaces import (MetricSample, _column_major, _cosines, _discrepancy, _own_fields, _similarity, _typed,
+from .subspaces import (MetricSample, _at_least, _column_major, _cosines, _discrepancy, _own_fields, _similarity,
                         check_orthonormal, random_orthonormal)
 
 __all__ = [
@@ -102,16 +102,9 @@ class ExperimentConfig:
         # BoundParams checks n, d, sigma_sq and eps_star; StepConfig checks c
         self.bound_params()
         self.step_config()
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1 or None, got {self.max_iters}")
-        if self.record_every is not None and self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        for name, least in ("trials", 1), ("seed", 0), ("max_iters", 1), ("record_every", 1), ("threads", 1):
+            if getattr(self, name) is not None:  # max_iters and record_every may be None
+                _at_least(name, getattr(self, name), least=least)
 
     def bound_params(self) -> BoundParams:
         return BoundParams(n=self.n, d=self.d, sigma_sq=self.sigma_sq, eps_star=self.eps_star)
@@ -134,12 +127,17 @@ class ExperimentConfig:
         return {**dataclasses.asdict(self), "mode": self.mode.value}
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a JSON-style dict whose keys mirror the field names."""
-    unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return ExperimentConfig(**raw)
+def config_from_dict(raw: dict, cls: type = ExperimentConfig) -> ExperimentConfig | BoundParams:
+    """Build a config (an ``ExperimentConfig``, or a ``BoundParams``) from a JSON-style dict whose keys are its fields.
+
+    An unknown key or a missing field without a default raises a ``ValueError`` that names it.
+    """
+    names = {f.name for f in dataclasses.fields(cls)}
+    required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    for problem, keys in ("unknown", set(raw) - names), ("missing", required - set(raw)):
+        if keys:
+            raise ValueError(f"{problem} config fields: {sorted(keys)}")
+    return cls(**raw)
 
 
 @dataclass(frozen=True)
@@ -282,9 +280,7 @@ def _one_trial(cfg: ExperimentConfig, trial_id: int, initial_basis: np.ndarray |
 
     ``trial_id`` and ``initial_basis`` are checked before any draw; a trial that fails raises its error.
     """
-    trial_id = _typed("trial_id", trial_id, int)
-    if trial_id < 0:
-        raise ValueError(f"trial_id must be >= 0, got {trial_id}")
+    trial_id = _at_least("trial_id", trial_id)
     if initial_basis is not None:
         if np.shape(initial_basis) != (cfg.n, cfg.d):
             raise ValueError(f"initial_basis must have shape {(cfg.n, cfg.d)}, got {np.shape(initial_basis)}")

@@ -46,11 +46,8 @@ ORTHONORMALITY_TOL = 1e-10
 
 
 def _cross_gram(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
-    """The (d, d) cross-Gram matrix ``Ubar^T U`` of two bases of identical shape."""
-    U = _real("U", U)
-    Ubar = _real("Ubar", Ubar)
-    if U.ndim != 2 or Ubar.ndim != 2:
-        raise ValueError("bases must be 2-D arrays")
+    """The (d, d) cross-Gram matrix ``Ubar^T U`` of two finite bases (``_basis``) of identical shape."""
+    U, Ubar = _basis("U", U), _basis("Ubar", Ubar)
     if U.shape != Ubar.shape:
         raise ValueError(f"basis shapes must match, got {U.shape} and {Ubar.shape}")
     return Ubar.T @ U
@@ -124,11 +121,14 @@ _field_types = functools.cache(lambda cls: [(f.name, typing.get_type_hints(cls)[
 def _typed(name: str, value, kind):
     """``value`` as the declared type ``kind`` of the field ``name``, or a ``ValueError`` naming the field.
 
-    ``int`` takes any integer and ``float`` any finite real, but not a bool; ``bool`` takes ``np.bool_`` too, ``str``
-    an ``os.PathLike``, an enum a member's value and ``X | None`` ``None``; numpy scalars come back as Python values.
+    ``int`` takes any integer and ``float`` any finite real, but not a bool or a complex (``_real``'s message);
+    ``bool`` takes ``np.bool_`` too, ``str`` an ``os.PathLike``, an enum a member's value and ``X | None`` ``None``;
+    numpy scalars come back as Python values.
     """
     if value is None and type(None) in typing.get_args(kind):
         return None
+    if np.iscomplexobj(value):
+        _real(name, value)  # raises: a complex value is never cast
     kind = (typing.get_args(kind) or (kind,))[0]  # X of X | None
     if kind not in _KINDS:  # an enum: a member or its value
         with contextlib.suppress(ValueError):
@@ -142,6 +142,33 @@ def _typed(name: str, value, kind):
     raise ValueError(f"{name} is non-finite: {value}")
 
 
+def _dims(n, d) -> tuple[int, int]:
+    """``n`` and ``d`` as ints by ``_typed``, or a ``ValueError`` unless ``0 < d < n``: the one owner of that rule."""
+    n, d = _typed("n", n, int), _typed("d", d, int)
+    if not 0 < d < n:
+        raise ValueError(f"need 0 < d < n, got n={n}, d={d}")
+    return n, d
+
+
+def _basis(name: str, U) -> np.ndarray:
+    """``U`` by ``_real``, or a ``ValueError`` naming ``name`` unless it is 2-D, 0 < d < n (``_dims``) and finite."""
+    U = _real(name, U)
+    if U.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D array, got shape {U.shape}")
+    _dims(*U.shape)
+    if not np.isfinite(U).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return U
+
+
+def _at_least(name: str, value, kind=int, least=0):
+    """``value`` as ``kind`` by ``_typed``, or a ``ValueError`` naming ``name`` unless it is ``>= least``."""
+    value = _typed(name, value, kind)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _own_fields(obj) -> None:
     """Store each field of the frozen dataclass ``obj`` as its declared type (``_field_types``) by ``_typed``."""
     for name, kind in _field_types(type(obj)):
@@ -152,18 +179,11 @@ def _own_fields(obj) -> None:
 def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
     """Validate that ``U`` is an (n, d) matrix with orthonormal columns, 0 < d < n.
 
-    Returns the array as float64.  Raises ``ValueError`` if it is complex,
-    its shape is invalid or ``max|U^T U - I| > tol``.
+    Returns the array as float64.  Raises ``ValueError`` if ``_basis`` rejects
+    it (complex, a bad shape, a non-finite entry) or ``max|U^T U - I| > tol``.
     """
-    U = _real("basis", U)
-    if U.ndim != 2:
-        raise ValueError("basis must be a 2-D array")
-    n, d = U.shape
-    if not 0 < d < n:
-        raise ValueError(f"need 0 < d < n, got shape {U.shape}")
-    if not np.isfinite(U).all():
-        raise ValueError("basis contains non-finite entries")
-    gram_err = np.max(np.abs(U.T @ U - np.eye(d)))
+    U = _basis("basis", U)
+    gram_err = np.max(np.abs(U.T @ U - np.eye(U.shape[1])))
     if gram_err > tol:
         raise ValueError(f"columns are not orthonormal: max|U^T U - I| = {gram_err:.3e}")
     return U
@@ -206,9 +226,7 @@ def random_orthonormal(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     (column-scaled condition number above about 1e7, vanishingly rare)
     raises ``numpy.linalg.LinAlgError``.
     """
-    if not 0 < d < n:
-        raise ValueError(f"need 0 < d < n, got n={n}, d={d}")
-    return reorthonormalize(rng.standard_normal((n, d)))
+    return reorthonormalize(rng.standard_normal(_dims(n, d)))
 
 
 def reorthonormalize(U: np.ndarray) -> np.ndarray:
@@ -233,13 +251,10 @@ def reorthonormalize(U: np.ndarray) -> np.ndarray:
     for n up to 2e5) and the span of ``U`` up to rounding.  Raises
     ``numpy.linalg.LinAlgError`` outside that domain or when ``U`` is
     numerically rank deficient (``min|diag L| <= n eps max|diag L|`` on the
-    first factor), and ``ValueError`` on a complex ``U`` or a non-finite entry.
+    first factor), and ``ValueError`` (``_basis``) on a complex ``U``, a shape
+    outside ``0 < d < n`` or a non-finite entry.
     """
-    U = _real("U", U)
-    if U.ndim != 2 or not 0 < U.shape[1] < U.shape[0]:
-        raise ValueError(f"need an (n, d) matrix with 0 < d < n, got shape {U.shape}")
-    if not np.isfinite(U).all():
-        raise ValueError("basis contains non-finite entries")
+    U = _basis("basis", U)
     n, d = U.shape
     _, exponents = np.frexp(np.abs(U).max(axis=0))
     rows = np.ldexp(U.T, -exponents[:, None], order="C")  # row i is column i of U, scaled
@@ -297,8 +312,9 @@ def expected_initial_similarity(n: int, d: int, c0: float = 1.0) -> float:
     prefactor ``c0`` absorbs the sub-exponential correction and is close
     to 1 only for large ``d``.  Requires ``0 < d < n`` and ``c0 > 0``.
     """
-    if not 0 < d < n or not c0 > 0:
-        raise ValueError(f"need 0 < d < n and c0 > 0, got n={n}, d={d}, c0={c0}")
+    n, d = _dims(n, d)
+    if not c0 > 0:
+        raise ValueError(f"c0 must be > 0, got {c0}")
     return c0 * (d / (n * math.e)) ** d
 
 
@@ -312,8 +328,7 @@ def expected_initial_similarity_exact(n: int, d: int) -> float:
     n - d degrees of freedom, the matrix-variate beta determinant moment
     telescopes to ``prod_i (d - i + 1) / (n - i + 1)``.
     """
-    if not 0 < d < n:
-        raise ValueError(f"need 0 < d < n, got n={n}, d={d}")
+    n, d = _dims(n, d)
     return math.exp(math.lgamma(d + 1) + math.lgamma(n - d + 1) - math.lgamma(n + 1))
 
 
@@ -339,9 +354,7 @@ def metric_sample(t: int, U: np.ndarray, Ubar: np.ndarray) -> MetricSample:
     The cross-Gram matrix is formed once and shared by the two metrics and
     the cosines, the one SVD here.  ``t`` must be an integer >= 0.
     """
-    t = _typed("t", t, int)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = _at_least("t", t)
     gram = _cross_gram(U, Ubar)
     return MetricSample(t=t, zeta=float(_similarity(gram)), epsilon=float(_discrepancy(gram)),
                         cos_angles=_cosines(gram))

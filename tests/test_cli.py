@@ -236,3 +236,29 @@ def test_verify_rejects_a_negative_seed(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "seed must be >= 0, got -1" in captured.err
+
+
+@pytest.mark.parametrize("command, flag, entry, message", [
+    ("sweep", "--config", {"n": 20}, "missing config fields: ['d']"),
+    ("sweep", "--config", {"n": 20, "d": 2, "foo": 1}, "unknown config fields: ['foo']"),
+    ("bounds", "--params", {"d": 2}, "missing config fields: ['n']"),
+    ("bounds", "--params", {"n": 20, "d": 2, "foo": 1}, "unknown config fields: ['foo']"),
+])
+def test_config_keys_are_checked_by_one_rule(command, flag, entry, message, tmp_path, capsys):
+    """A missing or unknown key of a sweep config or a bounds row exits 1 with a message naming it."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(entry))
+    assert main([command, flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"grouse: error: {message}\n"
+
+
+def test_only_a_value_error_is_a_usage_error(monkeypatch):
+    """A ``TypeError`` or ``KeyError`` inside a handler is a fault of the program, not of its input: it propagates."""
+    for kind in (TypeError, KeyError):
+        def broken(args, kind=kind):
+            raise kind("a fault inside the handler")
+
+        monkeypatch.setattr("grouse.cli._cmd_bounds", broken)
+        with pytest.raises(kind):
+            main(["bounds", "--n", "20", "--d", "2"])

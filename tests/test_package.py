@@ -132,6 +132,35 @@ def test_field_types_have_one_owner():
     assert {"_check_int", "_check_optional_int", "_check_finite"}.isdisjoint(vars(grouse.subspaces))
 
 
+def test_argument_rules_have_one_owner():
+    """``0 < d < n`` is compared only in ``subspaces._dims``, and ``must be >= `` is raised only in ``_at_least``.
+
+    A comparison counts as the dimension rule when one operand is ``d``-like (``d``, ``x.d``, ``x.shape[1]``) and one
+    ``n``-like (``n``, ``x.n``, ``x.shape[0]``), whatever its form.  The basis checks of ``check_orthonormal``,
+    ``reorthonormalize``, ``project`` and the metrics' cross-Gram go through ``_basis``.
+    """
+    from grouse.core import project
+    from grouse.subspaces import _cross_gram, check_orthonormal, reorthonormalize
+
+    dim, ambient = re.compile(r"^([\w.]+\.)?(d|shape\[1\])$"), re.compile(r"^([\w.]+\.)?(n|shape\[0\])$")
+    compared, raised = [], []
+    for path in sorted(Path(grouse.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # each node's innermost function: an inner def's walk comes after its outer one's
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(func), f"{path.stem}.{func.name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [ast.unparse(a) for a in (node.left, *node.comparators)]
+                if any(map(dim.match, operands)) and any(map(ambient.match, operands)):
+                    compared.append(owner.get(node))
+            elif isinstance(node, ast.Raise) and "must be >= " in ast.unparse(node):
+                raised.append(owner.get(node))
+    assert compared == ["subspaces._dims"], compared
+    assert raised == ["subspaces._at_least"], raised
+    assert all("_basis(" in inspect.getsource(f) for f in (check_orthonormal, reorthonormalize, project, _cross_gram))
+
+
 def test_reorth_rule_has_one_owner():
     """Whether a step re-orthonormalizes is decided once, in ``Tracker``; what a skipped row reports, in ``core._step``.
 

@@ -205,10 +205,10 @@ def test_asymptotic_initial_similarity_value():
 
 
 @pytest.mark.parametrize(("args", "message"), [
-    ((5, 10), "need 0 < d < n and c0 > 0, got n=5, d=10, c0=1.0"),
-    ((0, 1), "need 0 < d < n and c0 > 0, got n=0, d=1, c0=1.0"),
-    ((10, 2, -1.0), "need 0 < d < n and c0 > 0, got n=10, d=2, c0=-1.0"),
-    ((10, 2, 0.0), "need 0 < d < n and c0 > 0, got n=10, d=2, c0=0.0"),
+    ((5, 10), "need 0 < d < n, got n=5, d=10"),
+    ((0, 1), "need 0 < d < n, got n=0, d=1"),
+    ((10, 2, -1.0), "c0 must be > 0, got -1.0"),
+    ((10, 2, 0.0), "c0 must be > 0, got 0.0"),
 ])
 def test_asymptotic_initial_similarity_checks_its_domain(args, message):
     """As ``expected_initial_similarity_exact`` does: no value outside ``0 < d < n``, ``c0 > 0``."""
