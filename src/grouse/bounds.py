@@ -23,7 +23,7 @@ import numpy as np
 from .core import StepConfig, StepMode, _energy_outside, _step
 from .data import PlantedModel, draw_batch
 from .subspaces import (MetricSample, _at_least, _column_major, _cosines, _cross_gram, _dims, _discrepancy,
-                         _own_fields, _similarity, _squares, frobenius_discrepancy)
+                         _own_fields, _similarity, _squares, _within, frobenius_discrepancy)
 
 __all__ = [
     "BoundParams",
@@ -68,14 +68,10 @@ class BoundParams:
         _own_fields(self)
         _dims(self.n, self.d)
         _at_least("sigma_sq", self.sigma_sq, float)
-        if not 0 < self.rho < 1 or not 0 < self.rho_prime < 1:
-            raise ValueError("rho and rho_prime must lie in (0, 1)")
+        for name, high in (("rho", 1), ("rho_prime", 1), ("eps_star", self.d), ("c0", math.inf)):
+            _within(name, getattr(self, name), 0, high)
         if self.rho + self.rho_prime >= 1:
             raise ValueError(f"rho + rho_prime must be < 1, got {self.rho + self.rho_prime}")
-        if not 0 < self.eps_star < self.d:
-            raise ValueError(f"eps_star must lie in (0, d), got {self.eps_star}")
-        if self.c0 <= 0:
-            raise ValueError(f"c0 must be > 0, got {self.c0}")
         for name in ("tau1", "tau2"):  # each defaults to log(d)
             if getattr(self, name) is None:
                 object.__setattr__(self, name, math.log(self.d))
@@ -134,8 +130,7 @@ def expected_zeta_rate_bound(zeta: float, params: BoundParams) -> float:
     ``g = (1 - zeta)/d`` and ``beta0 = 1 / (1 + (d/n) sigma^2)``.  With
     ``sigma^2 = 0`` this reduces to the noiseless rate ``(1 + g) * zeta``.
     """
-    if not 0 < zeta <= 1:
-        raise ValueError(f"zeta must lie in (0, 1], got {zeta}")
+    zeta = _within("zeta", zeta, 0, 1, "(]")
     p = params
     gap = (1.0 - zeta) / p.d
     if p.sigma_sq == 0:
@@ -152,10 +147,7 @@ def expected_eps_rate_bound(eps: float, cos_sq_phi_d: float, params: BoundParams
     ``cos_sq_phi_d`` is the squared cosine of the largest principal angle.
     """
     p = params
-    if not 0 < eps < p.d:
-        raise ValueError(f"eps must lie in (0, d), got {eps}")
-    if not 0 <= cos_sq_phi_d <= 1:
-        raise ValueError(f"cos_sq_phi_d must lie in [0, 1], got {cos_sq_phi_d}")
+    eps, cos_sq_phi_d = _within("eps", eps, 0, p.d), _within("cos_sq_phi_d", cos_sq_phi_d, 0, 1, "[]")
     beta0 = 1.0 / (1.0 + p.d / p.n * p.sigma_sq)
     beta1 = 1.0 - p.d / p.n
     noise_term = beta1 * p.sigma_sq / (eps / p.d + beta1 * p.sigma_sq) if p.sigma_sq > 0 else 0.0
@@ -318,9 +310,10 @@ def _rate_check(mean: float, se: float, bound: float, n_draws: int, *, above: bo
     """Compare a sample mean to its bound at three standard errors.
 
     ``above`` requires the mean to be at least the bound, otherwise at most.
+    With ``se = 0`` the slack is infinite, with the sign of the margin.
     """
     margin = mean - bound if above else bound - mean
-    slack = margin / se if se > 0 else math.inf
+    slack = margin / se if se > 0 else (math.inf if margin >= 0 else -math.inf)
     passed = mean >= bound - 3 * se if above else mean <= bound + 3 * se
     return RateCheck(observed_mean=mean, std_err=se, bound=bound, n_draws=n_draws,
                      slack_se=float(slack), passed=bool(passed))

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .subspaces import (_at_least, _basis, _column_major, _dims, _own_fields, _real, _squares, _typed,
+from .subspaces import (_at_least, _basis, _column_major, _dims, _own_fields, _real, _squares, _within,
                          check_orthonormal, reorthonormalize)
 
 __all__ = [
@@ -79,8 +79,7 @@ class StepConfig:
     def __post_init__(self) -> None:
         _own_fields(self)
         _at_least("sigma_sq", self.sigma_sq, float)
-        if self.c <= 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
+        _within("c", self.c, 0, np.inf)
         if self.reorth_period is not None:
             _at_least("reorth_period", self.reorth_period, least=1)
 
@@ -103,6 +102,22 @@ class OracleInfo:
     def from_signal(cls, U: np.ndarray, v: np.ndarray) -> OracleInfo:
         """Oracle energy of the clean signal ``v`` outside ``span(U)``: ``||v - U U^T v||^2``."""
         return cls(v_perp_norm_sq=float(_energy_outside(U, v)))
+
+
+def _step_inputs(cfg: StepConfig, *oracle: OracleInfo | None) -> float | None:
+    """The oracle energy of a step under ``cfg``, ``None`` off the oracle schedule: the one owner of its input rules.
+
+    ``cfg`` is a ``StepConfig``; ``oracle``, unless ``cfg`` comes alone (a ``Tracker``'s), is an ``OracleInfo`` under
+    the oracle schedule, the one that reads the true energy (known only in simulation), and ``None`` under the others.
+    """
+    if not isinstance(cfg, StepConfig):
+        raise ValueError(f"cfg must be a StepConfig, got {cfg!r}")
+    (info,) = oracle or (None,)
+    if info is not None and not isinstance(info, OracleInfo):
+        raise ValueError(f"oracle must be an OracleInfo or None, got {info!r}")
+    if oracle and (info is None) == (cfg.mode is StepMode.ORACLE_NOISY):
+        raise ValueError(f"oracle must be {'None' if info else 'an OracleInfo'} under the {cfg.mode.value} schedule")
+    return None if info is None else info.v_perp_norm_sq
 
 
 @dataclass(frozen=True)
@@ -165,12 +180,8 @@ def project(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _alpha(cfg: StepConfig, x_norm_sq, r_norm_sq, n: int, d: int, v_perp_norm_sq):
     """``compute_alpha`` of a noisy schedule, elementwise over arrays of squared norms and oracle energies."""
-    if cfg.mode is StepMode.PRACTICAL_NOISY:
-        raw = cfg.c * cfg.sigma_sq / (1.0 + cfg.sigma_sq) * (1.0 - d / n) * x_norm_sq / r_norm_sq
-    elif v_perp_norm_sq is None:
-        raise ValueError("oracle mode requires OracleInfo")
-    else:
-        raw = 1.0 - v_perp_norm_sq / r_norm_sq
+    raw = (cfg.c * cfg.sigma_sq / (1.0 + cfg.sigma_sq) * (1.0 - d / n) * x_norm_sq / r_norm_sq
+           if cfg.mode is StepMode.PRACTICAL_NOISY else 1.0 - v_perp_norm_sq / r_norm_sq)
     return np.minimum(np.maximum(raw, 0.0), 1.0)
 
 
@@ -186,19 +197,20 @@ def compute_alpha(
 
     Greedy mode returns 0.  Practical mode returns
     ``c * sigma^2/(1+sigma^2) * (1 - d/n) * ||x||^2/||r||^2``; oracle mode
-    returns ``1 - ||v_perp||^2/||r||^2`` and requires ``oracle``.  The clamp
-    enforces the analyzed range: values above 1 would reverse the step.
-    In greedy mode too, a ``ValueError`` names a complex or non-finite
-    argument, a negative norm and dimensions outside ``0 < d < n``; a noisy
-    schedule also needs ``r_norm_sq > 0``.
+    returns ``1 - ||v_perp||^2/||r||^2``.  The clamp enforces the analyzed
+    range: values above 1 would reverse the step.  ``oracle`` is given
+    under the oracle schedule and under no other (``_step_inputs``).  In
+    greedy mode too, a ``ValueError`` names a ``cfg`` that is not a
+    ``StepConfig``, a misplaced or missing ``oracle``, a complex or
+    non-finite argument, a negative norm and dimensions outside
+    ``0 < d < n``; a noisy schedule also needs ``r_norm_sq > 0``.
     """
+    energy = _step_inputs(cfg, oracle)
     x_norm_sq, r_norm_sq = _at_least("x_norm_sq", x_norm_sq, float), _at_least("r_norm_sq", r_norm_sq, float)
     n, d = _dims(n, d)
     if cfg.mode is StepMode.GREEDY_NOISELESS:
         return 0.0
-    if r_norm_sq == 0:
-        raise ValueError("r_norm_sq must be > 0 in a noisy schedule, got 0.0")
-    return float(_alpha(cfg, x_norm_sq, r_norm_sq, n, d, None if oracle is None else oracle.v_perp_norm_sq))
+    return float(_alpha(cfg, x_norm_sq, _within("r_norm_sq", r_norm_sq, 0, np.inf), n, d, energy))
 
 
 def _theta(alpha, r_norm, p_norm):
@@ -209,15 +221,11 @@ def compute_theta(alpha: float, r_norm: float, p_norm: float) -> float:
     """Rotation angle ``arctan((1 - alpha) * r_norm / p_norm)`` in [0, pi/2).
 
     A ``ValueError`` names a complex or non-finite argument, an ``alpha``
-    outside [0, 1] and a negative norm; a zero ``p_norm`` raises too.
+    outside [0, 1], a negative ``r_norm`` and a ``p_norm`` that is not
+    positive (the step must be skipped).
     """
-    alpha = _typed("alpha", alpha, float)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    r_norm, p_norm = _at_least("r_norm", r_norm, float), _at_least("p_norm", p_norm, float)
-    if p_norm <= 0:
-        raise ValueError("projection norm is degenerate; the step must be skipped")
-    return float(_theta(alpha, r_norm, p_norm))
+    alpha, r_norm = _within("alpha", alpha, 0, 1, "[]"), _at_least("r_norm", r_norm, float)
+    return float(_theta(alpha, r_norm, _within("p_norm", p_norm, 0, np.inf)))
 
 
 def _rotate(U: np.ndarray, w_hat: np.ndarray, p_hat: np.ndarray, r_hat: np.ndarray, theta) -> np.ndarray:
@@ -302,18 +310,16 @@ def grouse_step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, oracle: OracleInf
     Otherwise the step runs on ``U`` column-major (a copy when ``U`` has
     another layout), so its bits do not depend on the caller's layout, and
     the updated basis is column-major.  Raises ``ValueError`` on a bad
-    argument or a non-finite update.
+    argument or a non-finite update.  ``oracle`` goes with the oracle
+    schedule only: it is required there and raises under the others
+    (``_step_inputs``).
 
     The function keeps no state, so it never re-orthonormalizes, whatever
     ``cfg.reorth_period``: a ``Tracker`` counts a stream's steps and does.
     """
-    if not isinstance(cfg, StepConfig):
-        raise ValueError(f"cfg must be a StepConfig, got {cfg!r}")
-    if oracle is not None and not isinstance(oracle, OracleInfo):
-        raise ValueError(f"oracle must be an OracleInfo or None, got {oracle!r}")
+    energy = _step_inputs(cfg, oracle)
     U = _real("U", U)
     basis, x = _checked(U, x)
-    energy = None if oracle is None else oracle.v_perp_norm_sq
     w, p, r, _, _, alpha, theta, updated, skipped, failed = _step(basis, x, cfg, energy)
     if failed:
         raise ValueError("update produced non-finite entries")
@@ -332,8 +338,7 @@ class Tracker:
     """
 
     def __init__(self, basis: np.ndarray, cfg: StepConfig = StepConfig()) -> None:
-        if not isinstance(cfg, StepConfig):
-            raise ValueError(f"cfg must be a StepConfig, got {cfg!r}")
+        _step_inputs(cfg)
         stacked = np.ndim(basis) == 3  # one basis and one count of skipped steps per row
         for u in basis if stacked else [basis]:
             check_orthonormal(u)
@@ -347,7 +352,10 @@ class Tracker:
         return reorth_period is not None and (self.steps - self.skipped_steps) % reorth_period == reorth_period - 1
 
     def update(self, x: np.ndarray, oracle: OracleInfo | None = None) -> StepOutcome:
-        """Step the basis with observation ``x``; an invalid ``x`` raises ``grouse_step``'s error and counts no step."""
+        """Step the basis with observation ``x`` and, under the oracle schedule only, its ``oracle``.
+
+        An invalid ``x`` or ``oracle`` raises ``grouse_step``'s error and counts no step.
+        """
         out = grouse_step(self.basis, x, self.cfg, oracle)
         if not out.skipped and self._due():
             out = replace(out, updated=reorthonormalize(out.updated))

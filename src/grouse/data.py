@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .subspaces import _at_least, _dims, _own_fields, _typed, check_orthonormal, random_orthonormal, reorthonormalize
+from .subspaces import (_at_least, _dims, _own_fields, _typed, _within, check_orthonormal, random_orthonormal,
+                        reorthonormalize)
 
 __all__ = [
     "PlantedModel",
@@ -44,8 +45,8 @@ class PlantedModel:
         check_orthonormal(self.ubar)
         _own_fields(self)
         _at_least("sigma_sq", self.sigma_sq, float)
-        if self.sparsity is not None and not 0 < self.sparsity <= 1:
-            raise ValueError(f"sparsity must lie in (0, 1], got {self.sparsity}")
+        if self.sparsity is not None:
+            _within("sparsity", self.sparsity, 0, 1, "(]")
 
     @property
     def n(self) -> int:

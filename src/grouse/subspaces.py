@@ -169,6 +169,16 @@ def _at_least(name: str, value, kind=int, least=0):
     return value
 
 
+def _within(name: str, value, low, high, ends: str = "()"):  # ends: the brackets; "(" and ")" exclude a bound
+    """``value`` as a float by ``_typed`` (an array by ``_real``), or a ``ValueError`` naming ``name`` if outside."""
+    array = np.ndim(value) > 0
+    value = _real(name, value) if array else _typed(name, value, float)
+    inside = (value > low if ends[0] == "(" else value >= low) & (value < high if ends[1] == ")" else value <= high)
+    if not np.all(inside):  # a NaN entry is inside no interval; an array's message shows no value
+        raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}" + ("" if array else f", got {value}"))
+    return value
+
+
 def _own_fields(obj) -> None:
     """Store each field of the frozen dataclass ``obj`` as its declared type (``_field_types``) by ``_typed``."""
     for name, kind in _field_types(type(obj)):
@@ -176,15 +186,15 @@ def _own_fields(obj) -> None:
             object.__setattr__(obj, name, _typed(name, getattr(obj, name), kind))
 
 
-def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndarray:
+def check_orthonormal(U: np.ndarray) -> np.ndarray:
     """Validate that ``U`` is an (n, d) matrix with orthonormal columns, 0 < d < n.
 
-    Returns the array as float64.  Raises ``ValueError`` if ``_basis`` rejects
-    it (complex, a bad shape, a non-finite entry) or ``max|U^T U - I| > tol``.
+    Returns the array as float64.  Raises ``ValueError`` if ``_basis`` rejects it (complex,
+    a bad shape, a non-finite entry) or ``max|U^T U - I| > ORTHONORMALITY_TOL``.
     """
     U = _basis("basis", U)
     gram_err = np.max(np.abs(U.T @ U - np.eye(U.shape[1])))
-    if gram_err > tol:
+    if gram_err > ORTHONORMALITY_TOL:
         raise ValueError(f"columns are not orthonormal: max|U^T U - I| = {gram_err:.3e}")
     return U
 
@@ -283,11 +293,10 @@ def basis_with_angles(ubar: np.ndarray, cosines: np.ndarray, rng: np.random.Gene
     """
     ubar = check_orthonormal(ubar)
     n, d = ubar.shape
-    cosines = np.asarray(cosines, dtype=float)
+    cosines = _real("cosines", cosines)
     if cosines.shape != (d,):
         raise ValueError(f"need {d} cosines, got shape {cosines.shape}")
-    if not np.all((cosines >= 0) & (cosines <= 1)):  # a NaN cosine fails both comparisons
-        raise ValueError("cosines must lie in [0, 1]")
+    _within("cosines", cosines, 0, 1, "[]")
     gauss = rng.standard_normal((n, d))
     gauss -= ubar @ (ubar.T @ gauss)
     complement = reorthonormalize(gauss)
@@ -297,8 +306,7 @@ def basis_with_angles(ubar: np.ndarray, cosines: np.ndarray, rng: np.random.Gene
 
 def basis_with_similarity(ubar: np.ndarray, zeta: float, rng: np.random.Generator) -> np.ndarray:
     """Basis at determinant similarity ``zeta`` to ``ubar``, equal angles."""
-    if not 0 < zeta <= 1:
-        raise ValueError(f"zeta must lie in (0, 1], got {zeta}")
+    zeta = _within("zeta", zeta, 0, 1, "(]")
     d = ubar.shape[1]
     cosines = np.full(d, zeta ** (1.0 / (2 * d)))
     return basis_with_angles(ubar, cosines, rng)
@@ -313,8 +321,7 @@ def expected_initial_similarity(n: int, d: int, c0: float = 1.0) -> float:
     to 1 only for large ``d``.  Requires ``0 < d < n`` and ``c0 > 0``.
     """
     n, d = _dims(n, d)
-    if not c0 > 0:
-        raise ValueError(f"c0 must be > 0, got {c0}")
+    c0 = _within("c0", c0, 0, math.inf)
     return c0 * (d / (n * math.e)) ** d
 
 

@@ -471,3 +471,15 @@ def test_bound_params_reject_non_finite_values(field, value):
 def test_bound_params_reject_non_integer_dimensions(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         BoundParams(**{"n": 100, "d": 2, field: value})
+
+
+@pytest.mark.parametrize("above", [True, False])
+def test_rate_check_without_spread_signs_its_slack_by_the_margin(above):
+    """With a zero standard error the slack is +inf at a margin >= 0 and -inf at a negative one.
+
+    The rates properties gate on ``-slack_se``, so a mean on the wrong side of its bound must fail them.
+    """
+    inside, outside = (2.0, 0.0) if above else (0.0, 2.0)
+    for mean, slack, passed in ((inside, math.inf, True), (1.0, math.inf, True), (outside, -math.inf, False)):
+        check = bounds._rate_check(mean, 0.0, 1.0, 2, above=above)
+        assert (check.slack_se, check.passed) == (slack, passed)

@@ -1,8 +1,8 @@
 """The argument contract of the public functions: a bad argument raises a ``ValueError`` that names it.
 
 One row per bad input: the function, the arguments and the name the message must hold.  Each row is a value the
-function once took without a word, or rejected with another exception (``TypeError``, ``ZeroDivisionError``,
-``LinAlgError``) or a ``RuntimeWarning``.
+function once took without a word, or rejected with another exception (``TypeError``, ``AttributeError``,
+``ZeroDivisionError``, ``LinAlgError``) or a ``RuntimeWarning`` or ``ComplexWarning``.
 """
 
 import math
@@ -11,14 +11,18 @@ import re
 import numpy as np
 import pytest
 
-from grouse.core import OracleInfo, StepConfig, StepMode, compute_alpha, compute_theta
+from grouse.bounds import BoundParams, expected_eps_rate_bound, expected_zeta_rate_bound
+from grouse.core import OracleInfo, StepConfig, StepMode, Tracker, compute_alpha, compute_theta, grouse_step
 from grouse.data import draw_batch, make_planted
-from grouse.subspaces import (determinant_similarity, expected_initial_similarity_exact, frobenius_discrepancy,
+from grouse.subspaces import (basis_with_angles, basis_with_similarity, determinant_similarity,
+                              expected_initial_similarity, expected_initial_similarity_exact, frobenius_discrepancy,
                               metric_sample, principal_angles, random_orthonormal)
 
 GREEDY = StepConfig()
 PRACTICAL = StepConfig(mode=StepMode.PRACTICAL_NOISY, sigma_sq=0.1)
 ORACLE = StepConfig(mode=StepMode.ORACLE_NOISY, sigma_sq=0.1)
+INFO = OracleInfo(v_perp_norm_sq=0.5)
+PARAMS = BoundParams(n=20, d=2)
 
 
 def _bases():
@@ -31,6 +35,15 @@ def _bases():
 
 def _model():
     return make_planted(20, 2, 0.0, False, np.random.default_rng(24))
+
+
+def _basis():
+    return random_orthonormal(20, 2, np.random.default_rng(25))
+
+
+def _observation():
+    """A (20, 2) basis and an observation whose step is not skipped."""
+    return _basis(), np.random.default_rng(26).standard_normal(20)
 
 
 # (id, call, the argument the message names)
@@ -52,6 +65,21 @@ ROWS = [
     ("compute_theta-nan-p_norm", lambda: compute_theta(0.0, 1.0, math.nan), "p_norm"),
     ("compute_theta-negative-r_norm", lambda: compute_theta(0.0, -1.0, 1.0), "r_norm"),
     ("compute_theta-alpha-above-1", lambda: compute_theta(2.0, 1.0, 1.0), "alpha"),
+    ("expected_initial_similarity-bool-c0", lambda: expected_initial_similarity(10, 2, True), "c0"),
+    ("expected_zeta_rate_bound-str-zeta", lambda: expected_zeta_rate_bound("x", PARAMS), "zeta"),
+    ("expected_eps_rate_bound-bool-cos_sq_phi_d", lambda: expected_eps_rate_bound(0.5, True, PARAMS), "cos_sq_phi_d"),
+    ("basis_with_similarity-bool-zeta",
+     lambda: basis_with_similarity(_basis(), True, np.random.default_rng(0)), "zeta"),
+    ("basis_with_angles-complex-cosines",
+     lambda: basis_with_angles(_basis(), [0.5 + 1j, 0.5], np.random.default_rng(0)), "cosines"),
+    ("compute_alpha-none-cfg", lambda: compute_alpha(None, 1.0, 1.0, 20, 2), "cfg"),
+    ("compute_alpha-float-oracle", lambda: compute_alpha(ORACLE, 1.0, 1.0, 20, 2, 0.5), "oracle"),
+    ("grouse_step-greedy-oracle", lambda: grouse_step(*_observation(), GREEDY, INFO), "oracle"),
+    ("grouse_step-practical-oracle", lambda: grouse_step(*_observation(), PRACTICAL, INFO), "oracle"),
+    ("Tracker.update-greedy-oracle", lambda: Tracker(_basis(), GREEDY).update(_observation()[1], INFO), "oracle"),
+    ("Tracker.update-practical-oracle", lambda: Tracker(_basis(), PRACTICAL).update(_observation()[1], INFO), "oracle"),
+    ("compute_alpha-greedy-oracle", lambda: compute_alpha(GREEDY, 1.0, 1.0, 20, 2, INFO), "oracle"),
+    ("compute_alpha-practical-oracle", lambda: compute_alpha(PRACTICAL, 1.0, 1.0, 20, 2, INFO), "oracle"),
 ]
 
 

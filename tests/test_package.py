@@ -133,17 +133,20 @@ def test_field_types_have_one_owner():
 
 
 def test_argument_rules_have_one_owner():
-    """``0 < d < n`` is compared only in ``subspaces._dims``, and ``must be >= `` is raised only in ``_at_least``.
+    """Each argument rule is written once: a dimension, a lower bound, a range and the step's inputs.
 
-    A comparison counts as the dimension rule when one operand is ``d``-like (``d``, ``x.d``, ``x.shape[1]``) and one
-    ``n``-like (``n``, ``x.n``, ``x.shape[0]``), whatever its form.  The basis checks of ``check_orthonormal``,
-    ``reorthonormalize``, ``project`` and the metrics' cross-Gram go through ``_basis``.
+    ``0 < d < n`` is compared only in ``subspaces._dims``; ``must be >= `` is raised only in ``_at_least`` and
+    ``must lie in`` only in ``_within``; ``isinstance(..., StepConfig)`` and ``isinstance(..., OracleInfo)`` are
+    tested only in ``core._step_inputs``.  A comparison counts as the dimension rule when one operand is ``d``-like
+    (``d``, ``x.d``, ``x.shape[1]``) and one ``n``-like (``n``, ``x.n``, ``x.shape[0]``), whatever its form.  The
+    basis checks of ``check_orthonormal``, ``reorthonormalize``, ``project`` and the metrics' cross-Gram go through
+    ``_basis``.
     """
     from grouse.core import project
     from grouse.subspaces import _cross_gram, check_orthonormal, reorthonormalize
 
     dim, ambient = re.compile(r"^([\w.]+\.)?(d|shape\[1\])$"), re.compile(r"^([\w.]+\.)?(n|shape\[0\])$")
-    compared, raised = [], []
+    compared, raised, instance_checks = [], {"must be >= ": [], "must lie in ": []}, []
     for path in sorted(Path(grouse.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {}  # each node's innermost function: an inner def's walk comes after its outer one's
@@ -154,10 +157,16 @@ def test_argument_rules_have_one_owner():
                 operands = [ast.unparse(a) for a in (node.left, *node.comparators)]
                 if any(map(dim.match, operands)) and any(map(ambient.match, operands)):
                     compared.append(owner.get(node))
-            elif isinstance(node, ast.Raise) and "must be >= " in ast.unparse(node):
-                raised.append(owner.get(node))
+            elif isinstance(node, ast.Raise):
+                for message, owners in raised.items():
+                    if message in ast.unparse(node):
+                        owners.append(owner.get(node))
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                  and re.search(r"\b(StepConfig|OracleInfo)\b", ast.unparse(node.args[1]))):
+                instance_checks.append((owner.get(node), ast.unparse(node.args[1])))
     assert compared == ["subspaces._dims"], compared
-    assert raised == ["subspaces._at_least"], raised
+    assert raised == {"must be >= ": ["subspaces._at_least"], "must lie in ": ["subspaces._within"]}, raised
+    assert instance_checks == [("core._step_inputs", kind) for kind in ("StepConfig", "OracleInfo")], instance_checks
     assert all("_basis(" in inspect.getsource(f) for f in (check_orthonormal, reorthonormalize, project, _cross_gram))
 
 

@@ -94,6 +94,11 @@ _CONFIGS = {
 }
 
 
+def _oracle(cfg, basis, v):
+    """The ``OracleInfo`` of the clean signal ``v`` at ``basis`` under the oracle schedule, the one that takes it."""
+    return OracleInfo.from_signal(basis, v) if cfg.mode is StepMode.ORACLE_NOISY else None
+
+
 @pytest.mark.parametrize("schedule", sorted(_CONFIGS))
 @pytest.mark.parametrize("n, d", [(200, 5), (37, 3), (1000, 12)])
 def test_step_equals_reference(schedule, n, d):
@@ -103,7 +108,7 @@ def test_step_equals_reference(schedule, n, d):
     basis = basis_with_similarity(model.ubar, 0.2, rng)
     for _ in range(40):
         sample = draw_sample(model, rng)
-        oracle = OracleInfo.from_signal(basis, sample.v)
+        oracle = _oracle(cfg, basis, sample.v)
         got = grouse_step(basis, sample.x, cfg, oracle=oracle)
         _assert_step_equals_reference(got, _reference_step(basis, sample.x, cfg, oracle))
         basis = got.updated
@@ -115,7 +120,7 @@ def test_skipped_step_equals_reference(schedule):
     rng = np.random.default_rng(1)
     basis = random_orthonormal(30, 3, rng)
     x = basis @ rng.standard_normal(3)  # inside the span: no residual
-    oracle = OracleInfo(v_perp_norm_sq=0.0)
+    oracle = OracleInfo(v_perp_norm_sq=0.0) if cfg.mode is StepMode.ORACLE_NOISY else None
     got = grouse_step(basis, x, cfg, oracle=oracle)
     _assert_step_equals_reference(got, _reference_step(basis, x, cfg, oracle))
     assert got.skipped and got.updated is basis
@@ -130,7 +135,7 @@ def test_reorth_step_equals_reference(schedule):
     tracker = Tracker(random_orthonormal(80, 4, rng), cfg)
     for nonskipped_steps in range(3):
         basis, sample = tracker.basis, draw_sample(model, rng)
-        oracle = OracleInfo.from_signal(basis, sample.v)
+        oracle = _oracle(cfg, basis, sample.v)
         got = tracker.update(sample.x, oracle)
         _assert_step_equals_reference(got, _reference_step(basis, sample.x, cfg, oracle, nonskipped_steps))
 
@@ -183,7 +188,7 @@ def test_stacked_step_rows_equal_single_steps(schedule):
         basis, x, cfg, core._energy_outside(basis, v))
     assert skipped.tolist() == [i == 3 for i in range(7)] and not failed.any()
     for i in range(7):
-        one = grouse_step(basis, x[i], cfg, oracle=OracleInfo.from_signal(basis, v[i]))
+        one = grouse_step(basis, x[i], cfg, oracle=_oracle(cfg, basis, v[i]))
         assert np.array_equal(w[i], one.w) and np.array_equal(p[i], one.p) and np.array_equal(r[i], one.r)
         assert p_sq[i] == float(one.p @ one.p) and r_sq[i] == float(one.r @ one.r)
         assert np.array_equal(updated[i], one.updated)
@@ -206,7 +211,7 @@ def test_stacked_step_with_one_basis_per_row_equals_single_steps(schedule):
         bases, x, cfg, core._energy_outside(bases, v))
     assert skipped.tolist() == [i == 2 for i in range(5)] and not failed.any()
     for i in range(5):
-        one = grouse_step(bases[i], x[i], cfg, oracle=OracleInfo.from_signal(bases[i], v[i]))
+        one = grouse_step(bases[i], x[i], cfg, oracle=_oracle(cfg, bases[i], v[i]))
         assert p_sq[i] == float(one.p @ one.p) and r_sq[i] == float(one.r @ one.r)
         assert np.array_equal(updated[i], one.updated)
         if not one.skipped:

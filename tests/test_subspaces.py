@@ -207,8 +207,8 @@ def test_asymptotic_initial_similarity_value():
 @pytest.mark.parametrize(("args", "message"), [
     ((5, 10), "need 0 < d < n, got n=5, d=10"),
     ((0, 1), "need 0 < d < n, got n=0, d=1"),
-    ((10, 2, -1.0), "c0 must be > 0, got -1.0"),
-    ((10, 2, 0.0), "c0 must be > 0, got 0.0"),
+    ((10, 2, -1.0), "c0 must lie in (0, inf), got -1.0"),
+    ((10, 2, 0.0), "c0 must lie in (0, inf), got 0.0"),
 ])
 def test_asymptotic_initial_similarity_checks_its_domain(args, message):
     """As ``expected_initial_similarity_exact`` does: no value outside ``0 < d < n``, ``c0 > 0``."""
