@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import StepConfig, StepMode, _energy_outside, _step
+from .core import StepConfig, StepMode, _energy_outside, _finite, _step
 from .data import PlantedModel, draw_batch
 from .subspaces import (MetricSample, _at_least, _column_major, _cosines, _cross_gram, _dims, _discrepancy,
                          _own_fields, _similarity, _squares, _within, frobenius_discrepancy)
@@ -277,8 +277,7 @@ def _oracle_steps(
         batch = draw_batch(model, stop - start, rng)
         _, _, _, p_sq, r_sq, alpha, _, updated, skipped, failed = _step(
             basis, batch.x, cfg, _energy_outside(basis, batch.v))
-        if failed.any():
-            raise ValueError("update produced non-finite entries")
+        _finite(failed.any())
         values[start:stop] = gram_metric(np.matmul(model.ubar.T, updated))
         del updated  # the next stack's update is built without this one held
         gains[start:stop] = np.divide(_squares(1.0 - alpha) * r_sq, p_sq,

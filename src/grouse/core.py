@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .subspaces import (_at_least, _basis, _column_major, _dims, _own_fields, _real, _squares, _within,
+from .subspaces import (_at_least, _basis, _column_major, _dims, _own_fields, _real, _shaped, _squares, _within,
                          check_orthonormal, reorthonormalize)
 
 __all__ = [
@@ -100,8 +100,9 @@ class OracleInfo:
 
     @classmethod
     def from_signal(cls, U: np.ndarray, v: np.ndarray) -> OracleInfo:
-        """Oracle energy of the clean signal ``v`` outside ``span(U)``: ``||v - U U^T v||^2``."""
-        return cls(v_perp_norm_sq=float(_energy_outside(U, v)))
+        """Oracle energy ``||v - U U^T v||^2`` of the clean (n,) signal ``v`` outside the basis ``U`` (``_basis``)."""
+        U = _basis("U", U)
+        return cls(v_perp_norm_sq=float(_energy_outside(U, _shaped("v", v, U.shape[:1]))))
 
 
 def _step_inputs(cfg: StepConfig, *oracle: OracleInfo | None) -> float | None:
@@ -140,11 +141,13 @@ class StepOutcome:
 
 
 def _checked(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``U`` column-major and ``x`` as float arrays; raises unless they are an (n, d) basis and a finite (n,) vector."""
-    U = _column_major(_real("U", U))
-    x = _real("x", x)
-    if x.ndim != 1 or U.ndim != 2 or x.shape[0] != U.shape[0]:
-        raise ValueError(f"incompatible shapes: basis {U.shape}, vector {x.shape}")
+    """``U`` and ``x`` as float arrays; raises unless they are (n, d) with 0 < d < n (``_dims``) and a finite (n,).
+
+    The basis's entries are not tested, which would be O(nd) a step: the step flags a non-finite basis as failed.
+    """
+    U = _shaped("U", U, ("n", "d"))
+    _dims(*U.shape)
+    x = _shaped("x", x, U.shape[:1])
     if not np.isfinite(x).all():
         raise ValueError("observation contains non-finite entries")
     return U, x
@@ -171,11 +174,11 @@ def project(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Because ``U`` has orthonormal columns the unique minimizer of
     ``||U w - x||`` is ``w = U^T x``, with projection ``p = U w`` and residual
-    ``r = x - p``.  Raises ``ValueError`` on dimension mismatch, a basis
-    that ``subspaces._basis`` rejects or a non-finite observation.
+    ``r = x - p``.  Raises ``ValueError`` on a basis that
+    ``subspaces._basis`` rejects or an ``x`` that is not a finite (n,) vector.
     """
     U, x = _checked(_basis("basis", U), x)
-    return _project(U, x)
+    return _project(_column_major(U), x)
 
 
 def _alpha(cfg: StepConfig, x_norm_sq, r_norm_sq, n: int, d: int, v_perp_norm_sq):
@@ -251,16 +254,24 @@ def rotate_update(
 ) -> np.ndarray:
     """Rank-one basis update rotating ``p/||p||`` toward ``r/||r||`` by ``theta``.
 
-    All of ``w``, ``p``, ``r`` must be nonzero.  In exact arithmetic the
-    result has orthonormal columns whenever ``U`` does; it is column-major.
-    A complex argument raises ``ValueError``.
+    ``U`` is (n, d) with 0 < d < n (``_dims``), ``w`` is (d,) and ``p`` and
+    ``r`` are (n,), all nonzero; a stack of rows is refused.  In exact
+    arithmetic the result has orthonormal columns whenever ``U`` does; it is
+    column-major.  A complex or misshaped argument raises ``ValueError``.
     """
-    for name, value in {"w": w, "p": p, "r": r, "theta": theta}.items():
-        _real(name, value)
+    U = _shaped("U", U, ("n", "d"))
+    n, d = _dims(*U.shape)
+    w, p, r = _shaped("w", w, (d,)), _shaped("p", p, (n,)), _shaped("r", r, (n,))
     w_norm, p_norm, r_norm = (np.linalg.norm(a) for a in (w, p, r))
     if min(w_norm, p_norm, r_norm) <= 0:
         raise ValueError("rank-one update is undefined for zero coefficient, projection, or residual")
-    return _rotate(_real("U", U), w / w_norm, p / p_norm, r / r_norm, theta)
+    return _rotate(U, w / w_norm, p / p_norm, r / r_norm, _real("theta", theta))
+
+
+def _finite(failed) -> None:
+    """Raise the one error of a non-finite update if ``failed``: ``_step``'s flag of a row, or of any row of a stack."""
+    if failed:
+        raise ValueError("update produced non-finite entries")
 
 
 def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None) -> tuple:
@@ -310,7 +321,9 @@ def grouse_step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, oracle: OracleInf
     Otherwise the step runs on ``U`` column-major (a copy when ``U`` has
     another layout), so its bits do not depend on the caller's layout, and
     the updated basis is column-major.  Raises ``ValueError`` on a bad
-    argument or a non-finite update.  ``oracle`` goes with the oracle
+    argument (``U`` must be (n, d) with 0 < d < n and ``x`` a finite (n,)
+    vector) or a non-finite update, which is what a non-finite ``U``
+    makes: its entries are not tested.  ``oracle`` goes with the oracle
     schedule only: it is required there and raises under the others
     (``_step_inputs``).
 
@@ -318,11 +331,9 @@ def grouse_step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, oracle: OracleInf
     ``cfg.reorth_period``: a ``Tracker`` counts a stream's steps and does.
     """
     energy = _step_inputs(cfg, oracle)
-    U = _real("U", U)
-    basis, x = _checked(U, x)
-    w, p, r, _, _, alpha, theta, updated, skipped, failed = _step(basis, x, cfg, energy)
-    if failed:
-        raise ValueError("update produced non-finite entries")
+    U, x = _checked(U, x)
+    w, p, r, _, _, alpha, theta, updated, skipped, failed = _step(_column_major(U), x, cfg, energy)
+    _finite(failed)
     return StepOutcome(w=w, p=p, r=r, alpha=float(alpha), theta=float(theta),
                        updated=U if skipped else updated, skipped=bool(skipped))
 

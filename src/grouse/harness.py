@@ -30,8 +30,8 @@ import numpy as np
 from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, mu0
 from .core import StepConfig, StepMode, Tracker, _energy_outside
 from .data import PlantedModel, Sample, _draw_each, make_planted
-from .subspaces import (MetricSample, _at_least, _column_major, _cosines, _discrepancy, _own_fields, _similarity,
-                        check_orthonormal, random_orthonormal)
+from .subspaces import (MetricSample, _at_least, _column_major, _cosines, _discrepancy, _own_fields, _shaped,
+                        _similarity, check_orthonormal, random_orthonormal)
 
 __all__ = [
     "ExperimentConfig",
@@ -242,10 +242,10 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     max_iters = cfg.resolved_max_iters()
     # (theta, alpha, ||p||^2, ||r||^2, skipped) of the step that reached t, as _step returns them for one trial:
     # each a one-element array or a Python scalar
-    step = (0.0, 0.0, 0.0, 0.0, False)
-    t, record = 0, True
+    step, record = (0.0, 0.0, 0.0, 0.0, False), True
     while len(ids):  # a step's failures can leave the stack empty
         if record:
+            t = tracker.steps  # the iteration index: the count of steps the stack has taken
             gram = np.matmul(ubars.mT, tracker.basis)
             eps, zeta = _discrepancy(gram), _similarity(gram)
             done = eps <= cfg.eps_star
@@ -265,10 +265,9 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
                     return
         sample = _draw_each(ubars, cfg.sigma_sq, normalize_signal, rngs)
         energy = _energy_outside(tracker.basis, sample.v) if cfg.mode is StepMode.ORACLE_NOISY else None
-        t += 1
-        record = t % record_every == 0 or t == max_iters
         _, _, _, p_sq, r_sq, alpha, theta, _, skipped, errors = tracker._update_rows(sample.x, energy)
         step = theta, alpha, p_sq, r_sq, skipped
+        record = tracker.steps % record_every == 0 or tracker.steps == max_iters
         if errors:
             for i, exc in errors.items():
                 yield ids[i], exc
@@ -282,9 +281,7 @@ def _one_trial(cfg: ExperimentConfig, trial_id: int, initial_basis: np.ndarray |
     """
     trial_id = _at_least("trial_id", trial_id)
     if initial_basis is not None:
-        if np.shape(initial_basis) != (cfg.n, cfg.d):
-            raise ValueError(f"initial_basis must have shape {(cfg.n, cfg.d)}, got {np.shape(initial_basis)}")
-        initial_basis = check_orthonormal(initial_basis)
+        initial_basis = check_orthonormal(_shaped("initial_basis", initial_basis, (cfg.n, cfg.d)))
     ((_, outcome),) = _run_stack(cfg, [trial_id], initial_basis, row)
     if isinstance(outcome, Exception):
         raise outcome

@@ -46,11 +46,9 @@ ORTHONORMALITY_TOL = 1e-10
 
 
 def _cross_gram(U: np.ndarray, Ubar: np.ndarray) -> np.ndarray:
-    """The (d, d) cross-Gram matrix ``Ubar^T U`` of two finite bases (``_basis``) of identical shape."""
-    U, Ubar = _basis("U", U), _basis("Ubar", Ubar)
-    if U.shape != Ubar.shape:
-        raise ValueError(f"basis shapes must match, got {U.shape} and {Ubar.shape}")
-    return Ubar.T @ U
+    """The (d, d) cross-Gram matrix ``Ubar^T U`` of two finite bases (``_basis``), ``Ubar`` of the shape of ``U``."""
+    U = _basis("U", U)
+    return _basis("Ubar", _shaped("Ubar", Ubar, U.shape)).T @ U
 
 
 def _column_major(a: np.ndarray) -> np.ndarray:
@@ -72,7 +70,7 @@ def _real(name: str, a) -> np.ndarray:
     A complex array cast to float would lose its imaginary part with only a warning.
     """
     a = np.asarray(a)
-    if np.iscomplexobj(a):
+    if a.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got {a.dtype}")
     return a.astype(float, copy=False)
 
@@ -125,6 +123,8 @@ def _typed(name: str, value, kind):
     ``bool`` takes ``np.bool_`` too, ``str`` an ``os.PathLike``, an enum a member's value and ``X | None`` ``None``;
     numpy scalars come back as Python values.
     """
+    if type(value) is kind and (kind is not float or math.isfinite(value)):  # the rules below would return it
+        return value
     if value is None and type(None) in typing.get_args(kind):
         return None
     if np.iscomplexobj(value):
@@ -150,11 +150,19 @@ def _dims(n, d) -> tuple[int, int]:
     return n, d
 
 
+def _shaped(name: str, a, shape: tuple) -> np.ndarray:
+    """``a`` by ``_real``, or a ``ValueError`` naming ``name`` unless it has ``shape`` (a named axis: any length)."""
+    a = _real(name, a)
+    if a.shape != shape and (len(a.shape) != len(shape) or  # an exact match walks no axis
+                             any(want != got for want, got in zip(shape, a.shape) if not isinstance(want, str))):
+        expected = str(shape).replace("'", "")  # ("n", "d") reads (n, d)
+        raise ValueError(f"{name} must have shape {expected}, got {a.shape}")
+    return a
+
+
 def _basis(name: str, U) -> np.ndarray:
-    """``U`` by ``_real``, or a ``ValueError`` naming ``name`` unless it is 2-D, 0 < d < n (``_dims``) and finite."""
-    U = _real(name, U)
-    if U.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D array, got shape {U.shape}")
+    """``U`` by ``_shaped``, or a ``ValueError`` naming ``name`` unless it is (n, d), 0 < d < n (``_dims``), finite."""
+    U = _shaped(name, U, ("n", "d"))
     _dims(*U.shape)
     if not np.isfinite(U).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -289,14 +297,12 @@ def basis_with_angles(ubar: np.ndarray, cosines: np.ndarray, rng: np.random.Gene
     with the ``z_i`` an orthonormal set drawn at random from the orthogonal
     complement of ``span(ubar)`` and orthonormalized by ``reorthonormalize``.
     Useful for placing a test basis at a prescribed similarity to a
-    reference subspace.  The basis is column-major.
+    reference subspace.  ``cosines`` has shape (d,), each in [0, 1].  The
+    basis is column-major.
     """
     ubar = check_orthonormal(ubar)
     n, d = ubar.shape
-    cosines = _real("cosines", cosines)
-    if cosines.shape != (d,):
-        raise ValueError(f"need {d} cosines, got shape {cosines.shape}")
-    _within("cosines", cosines, 0, 1, "[]")
+    cosines = _within("cosines", _shaped("cosines", cosines, (d,)), 0, 1, "[]")
     gauss = rng.standard_normal((n, d))
     gauss -= ubar @ (ubar.T @ gauss)
     complement = reorthonormalize(gauss)

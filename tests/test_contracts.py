@@ -2,7 +2,8 @@
 
 One row per bad input: the function, the arguments and the name the message must hold.  Each row is a value the
 function once took without a word, or rejected with another exception (``TypeError``, ``AttributeError``,
-``ZeroDivisionError``, ``LinAlgError``) or a ``RuntimeWarning`` or ``ComplexWarning``.
+``ZeroDivisionError``, ``LinAlgError``), a numpy ``ValueError`` that named no argument, or a ``RuntimeWarning`` or
+``ComplexWarning``.
 """
 
 import math
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 from grouse.bounds import BoundParams, expected_eps_rate_bound, expected_zeta_rate_bound
-from grouse.core import OracleInfo, StepConfig, StepMode, Tracker, compute_alpha, compute_theta, grouse_step
+from grouse.core import (OracleInfo, StepConfig, StepMode, Tracker, compute_alpha, compute_theta, grouse_step,
+                         rotate_update)
 from grouse.data import draw_batch, make_planted
-from grouse.subspaces import (basis_with_angles, basis_with_similarity, determinant_similarity,
+from grouse.subspaces import (basis_with_angles, basis_with_similarity, check_orthonormal, determinant_similarity,
                               expected_initial_similarity, expected_initial_similarity_exact, frobenius_discrepancy,
                               metric_sample, principal_angles, random_orthonormal)
 
@@ -44,6 +46,18 @@ def _basis():
 def _observation():
     """A (20, 2) basis and an observation whose step is not skipped."""
     return _basis(), np.random.default_rng(26).standard_normal(20)
+
+
+def _rotation(**bad):
+    """``rotate_update`` of a step that is not skipped, with the arguments in ``bad`` in place of the step's own."""
+    u, x = _observation()
+    out = grouse_step(u, x, GREEDY)
+    return rotate_update(**{"U": u, "w": out.w, "p": out.p, "r": out.r, "theta": out.theta, **bad})
+
+
+def _unit(*shape):
+    """An array of ``shape`` whose entries are all ``1 / sqrt(size)``: finite, nonzero and of unit norm."""
+    return np.full(shape, 1.0 / math.sqrt(math.prod(shape)))
 
 
 # (id, call, the argument the message names)
@@ -80,10 +94,39 @@ ROWS = [
     ("Tracker.update-practical-oracle", lambda: Tracker(_basis(), PRACTICAL).update(_observation()[1], INFO), "oracle"),
     ("compute_alpha-greedy-oracle", lambda: compute_alpha(GREEDY, 1.0, 1.0, 20, 2, INFO), "oracle"),
     ("compute_alpha-practical-oracle", lambda: compute_alpha(PRACTICAL, 1.0, 1.0, 20, 2, INFO), "oracle"),
+    ("grouse_step-d-above-n", lambda: grouse_step(_unit(3, 5), _unit(3), GREEDY), "d"),
+    ("grouse_step-d-equal-n", lambda: grouse_step(np.eye(4), _unit(4), GREEDY), "d"),
+    ("grouse_step-d-zero", lambda: grouse_step(np.zeros((5, 0)), _unit(5), GREEDY), "d"),
+    ("rotate_update-short-w", lambda: _rotation(w=_unit(1)), "w"),
+    ("rotate_update-short-p", lambda: _rotation(p=_unit(19)), "p"),
+    ("rotate_update-stacked-p-r", lambda: _rotation(p=_unit(1, 20), r=_unit(1, 20)), "p"),
+    ("OracleInfo.from_signal-complex-U", lambda: OracleInfo.from_signal(_basis() + 1j, _unit(20)), "U"),
+    ("OracleInfo.from_signal-d-above-n", lambda: OracleInfo.from_signal(_unit(3, 5), _unit(3)), "d"),
+    ("OracleInfo.from_signal-short-v", lambda: OracleInfo.from_signal(_basis(), _unit(19)), "v"),
+    ("frobenius_discrepancy-wider-Ubar",
+     lambda: frobenius_discrepancy(_basis(), random_orthonormal(20, 3, np.random.default_rng(27))), "Ubar"),
 ]
 
 
 @pytest.mark.parametrize("call, name", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
 def test_bad_argument_raises_a_value_error_naming_it(call, name):
     with pytest.raises(ValueError, match=rf"(?<![\w.]){re.escape(name)}(?!\w)"):
+        call()
+
+
+# (id, call, the whole message): every shape rule says it in one form, ``subspaces._shaped``'s
+SHAPES = [
+    ("check_orthonormal-1d", lambda: check_orthonormal(_unit(20)), "basis must have shape (n, d), got (20,)"),
+    ("grouse_step-stacked-x", lambda: grouse_step(_basis(), _unit(1, 20), GREEDY),
+     "x must have shape (20,), got (1, 20)"),
+    ("grouse_step-3d-U", lambda: grouse_step(_basis()[None], _unit(20), GREEDY),
+     "U must have shape (n, d), got (1, 20, 2)"),
+    ("basis_with_angles-three-cosines", lambda: basis_with_angles(_basis(), _unit(3), np.random.default_rng(0)),
+     "cosines must have shape (2,), got (3,)"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in SHAPES], ids=[row[0] for row in SHAPES])
+def test_shape_rules_share_one_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

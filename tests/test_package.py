@@ -133,20 +133,25 @@ def test_field_types_have_one_owner():
 
 
 def test_argument_rules_have_one_owner():
-    """Each argument rule is written once: a dimension, a lower bound, a range and the step's inputs.
+    """Each argument rule is written once: a dimension, a shape, a lower bound, a range and the step's inputs.
 
-    ``0 < d < n`` is compared only in ``subspaces._dims``; ``must be >= `` is raised only in ``_at_least`` and
-    ``must lie in`` only in ``_within``; ``isinstance(..., StepConfig)`` and ``isinstance(..., OracleInfo)`` are
-    tested only in ``core._step_inputs``.  A comparison counts as the dimension rule when one operand is ``d``-like
-    (``d``, ``x.d``, ``x.shape[1]``) and one ``n``-like (``n``, ``x.n``, ``x.shape[0]``), whatever its form.  The
-    basis checks of ``check_orthonormal``, ``reorthonormalize``, ``project`` and the metrics' cross-Gram go through
-    ``_basis``.
+    ``0 < d < n`` is compared only in ``subspaces._dims``; ``must have shape`` is raised only in ``_shaped``,
+    ``must be >= `` only in ``_at_least`` and ``must lie in`` only in ``_within``; ``isinstance(..., StepConfig)``
+    and ``isinstance(..., OracleInfo)`` are tested only in ``core._step_inputs``.  A comparison counts as the
+    dimension rule when one operand is ``d``-like (``d``, ``x.d``, ``x.shape[1]``) and one ``n``-like (``n``,
+    ``x.n``, ``x.shape[0]``), whatever its form; an ``if`` that raises counts as a shape rule when its test reads a
+    ``.shape`` or ``.ndim``.  The basis checks of ``check_orthonormal``, ``reorthonormalize``, ``project``, the
+    metrics' cross-Gram and ``OracleInfo.from_signal`` go through ``_basis``, and the step path's dimensions (of
+    ``grouse_step``'s ``_checked`` and of ``rotate_update``) through ``_dims``.  A non-finite update has one error,
+    raised in ``core._finite``.
     """
-    from grouse.core import project
+    from grouse.core import OracleInfo, _checked, grouse_step, project, rotate_update
     from grouse.subspaces import _cross_gram, check_orthonormal, reorthonormalize
 
     dim, ambient = re.compile(r"^([\w.]+\.)?(d|shape\[1\])$"), re.compile(r"^([\w.]+\.)?(n|shape\[0\])$")
-    compared, raised, instance_checks = [], {"must be >= ": [], "must lie in ": []}, []
+    shape = re.compile(r"\.(shape|ndim)\b|\bnp\.(shape|ndim)\(")
+    compared, shape_rules, instance_checks = [], [], []
+    raised = {"must have shape ": [], "must be >= ": [], "must lie in ": [], "update produced non-finite entries": []}
     for path in sorted(Path(grouse.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {}  # each node's innermost function: an inner def's walk comes after its outer one's
@@ -157,6 +162,9 @@ def test_argument_rules_have_one_owner():
                 operands = [ast.unparse(a) for a in (node.left, *node.comparators)]
                 if any(map(dim.match, operands)) and any(map(ambient.match, operands)):
                     compared.append(owner.get(node))
+            elif isinstance(node, ast.If) and shape.search(ast.unparse(node.test)):
+                if any(isinstance(inner, ast.Raise) for statement in node.body for inner in ast.walk(statement)):
+                    shape_rules.append(owner.get(node))
             elif isinstance(node, ast.Raise):
                 for message, owners in raised.items():
                     if message in ast.unparse(node):
@@ -165,9 +173,15 @@ def test_argument_rules_have_one_owner():
                   and re.search(r"\b(StepConfig|OracleInfo)\b", ast.unparse(node.args[1]))):
                 instance_checks.append((owner.get(node), ast.unparse(node.args[1])))
     assert compared == ["subspaces._dims"], compared
-    assert raised == {"must be >= ": ["subspaces._at_least"], "must lie in ": ["subspaces._within"]}, raised
+    assert shape_rules == ["subspaces._shaped"], shape_rules
+    assert raised == {"must have shape ": ["subspaces._shaped"], "must be >= ": ["subspaces._at_least"],
+                      "must lie in ": ["subspaces._within"],
+                      "update produced non-finite entries": ["core._finite"]}, raised
     assert instance_checks == [("core._step_inputs", kind) for kind in ("StepConfig", "OracleInfo")], instance_checks
-    assert all("_basis(" in inspect.getsource(f) for f in (check_orthonormal, reorthonormalize, project, _cross_gram))
+    assert all("_basis(" in inspect.getsource(f)
+               for f in (check_orthonormal, reorthonormalize, project, _cross_gram, OracleInfo.from_signal))
+    assert all("_dims(" in inspect.getsource(f) for f in (_checked, rotate_update))
+    assert "_checked(" in inspect.getsource(grouse_step)
 
 
 def test_reorth_rule_has_one_owner():
