@@ -294,21 +294,21 @@ def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None) ->
     skipped = (w_norm <= _SKIP_NORM_TOL) | (p_norm <= _SKIP_NORM_TOL) | (r_norm <= _SKIP_NORM_TOL)
     if skipped.all():
         return w, p, r, p_sq, r_sq, 0.0, 0.0, U, skipped, np.zeros_like(skipped)
-    # a skipped row of a stack divides by its norms plus 1, so it raises no division warning
-    w_norm, p_norm, r_norm = w_norm + skipped, p_norm + skipped, r_norm + skipped
-    alpha = 0.0
-    if cfg.mode is not StepMode.GREEDY_NOISELESS:
-        alpha = _alpha(cfg, np.vecdot(x, x), _squares(r_norm), *U.shape[-2:], v_perp_norm_sq)
-    theta = _theta(alpha, r_norm, p_norm)
-    factors = w / w_norm[..., None], p / p_norm[..., None], r / r_norm[..., None]
-    updated = _rotate(U, *factors, theta)
+    # a skipped row's zero norms and a non-finite basis's inf / inf make NaNs, not warnings; skipped rows get U's
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = 0.0
+        if cfg.mode is not StepMode.GREEDY_NOISELESS:
+            alpha = _alpha(cfg, np.vecdot(x, x), _squares(r_norm), *U.shape[-2:], v_perp_norm_sq)
+        theta = _theta(alpha, r_norm, p_norm)
+        factors = w / w_norm[..., None], p / p_norm[..., None], r / r_norm[..., None]
+        updated = _rotate(U, *factors, theta)
+        # U' - U is w_hat times a direction made of theta, p_hat and r_hat, so a row of U' is finite iff its four are
+        # (a non-finite x or U makes w_hat NaN).  Their entries are at most 1 and theta < 2, so a row's one sum of them
+        # is finite iff they are: O(n + d) per row, where a test of U' is O(nd)
+        failed = ~skipped & ~np.isfinite(theta + sum(np.add.reduce(a, axis=-1) for a in factors))
     if skipped.any():
         np.copyto(updated, U, where=skipped[..., None, None])
         alpha, theta = np.where(skipped, 0.0, alpha), np.where(skipped, 0.0, theta)
-    # U' - U is w_hat times a direction made of theta, p_hat and r_hat, so a row of U' is finite iff its four are (a
-    # non-finite x or U makes w_hat NaN).  Their entries are at most 1 and theta < 2, so a row's one sum of them is
-    # finite iff they are: O(n + d) per row, where a test of U' is O(nd)
-    failed = ~np.isfinite(theta + sum(np.add.reduce(a, axis=-1) for a in factors))
     return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped, failed
 
 

@@ -313,7 +313,7 @@ def basis_with_angles(ubar: np.ndarray, cosines: np.ndarray, rng: np.random.Gene
 def basis_with_similarity(ubar: np.ndarray, zeta: float, rng: np.random.Generator) -> np.ndarray:
     """Basis at determinant similarity ``zeta`` to ``ubar``, equal angles."""
     zeta = _within("zeta", zeta, 0, 1, "(]")
-    d = ubar.shape[1]
+    d = check_orthonormal(ubar).shape[1]
     cosines = np.full(d, zeta ** (1.0 / (2 * d)))
     return basis_with_angles(ubar, cosines, rng)
 

@@ -138,6 +138,26 @@ def test_greedy_optimality_fails_without_cases():
     assert not empty.passed and empty.measured == math.inf and "no case evaluated" in empty.detail
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_property_draws_from_its_own_stream(monkeypatch, seed):
+    """A row of ``_PROPERTIES`` whose function is replaced by a stub that draws nothing moves no other line.
+
+    The stub stands for a property taken out; one added at the end moves nothing either.  The sample sizes are cut to
+    3, which keeps the 27 runs of ``verify`` fast: the streams are under test, not the sizes.
+    """
+    monkeypatch.setitem(grouse.checks._COUNTS, "quick", dict.fromkeys(grouse.checks._COUNTS["quick"], 3))
+    results = verify(suite="all", seed=seed, intensity="quick").results
+    assert [r.suite for r in results] == [suite for suite, _, _ in grouse.checks._PROPERTIES]
+    lines = [r.line() for r in results]
+    for k, (suite, _, name) in enumerate(grouse.checks._PROPERTIES):
+        stub = PropertyResult(name, suite, 0.0, 0.0, True, "stub")
+        with monkeypatch.context() as patched:
+            patched.setattr(grouse.checks, name, lambda rng, *sizes: stub)
+            stubbed = [r.line() for r in verify(suite="all", seed=seed, intensity="quick").results]
+        assert stubbed[k] == stub.line()
+        assert stubbed[:k] + stubbed[k + 1:] == lines[:k] + lines[k + 1:], name
+
+
 @pytest.mark.parametrize("seed, message", [
     (-1, "seed must be >= 0, got -1"),
     (True, "seed must be an integer, got True"),

@@ -55,6 +55,22 @@ def _rotation(**bad):
     return rotate_update(**{"U": u, "w": out.w, "p": out.p, "r": out.r, "theta": out.theta, **bad})
 
 
+def _inf_basis():
+    u = _basis()
+    u[3, 1] = np.inf
+    return u
+
+
+def _inf_step(cfg, rows=0):
+    """The step of a basis with an inf entry: ``Tracker.update``'s, or with ``rows`` the first row's of a stack."""
+    u, x = _observation()
+    tracker = Tracker(np.stack([u] * rows) if rows else u, cfg)
+    tracker.basis[..., 3, 1] = np.inf
+    if not rows:
+        return tracker.update(x)
+    raise tracker._update_rows(np.stack([x] * rows))[-1][0]
+
+
 def _unit(*shape):
     """An array of ``shape`` whose entries are all ``1 / sqrt(size)``: finite, nonzero and of unit norm."""
     return np.full(shape, 1.0 / math.sqrt(math.prod(shape)))
@@ -123,6 +139,8 @@ SHAPES = [
      "U must have shape (n, d), got (1, 20, 2)"),
     ("basis_with_angles-three-cosines", lambda: basis_with_angles(_basis(), _unit(3), np.random.default_rng(0)),
      "cosines must have shape (2,), got (3,)"),
+    ("basis_with_similarity-1d-ubar", lambda: basis_with_similarity(_unit(5), 0.5, np.random.default_rng(0)),
+     "basis must have shape (n, d), got (5,)"),
 ]
 
 
@@ -130,3 +148,18 @@ SHAPES = [
 def test_shape_rules_share_one_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# (id, call): a basis with an inf entry fails its step with the step's one error, and raises no warning on the way
+NON_FINITE_STEPS = [
+    ("grouse_step", lambda cfg: grouse_step(_inf_basis(), _observation()[1], cfg)),
+    ("Tracker.update", _inf_step),
+    ("Tracker-stacked", lambda cfg: _inf_step(cfg, rows=2)),
+]
+
+
+@pytest.mark.parametrize("cfg", [GREEDY, PRACTICAL], ids=["greedy", "practical"])
+@pytest.mark.parametrize("call", [row[1] for row in NON_FINITE_STEPS], ids=[row[0] for row in NON_FINITE_STEPS])
+def test_non_finite_basis_fails_the_update(call, cfg):
+    with pytest.raises(ValueError, match="^update produced non-finite entries$"):
+        call(cfg)

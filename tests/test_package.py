@@ -77,6 +77,23 @@ def test_similarity_formula_has_one_owner():
     assert dets == [reference, ("subspaces.py", hits[0][1].strip())], dets
 
 
+def test_every_property_has_one_row_and_no_module_spawns():
+    """Each property function of ``grouse.checks`` has one row of ``_PROPERTIES``; no module calls ``.spawn(``.
+
+    A property's generator is its row's stream, so no property needs a generator spawned from another.
+    """
+    from grouse import checks
+
+    properties = sorted(name for name, value in vars(checks).items() if inspect.isfunction(value)
+                        and not name.startswith("_") and value.__annotations__.get("return") == "PropertyResult")
+    rows = [name for _, _, name in checks._PROPERTIES]
+    assert sorted(rows) == properties, (rows, properties)
+    package = Path(grouse.__file__).parent
+    spawns = [(path.name, line.strip()) for path in sorted(package.glob("*.py"))
+              for line in path.read_text(encoding="utf-8").splitlines() if ".spawn(" in line]
+    assert spawns == []
+
+
 def test_phase_rule_has_one_owner():
     """The phase targets and the K1/K2 update are written once, in ``bounds._PhaseRule``.
 
