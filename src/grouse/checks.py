@@ -68,9 +68,7 @@ _COUNTS = {
 }
 
 # the rates suite runs at one problem size and noise level for every intensity
-_RATE_N = 500
-_RATE_D = 10
-_RATE_SIGMA_SQ = 1e-3
+_RATE = BoundParams(n=500, d=10, sigma_sq=1e-3)
 
 
 @dataclass(frozen=True)
@@ -114,6 +112,16 @@ def _result(name: str, suite: str, measured: float | None, tolerated: float, det
     return PropertyResult(name, suite, float(measured), float(tolerated), bool(measured <= tolerated), detail)
 
 
+def _worst(cases: int, deviation: Callable[[int], float | None]) -> float | None:
+    """Largest ``deviation(i)`` over the cases ``i < cases``, or ``None`` when no case is evaluated.
+
+    A case is evaluated when ``deviation`` does not return ``None``.  A NaN deviation counts as the largest, so a
+    property that meets one fails, whichever case it comes from.
+    """
+    values = [value for value in map(deviation, range(cases)) if value is not None]
+    return max(values, key=lambda value: (math.isnan(value), value), default=None)
+
+
 def _z(values: np.ndarray, target: float) -> float:
     """Distance of the sample mean of ``values`` from ``target`` in standard errors."""
     mean, se = _mean_se(values)
@@ -132,20 +140,18 @@ def _random_pair(rng: np.random.Generator, n_max: int = 50) -> tuple[np.ndarray,
 
 def zeta_determinant_agreement(rng: np.random.Generator, pairs: int) -> PropertyResult:
     """``determinant_similarity``, ``det(M)^2`` with ``M = Ubar^T U``, vs the determinant of the product ``M M^T``."""
-    worst = 0.0
-    for _ in range(pairs):
+    def deviation(_):
         u, ubar = _random_pair(rng)
         z = determinant_similarity(u, ubar)
         m = ubar.T @ u
         z_det = float(np.linalg.det(m @ m.T))
-        worst = max(worst, abs(z - z_det))
-    return _result("zeta_matches_determinant", "metrics", worst if pairs > 0 else None, 1e-9)
+        return abs(z - z_det)
+    return _result("zeta_matches_determinant", "metrics", _worst(pairs, deviation), 1e-9)
 
 
 def zeta_eps_inequalities(rng: np.random.Generator, pairs: int) -> PropertyResult:
     """1 - zeta <= eps always; eps <= 2 (1 - zeta) once zeta >= 1/2."""
-    worst = -math.inf
-    for i in range(pairs):
+    def deviation(i):
         if i % 2 == 0:
             u, ubar = _random_pair(rng)
         else:
@@ -153,26 +159,24 @@ def zeta_eps_inequalities(rng: np.random.Generator, pairs: int) -> PropertyResul
             u = basis_with_similarity(ubar, float(rng.uniform(0.5, 1.0)), rng)
         z = determinant_similarity(u, ubar)
         e = frobenius_discrepancy(u, ubar)
-        worst = max(worst, (1.0 - z) - e)
-        if z >= 0.5:
-            worst = max(worst, e - 2.0 * (1.0 - z))
-    return _result("zeta_eps_inequalities", "metrics", worst if pairs > 0 else None, 1e-9)
+        return max((1.0 - z) - e, e - 2.0 * (1.0 - z) if z >= 0.5 else -math.inf)
+    return _result("zeta_eps_inequalities", "metrics", _worst(pairs, deviation), 1e-9)
 
 
 def metric_rotation_invariance(rng: np.random.Generator, pairs: int) -> PropertyResult:
     """Both metrics depend on the spans only: right-rotating a basis changes nothing."""
-    worst = 0.0
-    for _ in range(pairs):
+    def deviation(_):
         u, ubar = _random_pair(rng)
         d = u.shape[1]
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
-        worst = max(worst, abs(determinant_similarity(u @ q, ubar) - determinant_similarity(u, ubar)))
-        worst = max(worst, abs(frobenius_discrepancy(u, ubar @ q) - frobenius_discrepancy(u, ubar)))
-    return _result("metric_rotation_invariance", "metrics", worst if pairs > 0 else None, 1e-10)
+        return max(abs(determinant_similarity(u @ q, ubar) - determinant_similarity(u, ubar)),
+                   abs(frobenius_discrepancy(u, ubar @ q) - frobenius_discrepancy(u, ubar)))
+    return _result("metric_rotation_invariance", "metrics", _worst(pairs, deviation), 1e-10)
 
 
-def trace_expectation_mc(rng: np.random.Generator, draws: int, d: int = 6) -> PropertyResult:
+def trace_expectation_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
     """Mean of x^T Q x / x^T x over isotropic x equals tr(Q)/d."""
+    d = 6
     q = rng.standard_normal((d, d))
     q = (q + q.T) / 2.0
     x = rng.standard_normal((draws, d))
@@ -181,8 +185,9 @@ def trace_expectation_mc(rng: np.random.Generator, draws: int, d: int = 6) -> Pr
                    f"target={np.trace(q) / d:.5f}")
 
 
-def random_init_similarity_mc(rng: np.random.Generator, draws: int, n: int = 20, d: int = 2) -> PropertyResult:
+def random_init_similarity_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
     """Mean initial similarity of random bases equals the exact value 1/binom(n, d)."""
+    n, d = 20, 2
     ubar = random_orthonormal(n, d, rng)
     zetas = np.empty(draws)
     chunk = 10_000
@@ -204,7 +209,9 @@ def reorth_agreement(rng: np.random.Generator, pairs: int) -> PropertyResult:
     ``P_qr`` is the projector of ``np.linalg.qr`` on the unscaled basis.
     """
     orth, agreement = 0.0, 0.0
-    for i in range(pairs):
+
+    def deviation(i):
+        nonlocal orth, agreement
         u, _ = _random_pair(rng)
         n, d = u.shape
         if i % 2 == 0:
@@ -217,8 +224,10 @@ def reorth_agreement(rng: np.random.Generator, pairs: int) -> PropertyResult:
         q_qr = np.linalg.qr(u)[0]
         orth = max(orth, float(np.max(np.abs(q.T @ q - np.eye(d)))))
         agreement = max(agreement, float(np.max(np.abs(q @ q.T - q_qr @ q_qr.T))))
-    return _result("reorth_agreement", "metrics", max(orth / 1e-14, agreement / 1e-12) if pairs > 0 else None,
-                   1.0, f"max|Q^T Q - I|={orth:.1e} projector gap={agreement:.1e}")
+        return max(orth / 1e-14, agreement / 1e-12)
+    worst = _worst(pairs, deviation)  # before the detail reads orth and agreement
+    return _result("reorth_agreement", "metrics", worst, 1.0,
+                   f"max|Q^T Q - I|={orth:.1e} projector gap={agreement:.1e}")
 
 
 def similarity_forms_agree(rng: np.random.Generator, pairs: int) -> PropertyResult:
@@ -233,16 +242,15 @@ def similarity_forms_agree(rng: np.random.Generator, pairs: int) -> PropertyResu
     accurate form.
     ``measured`` is the largest relative gap.
     """
-    worst = 0.0
-    for i in range(pairs):
+    def deviation(i):
         n, d = ((30, 4), (200, 5), (2000, 20))[i % 3]
         ubar = random_orthonormal(n, d, rng)
         cosines = 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.9), d)
         cosines[-1] = 10.0 ** rng.uniform(-9.0, 0.0)
         u = basis_with_angles(ubar, cosines, rng)
         product = float(np.prod(np.square(principal_angles(u, ubar))))
-        worst = max(worst, abs(determinant_similarity(u, ubar) - product) / product)
-    return _result("similarity_forms_agree", "metrics", worst if pairs > 0 else None, 1e-12)
+        return abs(determinant_similarity(u, ubar) - product) / product
+    return _result("similarity_forms_agree", "metrics", _worst(pairs, deviation), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +274,11 @@ def _worst_step(rng: np.random.Generator, cases: int,
 
     A case is evaluated when its step is not skipped and ``deviation`` does not return ``None``.
     """
-    values = []
-    for _ in range(cases):
+    def stepped(_):
         ubar, u, v = _noiseless_case(rng, n, d)
         out = grouse_step(u, v, cfg, oracle=oracle)
-        if out.skipped:
-            continue
-        value = deviation(ubar, u, v, out)
-        if value is not None:
-            values.append(value)
-    return max(values, default=None)
+        return None if out.skipped else deviation(ubar, u, v, out)
+    return _worst(cases, stepped)
 
 
 def step_orthonormality(rng: np.random.Generator, cases: int) -> PropertyResult:
@@ -323,24 +326,20 @@ def monotonic_eps_identity(rng: np.random.Generator, cases: int) -> PropertyResu
     return _result("monotonic_eps_identity", "step", _worst_step(rng, cases, deviation), 1e-8)
 
 
-def greedy_optimality(rng: np.random.Generator, cases: int, theta_scale: float = 1.0) -> PropertyResult:
-    """Scaling the used angle by 0.9 or 1.1 must strictly lower the similarity gain.
+def greedy_optimality(rng: np.random.Generator, cases: int) -> PropertyResult:
+    """Scaling the step's angle by 0.9 or 1.1 must strictly lower the similarity gain.
 
     The gain is re-evaluated through the one-step ratio formula
-    ``(cos(theta) + (||v_perp||/||v_par||) sin(theta))^2``.  ``theta_scale``
-    deliberately mis-scales the angle actually applied (negative-control
-    hook); any value other than 1 makes the property fail.
+    ``(cos(theta) + (||v_perp||/||v_par||) sin(theta))^2`` at the angle the step reports.
     """
     def deviation(ubar, u, v, out):
-        theta_used = theta_scale * out.theta
         q = float(np.linalg.norm(out.r) / np.linalg.norm(out.p))
 
         def gain(theta: float) -> float:
             return (math.cos(theta) + q * math.sin(theta)) ** 2
 
-        return max(gain(0.9 * theta_used), gain(1.1 * theta_used)) - gain(theta_used)
-    return _result("greedy_optimality", "step", _worst_step(rng, cases, deviation), -1e-15,
-                   detail=f"theta_scale={theta_scale}")
+        return max(gain(0.9 * out.theta), gain(1.1 * out.theta)) - gain(out.theta)
+    return _result("greedy_optimality", "step", _worst_step(rng, cases, deviation), -1e-15)
 
 
 def step_equivariance(rng: np.random.Generator, cases: int) -> PropertyResult:
@@ -381,18 +380,16 @@ def rotation_forms_agree(rng: np.random.Generator, cases: int) -> PropertyResult
         old_update = np.outer(old, out.w / np.linalg.norm(out.w))
         return float(np.max(np.abs(out.updated - u - old_update)) / np.max(np.abs(old_update)))
 
-    worst_gap = _worst_step(rng, cases, gap)
-    worst_orth, evaluated = 0.0, 0
-    for _ in range(cases):
+    def small_angle_orth(_):
         _, u, v = _noiseless_case(rng)
         z = rng.standard_normal(u.shape[0])
         z -= u @ (u.T @ z)
         x = u @ (u.T @ v) + 1e-9 * z / np.linalg.norm(z)  # residual 1e-9 of a projection near 1: theta near 1e-9
         out = grouse_step(u, x, StepConfig())
-        if not out.skipped:
-            orth = float(np.max(np.abs(out.updated.T @ out.updated - np.eye(u.shape[1]))))
-            worst_orth, evaluated = max(worst_orth, orth), evaluated + 1
-    if worst_gap is None or not evaluated:
+        return None if out.skipped else float(np.max(np.abs(out.updated.T @ out.updated - np.eye(u.shape[1]))))
+
+    worst_gap, worst_orth = _worst_step(rng, cases, gap), _worst(cases, small_angle_orth)
+    if worst_gap is None or worst_orth is None:
         return _result("rotation_forms_agree", "step", None, 1.0)
     return _result("rotation_forms_agree", "step", max(worst_gap / 1e-12, worst_orth / 1e-14), 1.0,
                    f"relative gap={worst_gap:.1e} max|U'^T U' - I| at theta~1e-9={worst_orth:.1e}")
@@ -414,17 +411,18 @@ def sample_invariants(rng: np.random.Generator, draws: int) -> PropertyResult:
     return _result("sample_invariants", "data", worst, 1e-10)
 
 
-def noise_energy_mc(rng: np.random.Generator, draws: int, sigma_sq: float = 0.04) -> PropertyResult:
+def noise_energy_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
     """Mean noise-to-signal energy ratio equals sigma^2 under unit signal norm."""
+    sigma_sq = 0.04
     model = make_planted(100, 5, sigma_sq, sparse=False, rng=rng)
     batch = draw_batch(model, draws, rng)
     ratios = np.einsum("ni,ni->n", batch.xi, batch.xi)
     return _result("noise_energy_mc", "data", _z(ratios, sigma_sq), 3.0)
 
 
-def noise_split_mc(rng: np.random.Generator, draws: int, sigma_sq: float = 0.04) -> PropertyResult:
+def noise_split_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
     """Expected noise energy splits as (d/n) sigma^2 in-span and (1 - d/n) sigma^2 out-of-span."""
-    n, d = 100, 5
+    n, d, sigma_sq = 100, 5, 0.04
     model = make_planted(n, d, sigma_sq, sparse=False, rng=rng)
     basis = random_orthonormal(n, d, rng)
     batch = draw_batch(model, draws, rng)
@@ -445,9 +443,9 @@ def signal_energy_unnormalized_mc(rng: np.random.Generator, draws: int) -> Prope
     return _result("signal_energy_unnormalized_mc", "data", _z(sq, d), 3.0)
 
 
-def sparse_density_mc(rng: np.random.Generator, models: int = 100) -> PropertyResult:
+def sparse_density_mc(rng: np.random.Generator) -> PropertyResult:
     """Fraction of structurally nonzero entries matches the generation density."""
-    n, d = 1000, 5
+    n, d, models = 1000, 5, 100
     density = _sparse_density(n, d)
     fractions = np.empty(models)
     for i in range(models):
@@ -474,35 +472,34 @@ def stream_determinism(rng: np.random.Generator) -> PropertyResult:
 # rates suite
 
 
-def _rate_fixture(rng: np.random.Generator, n: int, d: int, zeta: float):
-    model = make_planted(n, d, _RATE_SIGMA_SQ, sparse=True, rng=rng)
-    basis = basis_with_similarity(model.ubar, zeta, rng)
-    return model, basis
+def _rate_fixture(rng: np.random.Generator, zeta: float):
+    model = make_planted(_RATE.n, _RATE.d, _RATE.sigma_sq, sparse=True, rng=rng)
+    return model, basis_with_similarity(model.ubar, zeta, rng)
 
 
-def zeta_rate_bound_mc(rng: np.random.Generator, draws: int, n: int = _RATE_N, d: int = _RATE_D) -> PropertyResult:
-    model, basis = _rate_fixture(rng, n, d, zeta=0.1)
-    check = mc_zeta_rate_check(model, basis, BoundParams(n=n, d=d, sigma_sq=_RATE_SIGMA_SQ), draws, rng)
+def zeta_rate_bound_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
+    model, basis = _rate_fixture(rng, zeta=0.1)
+    check = mc_zeta_rate_check(model, basis, _RATE, draws, rng)
     return _result("zeta_rate_bound_mc", "rates", -check.slack_se, 3.0,
                    f"mean={check.observed_mean:.5f} bound={check.bound:.5f}")
 
 
-def eps_rate_bound_mc(rng: np.random.Generator, draws: int, n: int = _RATE_N, d: int = _RATE_D) -> PropertyResult:
-    model, basis = _rate_fixture(rng, n, d, zeta=0.6)
-    check = mc_eps_rate_check(model, basis, BoundParams(n=n, d=d, sigma_sq=_RATE_SIGMA_SQ), draws, rng)
+def eps_rate_bound_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
+    model, basis = _rate_fixture(rng, zeta=0.6)
+    check = mc_eps_rate_check(model, basis, _RATE, draws, rng)
     return _result("eps_rate_bound_mc", "rates", -check.slack_se, 3.0,
                    f"mean={check.observed_mean:.5f} bound={check.bound:.5f}")
 
 
-def zeta_ratio_identity_mc(rng: np.random.Generator, draws: int, n: int = _RATE_N, d: int = _RATE_D) -> PropertyResult:
-    model, basis = _rate_fixture(rng, n, d, zeta=0.3)
+def zeta_ratio_identity_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
+    model, basis = _rate_fixture(rng, zeta=0.3)
     check = mc_zeta_ratio_check(model, basis, draws, rng)
     return _result("zeta_ratio_identity_mc", "rates", -check.slack_se, 3.0,
                    f"mean_ratio={check.observed_mean:.5f} bound={check.bound:.5f}")
 
 
-def eps_decrease_mc(rng: np.random.Generator, draws: int, n: int = _RATE_N, d: int = _RATE_D) -> PropertyResult:
-    model, basis = _rate_fixture(rng, n, d, zeta=0.6)
+def eps_decrease_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
+    model, basis = _rate_fixture(rng, zeta=0.6)
     check = mc_eps_decrease_check(model, basis, draws, rng)
     return _result("eps_decrease_mc", "rates", -check.slack_se, 3.0,
                    f"mean_decrease={check.observed_mean:.3e}")
@@ -529,7 +526,8 @@ def bound_formula_sanity(rng: np.random.Generator) -> PropertyResult:
 # driver
 
 # One row per property: its suite, the ``_COUNTS`` keys of its sizes and its function's name.  ``verify`` calls the
-# function as ``check(rng, *sizes)``, looked up by name so that a wrapper set on the module attribute sees the call.
+# function as ``check(rng, *sizes)``, looked up by name so that a wrapper set on the module attribute sees the call;
+# a property takes no other argument, and the worst of its cases is ``_worst``'s.
 # Row k draws from its own stream, ``SeedSequence(seed, spawn_key=(k,))``, so rows are only appended, never reordered
 # or deleted: a property added or stubbed out then moves no other property's draws.
 _PROPERTIES = (

@@ -8,8 +8,7 @@ stacked ``core.Tracker``, and each trial gets the bits it gets alone,
 whatever the stack holds.  Trajectories are persisted as CSV with a
 ``#``-prefixed metadata header embedding the full configuration, each row
 written as it is recorded; sweep summaries are written as CSV plus a JSON
-document carrying per-trial detail; a planted model's basis and a batch of
-its observations export as CSV.  Every output file is opened before the
+document carrying per-trial detail.  Every output file is opened before the
 first step and appears only when its run succeeds.
 """
 
@@ -27,9 +26,9 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, mu0
+from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, k_total_bound, mu0
 from .core import StepConfig, StepMode, Tracker, _energy_outside
-from .data import PlantedModel, Sample, _draw_each, make_planted
+from .data import PlantedModel, _draw_each, make_planted
 from .subspaces import (MetricSample, _at_least, _column_major, _cosines, _discrepancy, _own_fields, _shaped,
                         _similarity, check_orthonormal, random_orthonormal)
 
@@ -41,8 +40,6 @@ __all__ = [
     "bounds_table",
     "config_from_dict",
     "derive_trial_seed",
-    "export_basis_csv",
-    "export_samples_csv",
     "run_single",
     "run_sweep",
     "run_trajectory",
@@ -121,7 +118,7 @@ class ExperimentConfig:
         if self.max_iters is not None:
             return self.max_iters
         p = self.bound_params()
-        return int(math.ceil(3.0 * (k1_bound(p) + k2_bound(p))))
+        return int(math.ceil(3.0 * k_total_bound(p)))
 
     def to_dict(self) -> dict:
         return {**dataclasses.asdict(self), "mode": self.mode.value}
@@ -503,21 +500,3 @@ def bounds_table(params_list: Sequence[BoundParams], out_path: str | None = None
         with _output(out_path) as fh:
             fh.write("\n".join([BOUNDS_HEADER, *rows, ""]))
     return rows
-
-
-def _write_csv_matrix(path: str, model: PlantedModel, matrix: np.ndarray) -> None:
-    with _output(path) as fh:
-        fh.write("n,d,sigma_sq\n")
-        fh.write(f"{model.n},{model.d},{model.sigma_sq!r}\n")
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(repr(float(value)) for value in row) + "\n")
-
-
-def export_basis_csv(model: PlantedModel, path: str) -> None:
-    """Write the ground-truth basis row-major after an ``n,d,sigma_sq`` header."""
-    _write_csv_matrix(path, model, model.ubar)
-
-
-def export_samples_csv(model: PlantedModel, batch: Sample, path: str) -> None:
-    """Write a batch of observations (one per row) after an ``n,d,sigma_sq`` header."""
-    _write_csv_matrix(path, model, batch.x)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -53,13 +54,20 @@ def test_suite_selection():
     assert SUITES == ("metrics", "step", "data", "rates")
 
 
-def test_corrupted_step_angle_fails_greedy_optimality():
-    """Negative control: mis-scaling the applied angle must trip the property."""
+def test_corrupted_step_angle_fails_greedy_optimality(monkeypatch):
+    """Negative control: a step that reports 1.5 times the angle it applied must trip the property."""
     rng = np.random.default_rng(0)
-    honest = greedy_optimality(rng, 100, theta_scale=1.0)
+    honest = greedy_optimality(rng, 100)
     assert honest.passed
+    step = grouse.checks.grouse_step
+
+    def mis_reported(U, x, cfg, oracle=None):
+        out = step(U, x, cfg, oracle=oracle)
+        return dataclasses.replace(out, theta=1.5 * out.theta)
+
+    monkeypatch.setattr(grouse.checks, "grouse_step", mis_reported)
     rng = np.random.default_rng(0)
-    corrupted = greedy_optimality(rng, 100, theta_scale=1.5)
+    corrupted = greedy_optimality(rng, 100)
     assert not corrupted.passed
     assert corrupted.measured > 0
 
@@ -99,6 +107,21 @@ def test_metric_property_without_pairs_fails():
         result = prop(np.random.default_rng(0), 0)
         assert not result.passed, result.line()
         assert result.measured == math.inf
+
+
+@pytest.mark.parametrize("nan_call", [1, 3])
+def test_a_nan_deviation_fails_the_property_in_any_case(monkeypatch, nan_call):
+    """Negative control: a NaN measured in the first or a later case is not dropped by the worst-case loop."""
+    calls = []
+    similarity = grouse.checks.determinant_similarity
+
+    def nan_once(u, ubar):
+        calls.append(None)
+        return math.nan if len(calls) == nan_call else similarity(u, ubar)
+
+    monkeypatch.setattr(grouse.checks, "determinant_similarity", nan_once)
+    result = zeta_determinant_agreement(np.random.default_rng(0), 5)
+    assert not result.passed and math.isnan(result.measured), result.line()
 
 
 def test_reorth_agreement_fails_on_a_non_orthonormal_result_and_without_cases(monkeypatch):

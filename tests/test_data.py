@@ -5,14 +5,12 @@ import pytest
 
 from grouse.data import (
     PlantedModel,
-    Sample,
     _sparse_density,
     _sparse_matrix,
     draw_batch,
     draw_sample,
     make_planted,
 )
-from grouse.harness import export_basis_csv, export_samples_csv
 from grouse.subspaces import random_orthonormal, reorthonormalize
 
 
@@ -184,41 +182,6 @@ def test_model_validation():
         PlantedModel(ubar=ubar * 2.0, sigma_sq=0.0)
     with pytest.raises(ValueError):
         PlantedModel(ubar=ubar, sigma_sq=0.0, sparsity=1.5)
-
-
-def test_csv_exports(tmp_path):
-    rng = np.random.default_rng(11)
-    model = make_planted(12, 3, 0.25, sparse=False, rng=rng)
-    basis_path = tmp_path / "ubar.csv"
-    export_basis_csv(model, str(basis_path))
-    lines = basis_path.read_text().splitlines()
-    assert lines[0] == "n,d,sigma_sq"
-    assert lines[1] == "12,3,0.25"
-    assert len(lines) == 2 + 12
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
-    np.testing.assert_allclose(parsed, model.ubar, atol=1e-15)
-
-    batch = draw_batch(model, 7, rng)
-    samples_path = tmp_path / "xs.csv"
-    export_samples_csv(model, batch, str(samples_path))
-    lines = samples_path.read_text().splitlines()
-    assert lines[0] == "n,d,sigma_sq"
-    assert len(lines) == 2 + 7
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
-    np.testing.assert_allclose(parsed, batch.x, atol=1e-15)
-
-
-def test_failed_export_leaves_no_file(tmp_path):
-    """A write that fails midway, here on a non-numeric entry in row 3, leaves neither the file nor its temporary."""
-    rng = np.random.default_rng(11)
-    model = make_planted(12, 3, 0.25, sparse=False, rng=rng)
-    batch = draw_batch(model, 5, rng)
-    x = batch.x.astype(object)
-    x[2, 4] = "oops"
-    path = tmp_path / "xs.csv"
-    with pytest.raises(ValueError):
-        export_samples_csv(model, Sample(x=x, v=batch.v, s=batch.s, xi=batch.xi), str(path))
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

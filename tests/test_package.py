@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,38 @@ def test_every_property_has_one_row_and_no_module_spawns():
     spawns = [(path.name, line.strip()) for path in sorted(package.glob("*.py"))
               for line in path.read_text(encoding="utf-8").splitlines() if ".spawn(" in line]
     assert spawns == []
+
+
+def test_every_property_takes_its_row_sizes_only():
+    """A property function takes ``rng`` and one parameter per size key of its ``_PROPERTIES`` row, none defaulted.
+
+    Every other size of a property is a literal or a constant of ``grouse.checks``, so nothing outside the table can
+    run a property at sizes its row does not give.
+    """
+    from grouse import checks
+
+    for _, keys, name in checks._PROPERTIES:
+        params = list(inspect.signature(getattr(checks, name)).parameters.values())
+        assert [p.name for p in params[:1]] == ["rng"] and len(params) == 1 + len(keys), (name, params)
+        assert all(p.default is p.empty for p in params), (name, params)
+
+
+def test_no_case_rule_has_one_owner():
+    """The case loop and its rule that no evaluated case measures ``None`` are written once, in ``checks._worst``.
+
+    ``default=None`` appears in ``grouse.checks`` only in ``_worst``, and no property spells the rule itself: none
+    measures ``... if ... else None`` (as in ``worst if pairs > 0 else None``) or keeps an ``evaluated`` counter.
+    """
+    from grouse import checks
+
+    owner = inspect.getsource(checks._worst)
+    assert inspect.getsource(checks).count("default=None") == owner.count("default=None") == 1
+    for _, _, name in checks._PROPERTIES:
+        tree = ast.parse(inspect.getsource(getattr(checks, name)))
+        by_hand = [ast.unparse(node) for node in ast.walk(tree)
+                   if isinstance(node, ast.IfExp) and ast.unparse(node.orelse) == "None"
+                   or isinstance(node, ast.Name) and node.id == "evaluated"]
+        assert by_hand == [], (name, by_hand)
 
 
 def test_phase_rule_has_one_owner():
@@ -282,6 +315,14 @@ def test_traced_layers_resolve_to_package_functions():
     missing = [f"{layer}.{name}" for layer, names in tracer.LAYERS.items()
                for name in names if not callable(getattr(importlib.import_module(f"grouse.{layer}"), name, None))]
     assert tracer.LAYERS and missing == []
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_demo_runs(path, capsys):
+    """Each script in ``demos/`` runs to completion; what it prints is not checked."""
+    runpy.run_path(str(path), run_name="__main__")
+    capsys.readouterr()
 
 
 def test_readme_api_quick_start_runs():
