@@ -297,11 +297,13 @@ def basis_with_angles(ubar: np.ndarray, cosines: np.ndarray, rng: np.random.Gene
     with the ``z_i`` an orthonormal set drawn at random from the orthogonal
     complement of ``span(ubar)`` and orthonormalized by ``reorthonormalize``.
     Useful for placing a test basis at a prescribed similarity to a
-    reference subspace.  ``cosines`` has shape (d,), each in [0, 1].  The
-    basis is column-major.
+    reference subspace.  ``cosines`` has shape (d,), each in [0, 1], and
+    ``ubar`` needs ``n >= 2d`` rows, for the d directions ``z_i`` outside
+    its span; both are checked before any draw.  The basis is column-major.
     """
     ubar = check_orthonormal(ubar)
     n, d = ubar.shape
+    _at_least("ubar rows", n, least=2 * d)
     cosines = _within("cosines", _shaped("cosines", cosines, (d,)), 0, 1, "[]")
     gauss = rng.standard_normal((n, d))
     gauss -= ubar @ (ubar.T @ gauss)

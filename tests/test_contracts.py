@@ -16,9 +16,10 @@ from grouse.bounds import BoundParams, expected_eps_rate_bound, expected_zeta_ra
 from grouse.core import (OracleInfo, StepConfig, StepMode, Tracker, compute_alpha, compute_theta, grouse_step,
                          rotate_update)
 from grouse.data import draw_batch, make_planted
+from grouse.harness import ExperimentConfig, run_trajectory
 from grouse.subspaces import (basis_with_angles, basis_with_similarity, check_orthonormal, determinant_similarity,
                               expected_initial_similarity, expected_initial_similarity_exact, frobenius_discrepancy,
-                              metric_sample, principal_angles, random_orthonormal)
+                              metric_sample, principal_angles, random_orthonormal, reorthonormalize)
 
 GREEDY = StepConfig()
 PRACTICAL = StepConfig(mode=StepMode.PRACTICAL_NOISY, sigma_sq=0.1)
@@ -121,6 +122,12 @@ ROWS = [
     ("OracleInfo.from_signal-short-v", lambda: OracleInfo.from_signal(_basis(), _unit(19)), "v"),
     ("frobenius_discrepancy-wider-Ubar",
      lambda: frobenius_discrepancy(_basis(), random_orthonormal(20, 3, np.random.default_rng(27))), "Ubar"),
+    ("basis_with_angles-n-below-2d",
+     lambda: basis_with_angles(random_orthonormal(5, 3, np.random.default_rng(28)), _unit(3), np.random.default_rng(0)),
+     "ubar"),
+    ("basis_with_similarity-n-below-2d",
+     lambda: basis_with_similarity(random_orthonormal(3, 2, np.random.default_rng(29)), 0.5, np.random.default_rng(0)),
+     "ubar"),
 ]
 
 
@@ -163,3 +170,21 @@ NON_FINITE_STEPS = [
 def test_non_finite_basis_fails_the_update(call, cfg):
     with pytest.raises(ValueError, match="^update produced non-finite entries$"):
         call(cfg)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (5, 1), (5, 4)])
+def test_edge_dimensions_give_finite_results_that_meet_their_invariants(n, d):
+    """At d = 1 and d = n - 1 every basis is orthonormal to 1e-12, and every ζ lies in [0, 1] and ε in [0, d]."""
+    rng = np.random.default_rng(30)
+    u, ubar, x = random_orthonormal(n, d, rng), random_orthonormal(n, d, rng), rng.standard_normal(n)
+    bases = [grouse_step(u, x, GREEDY).updated, Tracker(u, PRACTICAL).update(x).updated,
+             reorthonormalize(u + 1e-3 * ubar),
+             *(make_planted(n, d, 0.1, sparse, rng).ubar for sparse in (False, True))]
+    for basis in bases:
+        assert np.all(np.isfinite(basis)) and np.abs(basis.T @ basis - np.eye(d)).max() <= 1e-12
+    cosines = principal_angles(u, ubar)
+    assert cosines.shape == (d,) and np.all((cosines >= 0) & (cosines <= 1))
+    result, rows = run_trajectory(ExperimentConfig(n=n, d=d, sigma_sq=0.01, mode="practical", max_iters=50))
+    pairs = [(determinant_similarity(u, ubar), frobenius_discrepancy(u, ubar)), (result.final_zeta, result.final_eps),
+             *((row.zeta, row.epsilon) for row in rows)]
+    assert len(rows) == result.iters_run + 1 and all(0 <= zeta <= 1 and 0 <= eps <= d for zeta, eps in pairs), pairs

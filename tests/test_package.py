@@ -2,10 +2,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grouse
@@ -304,6 +308,48 @@ def test_package_runs_no_threads():
             for line in path.read_text(encoding="utf-8").splitlines()
             if line.lstrip().startswith(("import ", "from ")) and ("concurrent" in line or "threading" in line)]
     assert hits == []
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")
+# 0.3 s after ``code``: the number of tasks (threads) and the CPU time, in clock ticks, of all but the main one
+POOL = ("import os, time; time.sleep(0.3); tasks = os.listdir('/proc/self/task'); "
+        "print(len(tasks), sum(sum(map(int, open(f'/proc/self/task/{t}/stat').read().rsplit(')', 1)[1].split()[11:13])) "
+        "for t in tasks if t != str(os.getpid())))")
+
+
+def _fresh(code: str, **env: str) -> list[str]:
+    """What a fresh interpreter prints after ``code``: grouse from ``src``, no BLAS thread variable but ``env``."""
+    inherited = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    src = str(Path(grouse.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", code + POOL], env={**inherited, "PYTHONPATH": src, **env},
+                           check=True, capture_output=True, text=True, timeout=60)
+    return child.stdout.split()
+
+
+BLAS = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {}).get("name", "")
+# where there is one core, or numpy's BLAS is not OpenBLAS, there is no worker to spin
+needs_openblas_pool = pytest.mark.skipif(
+    not os.access("/proc/self/task", os.R_OK) or (os.cpu_count() or 1) < 2 or "openblas" not in BLAS,
+    reason="needs /proc/self/task, two cores and an OpenBLAS numpy")
+
+
+@needs_openblas_pool
+def test_import_keeps_the_pool_and_its_workers_sleep():
+    """``import grouse`` starts numpy's whole pool, whose idle workers sleep at once, and leaves os.environ as it was."""
+    same_env, tasks, ticks = _fresh("import os; before = dict(os.environ); import grouse; "
+                                    "print(dict(os.environ) == before); ")
+    plain_tasks, plain_ticks = _fresh("import numpy; ")
+    assert (same_env, tasks) == ("True", plain_tasks) and int(tasks) >= 2
+    assert int(ticks) <= 1 < 3 <= int(plain_ticks), (ticks, plain_ticks)
+
+
+@pytest.mark.parametrize("code, env", [("import grouse; ", {"OPENBLAS_THREAD_TIMEOUT": "28"}),
+                                       ("import numpy, grouse; ", {})], ids=["users-timeout", "numpy-first"])
+@needs_openblas_pool
+def test_a_timeout_numpy_read_first_wins(code, env):
+    """The user's timeout, or the default that a numpy imported first read, keeps the workers spinning after start-up."""
+    timeout, _, ticks = _fresh(code + "import os; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT')); ", **env)
+    assert timeout == env.get("OPENBLAS_THREAD_TIMEOUT", "None") and int(ticks) >= 3, (timeout, ticks)
 
 
 def test_traced_layers_resolve_to_package_functions():
