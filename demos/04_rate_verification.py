@@ -9,7 +9,6 @@ compared against the expected-rate bound formulas at three standard errors.
 import numpy as np
 
 from grouse import (
-    BoundParams,
     basis_with_similarity,
     make_planted,
     mc_eps_rate_check,
@@ -19,19 +18,18 @@ from grouse import (
 rng = np.random.default_rng(0)
 n, d, sigma_sq, draws = 1000, 10, 1e-3, 4000
 model = make_planted(n, d, sigma_sq, sparse=True, rng=rng)
-params = BoundParams(n=n, d=d, sigma_sq=sigma_sq)
 
 print(f"n={n} d={d} sigma^2={sigma_sq}, {draws} draws per fixed iterate\n")
 print("similarity lower bound:")
 print(f"{'zeta_t':>7} {'bound':>10} {'mean zeta_t+1':>14} {'slack':>12}")
 for zeta in (0.02, 0.1, 0.5):
     basis = basis_with_similarity(model.ubar, zeta, rng)
-    check = mc_zeta_rate_check(model, basis, params, draws, rng)
+    check = mc_zeta_rate_check(model, basis, draws, rng)
     print(f"{zeta:>7.2f} {check.bound:>10.5f} {check.observed_mean:>14.5f} "
           f"{check.slack_se:>+9.0f} se")
 
 print("\ndiscrepancy upper bound:")
 basis = basis_with_similarity(model.ubar, 0.6, rng)
-check = mc_eps_rate_check(model, basis, params, draws, rng)
+check = mc_eps_rate_check(model, basis, draws, rng)
 print(f"mean eps_next = {check.observed_mean:.5f} vs bound {check.bound:.5f} "
       f"(slack {check.slack_se:+.0f} se, passed={check.passed})")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -178,8 +178,8 @@ class _PhaseRule:
     target_eps: float
 
     @classmethod
-    def of(cls, params: BoundParams, noisy: bool) -> "_PhaseRule":
-        if noisy:
+    def of(cls, params: BoundParams) -> "_PhaseRule":
+        if params.sigma_sq > 0:
             return cls(noisy_zeta_target(params), noisy_eps_target(params))
         return cls(0.5, params.eps_star)
 
@@ -196,27 +196,26 @@ class _PhaseRule:
                            target_zeta=self.target_zeta, target_eps=self.target_eps)
 
 
-def detect_phases(
-    trajectory: Sequence[MetricSample],
-    params: BoundParams,
-    noisy: bool = False,
-) -> PhaseReport:
+def detect_phases(trajectory: Iterable[MetricSample], params: BoundParams) -> PhaseReport:
     """Split a recorded trajectory into the two measured convergence phases.
 
-    Noiseless targets are similarity 1/2 and discrepancy ``eps_star``;
-    noisy targets are ``noisy_zeta_target`` / ``noisy_eps_target``.  The
-    local phase is counted from the iteration that first meets the
-    similarity target (``k2 = 0`` when that iterate already meets the
-    discrepancy target).  Iteration indices must be strictly increasing.
-    The rows of ``run_trajectory`` are ``MetricSample``s and pass as they
-    are.  The harness applies the same ``_PhaseRule`` while a trial runs.
+    The targets follow ``params.sigma_sq``: without noise they are
+    similarity 1/2 and discrepancy ``eps_star``, with noise
+    ``noisy_zeta_target`` / ``noisy_eps_target``.  The local phase is
+    counted from the iteration that first meets the similarity target
+    (``k2 = 0`` when that iterate already meets the discrepancy target).
+    Iteration indices must be strictly increasing.  ``trajectory`` is read
+    once, so an iterator gives the split its list gives.  The rows of
+    ``run_trajectory`` are ``MetricSample``s and pass as they are.  The
+    harness applies the same ``_PhaseRule`` while a trial runs.
     """
+    trajectory = list(trajectory)
     if not trajectory:
         raise ValueError("trajectory must be non-empty")
     ts = [s.t for s in trajectory]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("iteration indices must be strictly increasing")
-    rule = _PhaseRule.of(params, noisy)
+    rule = _PhaseRule.of(params)
     k1, k2 = np.full(1, -1), np.full(1, -1)
     for sample in trajectory:
         k1, k2 = rule.advance(k1, k2, sample.t, sample.zeta, sample.epsilon)
@@ -318,47 +317,38 @@ def _rate_check(mean: float, se: float, bound: float, n_draws: int, *, above: bo
                      slack_se=float(slack), passed=bool(passed))
 
 
-def mc_zeta_rate_check(
-    model: PlantedModel,
-    basis: np.ndarray,
-    params: BoundParams,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> RateCheck:
+def mc_zeta_rate_check(model: PlantedModel, basis: np.ndarray, n_draws: int, rng: np.random.Generator) -> RateCheck:
     """Check the expected-similarity lower bound at a fixed iterate.
 
     Runs ``n_draws`` oracle-schedule steps on fresh draws and requires the
     sample mean of the next similarity to stay above
-    ``expected_zeta_rate_bound`` minus three standard errors.  Raises
-    ``ValueError`` when the smallest principal-angle cosine of ``basis`` is
-    at most ``n * eps``, where the current similarity is rounding.
+    ``expected_zeta_rate_bound`` minus three standard errors.  The bound
+    reads n, d and sigma^2 from ``model``.  Raises ``ValueError`` when the
+    smallest principal-angle cosine of ``basis`` is at most ``n * eps``,
+    where the current similarity is rounding.
     """
+    params = BoundParams(n=model.n, d=model.d, sigma_sq=model.sigma_sq)
     bound = expected_zeta_rate_bound(_resolved_zeta(basis, model.ubar), params)
     zetas, _ = _oracle_steps(model, basis, n_draws, rng, _similarity)
     return _rate_check(*_mean_se(zetas), bound, n_draws, above=True)
 
 
-def mc_eps_rate_check(
-    model: PlantedModel,
-    basis: np.ndarray,
-    params: BoundParams,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> RateCheck:
-    """Check the expected-discrepancy upper bound at a fixed iterate."""
+def mc_eps_rate_check(model: PlantedModel, basis: np.ndarray, n_draws: int, rng: np.random.Generator) -> RateCheck:
+    """Check the expected-discrepancy upper bound at a fixed iterate.
+
+    The bound reads n, d and sigma^2 from ``model``.  Raises ``ValueError``,
+    before any draw, when the discrepancy of ``basis`` is not in ``(0, d)``.
+    """
     gram = _cross_gram(basis, model.ubar)
+    eps_now = _within("iterate's eps", float(_discrepancy(gram)), 0, model.d)
     cos_sq = float(_cosines(gram)[-1] ** 2)  # the smallest cosine, a float64 scalar squared
-    bound = expected_eps_rate_bound(float(_discrepancy(gram)), cos_sq, params)
+    params = BoundParams(n=model.n, d=model.d, sigma_sq=model.sigma_sq)
+    bound = expected_eps_rate_bound(eps_now, cos_sq, params)
     epss, _ = _oracle_steps(model, basis, n_draws, rng, _discrepancy)
     return _rate_check(*_mean_se(epss), bound, n_draws, above=False)
 
 
-def mc_zeta_ratio_check(
-    model: PlantedModel,
-    basis: np.ndarray,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> RateCheck:
+def mc_zeta_ratio_check(model: PlantedModel, basis: np.ndarray, n_draws: int, rng: np.random.Generator) -> RateCheck:
     """Check the similarity-ratio identity in expectation at a fixed iterate.
 
     The expected one-step similarity ratio must be at least one plus the
@@ -374,12 +364,7 @@ def mc_zeta_ratio_check(
     return _rate_check(float(ratios.mean()), se, 1.0 + float(gains.mean()), n_draws, above=True)
 
 
-def mc_eps_decrease_check(
-    model: PlantedModel,
-    basis: np.ndarray,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> RateCheck:
+def mc_eps_decrease_check(model: PlantedModel, basis: np.ndarray, n_draws: int, rng: np.random.Generator) -> RateCheck:
     """Check that the discrepancy decreases in expectation outside the noise ball.
 
     Requires the current discrepancy to be at least ``d^2 sigma^2``; the

@@ -67,8 +67,8 @@ _COUNTS = {
     },
 }
 
-# the rates suite runs at one problem size and noise level for every intensity
-_RATE = BoundParams(n=500, d=10, sigma_sq=1e-3)
+# the rates suite runs at one problem size and noise level, (n, d, sigma^2), for every intensity
+_RATE = (500, 10, 1e-3)
 
 
 @dataclass(frozen=True)
@@ -473,20 +473,20 @@ def stream_determinism(rng: np.random.Generator) -> PropertyResult:
 
 
 def _rate_fixture(rng: np.random.Generator, zeta: float):
-    model = make_planted(_RATE.n, _RATE.d, _RATE.sigma_sq, sparse=True, rng=rng)
+    model = make_planted(*_RATE, sparse=True, rng=rng)
     return model, basis_with_similarity(model.ubar, zeta, rng)
 
 
 def zeta_rate_bound_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
     model, basis = _rate_fixture(rng, zeta=0.1)
-    check = mc_zeta_rate_check(model, basis, _RATE, draws, rng)
+    check = mc_zeta_rate_check(model, basis, draws, rng)
     return _result("zeta_rate_bound_mc", "rates", -check.slack_se, 3.0,
                    f"mean={check.observed_mean:.5f} bound={check.bound:.5f}")
 
 
 def eps_rate_bound_mc(rng: np.random.Generator, draws: int) -> PropertyResult:
     model, basis = _rate_fixture(rng, zeta=0.6)
-    check = mc_eps_rate_check(model, basis, _RATE, draws, rng)
+    check = mc_eps_rate_check(model, basis, draws, rng)
     return _result("eps_rate_bound_mc", "rates", -check.slack_se, 3.0,
                    f"mean={check.observed_mean:.5f} bound={check.bound:.5f}")
 

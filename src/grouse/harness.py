@@ -22,7 +22,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -234,7 +234,7 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
         ids, seeds, rngs, ubars, k1, k2 = (column[keep] for column in (ids, seeds, rngs, ubars, k1, k2))
         tracker.basis, tracker.skipped_steps = tracker.basis[keep], tracker.skipped_steps[keep]
 
-    rule = _PhaseRule.of(cfg.bound_params(), noisy=cfg.sigma_sq > 0)
+    rule = _PhaseRule.of(cfg.bound_params())
     record_every = cfg.resolved_record_every()
     max_iters = cfg.resolved_max_iters()
     # (theta, alpha, ||p||^2, ||r||^2, skipped) of the step that reached t, as _step returns them for one trial:
@@ -371,13 +371,23 @@ def run_single(cfg: ExperimentConfig, trial_id: int = 0) -> TrialResult:
 
 @dataclass(frozen=True)
 class SweepConfigSummary:
-    """Per-config aggregate of a sweep: phase ratios over converged trials."""
+    """Per-config aggregate of a sweep: phase ratios over converged trials, derived from ``results`` and ``cfg``."""
 
     cfg: ExperimentConfig
     results: list[TrialResult]
     errors: dict[int, str]
-    k1_ratios: list[float]
-    k2_ratios: list[float]
+
+    @property
+    def k1_ratios(self) -> list[float]:
+        """Each measured ``K1`` over ``d^3 log(n)``, in trial order."""
+        k1_den = self.cfg.d**3 * math.log(self.cfg.n)
+        return [r.phase.k1 / k1_den for r in self.results if r.phase.k1 is not None]
+
+    @property
+    def k2_ratios(self) -> list[float]:
+        """Each measured ``K2`` of a trial that met both targets over ``d log(1/eps_star)``, in trial order."""
+        k2_den = self.cfg.d * math.log(1.0 / self.cfg.eps_star)
+        return [r.phase.k2 / k2_den for r in self.results if r.phase.k1 is not None and r.phase.k2 is not None]
 
     @property
     def n_converged(self) -> int:
@@ -415,16 +425,11 @@ def _run_config_trials(cfg: ExperimentConfig) -> SweepConfigSummary:
     ordered = [outcomes[i] for i in sorted(outcomes) if isinstance(outcomes[i], TrialResult)]
     errors = {i: f"{type(outcomes[i]).__name__}: {outcomes[i]}" for i in sorted(outcomes)
               if isinstance(outcomes[i], Exception)}
-    k1_den = cfg.d**3 * math.log(cfg.n)
-    k2_den = cfg.d * math.log(1.0 / cfg.eps_star)
-    k1_ratios = [r.phase.k1 / k1_den for r in ordered if r.phase.k1 is not None]
-    k2_ratios = [r.phase.k2 / k2_den for r in ordered if r.phase.k1 is not None and r.phase.k2 is not None]
-    return SweepConfigSummary(cfg=cfg, results=ordered, errors=errors,
-                              k1_ratios=k1_ratios, k2_ratios=k2_ratios)
+    return SweepConfigSummary(cfg=cfg, results=ordered, errors=errors)
 
 
 def run_sweep(
-    configs: Sequence[ExperimentConfig],
+    configs: Iterable[ExperimentConfig],
     out_path: str | None = None,
 ) -> list[SweepConfigSummary]:
     """Run every config of a grid and aggregate the measured phase ratios.
@@ -436,7 +441,9 @@ def run_sweep(
     (``ValueError`` before any trial runs).  With ``out_path`` the summary
     table is written as CSV and per-trial detail as ``<out_path>.json``:
     both are opened before the first trial and appear only if the sweep ends.
+    ``configs`` is read once, so a generator runs the sweep its list runs.
     """
+    configs = list(configs)
     if not configs:
         raise ValueError("sweep needs at least one config")
     for cfg in configs:

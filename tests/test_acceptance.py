@@ -196,10 +196,9 @@ def test_criterion_06_zeta_rate_bound():
     all_ok = True
     for sigma_sq in (1e-3, 1e-1):
         model = make_planted(n, d, sigma_sq, sparse=True, rng=rng)
-        params = BoundParams(n=n, d=d, sigma_sq=sigma_sq)
         for zeta in (0.01, 0.1, 0.5):
             basis = basis_with_similarity(model.ubar, zeta, rng)
-            check = mc_zeta_rate_check(model, basis, params, draws, rng)
+            check = mc_zeta_rate_check(model, basis, draws, rng)
             all_ok &= check.passed
             details.append(f"s2={sigma_sq},z={zeta}:slack={check.slack_se:+.0f}se")
     elapsed = time.perf_counter() - started
@@ -223,7 +222,7 @@ def test_criterion_07_eps_rate_bound():
     rng = np.random.default_rng(707)
     model = make_planted(n, d, sigma_sq, sparse=True, rng=rng)
     basis = basis_with_similarity(model.ubar, 0.6, rng)
-    check = mc_eps_rate_check(model, basis, BoundParams(n=n, d=d, sigma_sq=sigma_sq), draws, rng)
+    check = mc_eps_rate_check(model, basis, draws, rng)
     elapsed = time.perf_counter() - started
     ok = check.passed and elapsed < 120.0
     assert report(

@@ -210,14 +210,27 @@ def test_detect_phases_targets_never_reached():
 def test_detect_phases_noisy_targets():
     p = BoundParams(n=5000, d=10, sigma_sq=1e-4, eps_star=1e-4,
                     tau1=math.log(10), tau2=math.log(10))
-    report = detect_phases([_sample(0, 0.2, 5.0)], p, noisy=True)
+    report = detect_phases([_sample(0, 0.2, 5.0)], p)
     assert report.target_zeta == pytest.approx(0.5)  # exp(-4.6e-6) caps at 1/2
     assert report.target_eps == pytest.approx(1e-4)  # max(sigma^2, tau1 d^2 sigma^2 / n)
     # a larger noise level pulls the similarity target below 1/2
     loud = BoundParams(n=100, d=10, sigma_sq=1.0, eps_star=1e-4, tau2=math.log(10))
-    report = detect_phases([_sample(0, 0.2, 5.0)], loud, noisy=True)
+    report = detect_phases([_sample(0, 0.2, 5.0)], loud)
     assert report.target_zeta == pytest.approx(math.exp(-math.log(10) * 100 * 1.0 / 100))
     assert report.target_zeta < 0.5
+
+
+def test_detect_phases_reads_an_iterator_once():
+    """An iterator of rows gives the split its list gives: the order check does not use it up."""
+    p = BoundParams(n=100, d=5, eps_star=1e-4)
+    rows = [_sample(0, 0.1, 3.0), _sample(10, 0.9, 1e-5)]
+    report = detect_phases(iter(rows), p)
+    assert report == detect_phases(rows, p)
+    assert report.k1 == 10 and report.k2 == 0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        detect_phases(iter(rows[::-1]), p)
+    with pytest.raises(ValueError, match="non-empty"):
+        detect_phases(iter([]), p)
 
 
 def test_detect_phases_requires_increasing_time():
@@ -237,7 +250,7 @@ def test_zeta_rate_bound_holds_at_fixed_iterate():
     n, d, sigma_sq = 500, 10, 1e-3
     model = make_planted(n, d, sigma_sq, sparse=True, rng=rng)
     basis = basis_with_similarity(model.ubar, 0.1, rng)
-    check = mc_zeta_rate_check(model, basis, BoundParams(n=n, d=d, sigma_sq=sigma_sq), 2000, rng)
+    check = mc_zeta_rate_check(model, basis, 2000, rng)
     assert check.passed
     assert check.observed_mean >= check.bound  # holds with large slack, not just -3 se
 
@@ -248,7 +261,7 @@ def test_zeta_rate_bound_holds_for_uneven_spectra():
     model = make_planted(n, d, sigma_sq, sparse=False, rng=rng)
     cosines = np.array([0.99, 0.9, 0.7, 0.5, 0.3, 0.2])
     basis = basis_with_angles(model.ubar, cosines, rng)
-    check = mc_zeta_rate_check(model, basis, BoundParams(n=n, d=d, sigma_sq=sigma_sq), 2000, rng)
+    check = mc_zeta_rate_check(model, basis, 2000, rng)
     assert check.passed
 
 
@@ -257,7 +270,7 @@ def test_eps_rate_bound_holds_at_fixed_iterate():
     n, d, sigma_sq = 500, 10, 1e-3
     model = make_planted(n, d, sigma_sq, sparse=True, rng=rng)
     basis = basis_with_similarity(model.ubar, 0.6, rng)
-    check = mc_eps_rate_check(model, basis, BoundParams(n=n, d=d, sigma_sq=sigma_sq), 2000, rng)
+    check = mc_eps_rate_check(model, basis, 2000, rng)
     assert check.passed
     assert check.observed_mean <= check.bound + 3 * check.std_err
 
@@ -299,7 +312,17 @@ def test_zeta_checks_reject_unresolved_iterate():
     with pytest.raises(ValueError, match="unresolved"):
         mc_zeta_ratio_check(model, basis, 50, rng)
     with pytest.raises(ValueError, match="unresolved"):
-        mc_zeta_rate_check(model, basis, BoundParams(n=50, d=3, sigma_sq=1e-3), 50, rng)
+        mc_zeta_rate_check(model, basis, 50, rng)
+
+
+def test_eps_rate_check_rejects_the_planted_basis_before_any_draw():
+    """At the planted subspace the iterate's discrepancy is 0, where no rate exists; the caller passed no ``eps``."""
+    rng = np.random.default_rng(11)
+    model = make_planted(50, 3, 1e-3, sparse=False, rng=rng)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^iterate's eps must lie in \(0, 3\), got 0\.0$"):
+        mc_eps_rate_check(model, model.ubar, 10, rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +395,8 @@ def test_mc_checks_equal_reference_loop(seed):
     params = BoundParams(n=n, d=d, sigma_sq=sigma_sq)
     expected = _reference_checks(model, basis, params, n_draws, seed + 100)
     got = (
-        mc_zeta_rate_check(model, basis, params, n_draws, np.random.default_rng(seed + 100)),
-        mc_eps_rate_check(model, basis, params, n_draws, np.random.default_rng(seed + 100)),
+        mc_zeta_rate_check(model, basis, n_draws, np.random.default_rng(seed + 100)),
+        mc_eps_rate_check(model, basis, n_draws, np.random.default_rng(seed + 100)),
         mc_zeta_ratio_check(model, basis, n_draws, np.random.default_rng(seed + 100)),
         mc_eps_decrease_check(model, basis, n_draws, np.random.default_rng(seed + 100)),
     )
@@ -449,10 +472,9 @@ def test_mc_checks_need_two_draws(n_draws):
     n, d, sigma_sq = 50, 3, 1e-3
     model = make_planted(n, d, sigma_sq, sparse=False, rng=rng)
     basis = basis_with_similarity(model.ubar, 0.3, rng)
-    params = BoundParams(n=n, d=d, sigma_sq=sigma_sq)
     state = rng.bit_generator.state
-    for check in (lambda: mc_zeta_rate_check(model, basis, params, n_draws, rng),
-                  lambda: mc_eps_rate_check(model, basis, params, n_draws, rng),
+    for check in (lambda: mc_zeta_rate_check(model, basis, n_draws, rng),
+                  lambda: mc_eps_rate_check(model, basis, n_draws, rng),
                   lambda: mc_zeta_ratio_check(model, basis, n_draws, rng),
                   lambda: mc_eps_decrease_check(model, basis, n_draws, rng)):
         with pytest.raises(ValueError, match="n_draws"):

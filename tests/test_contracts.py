@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from grouse.bounds import BoundParams, expected_eps_rate_bound, expected_zeta_rate_bound
+from grouse.bounds import BoundParams, expected_eps_rate_bound, expected_zeta_rate_bound, mc_eps_rate_check
 from grouse.core import (OracleInfo, StepConfig, StepMode, Tracker, compute_alpha, compute_theta, grouse_step,
                          rotate_update)
 from grouse.data import draw_batch, make_planted
@@ -99,6 +99,8 @@ ROWS = [
     ("expected_initial_similarity-bool-c0", lambda: expected_initial_similarity(10, 2, True), "c0"),
     ("expected_zeta_rate_bound-str-zeta", lambda: expected_zeta_rate_bound("x", PARAMS), "zeta"),
     ("expected_eps_rate_bound-bool-cos_sq_phi_d", lambda: expected_eps_rate_bound(0.5, True, PARAMS), "cos_sq_phi_d"),
+    ("mc_eps_rate_check-planted-basis",
+     lambda: mc_eps_rate_check(_model(), _model().ubar, 10, np.random.default_rng(0)), "iterate's eps"),
     ("basis_with_similarity-bool-zeta",
      lambda: basis_with_similarity(_basis(), True, np.random.default_rng(0)), "zeta"),
     ("basis_with_angles-complex-cosines",

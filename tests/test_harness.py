@@ -526,7 +526,7 @@ def test_sweep_phase_split_equals_trajectory_at_edges(case, mode, record_every, 
     summary = run_sweep([cfg])[0]
     result, rows = run_trajectory(cfg, 0, initial_basis=start)
     assert summary.errors == {} and summary.results == [result]
-    assert result.phase == detect_phases(rows, cfg.bound_params(), noisy=cfg.sigma_sq > 0)
+    assert result.phase == detect_phases(rows, cfg.bound_params())
     assert result.final_zeta == rows[-1].zeta and math.isfinite(result.final_zeta)
     split = (result.phase.k1, result.phase.k2)
     if case == "short_of_k1":
@@ -554,6 +554,18 @@ def test_sweep_json_detail(tmp_path):
     assert [t["trial_id"] for t in trials] == [0, 1]
     assert all(t["final_eps"] <= 1e-4 for t in trials)
     assert trials[0]["derived_seed"] == derive_trial_seed(17, 0)[1]
+
+
+def test_sweep_reads_a_generator_of_configs_once(tmp_path):
+    """A generator of configs runs the sweep its list runs, and writes the same outputs."""
+    cfg = ExperimentConfig(n=60, d=3, seed=17, trials=2, sparse_ubar=True)
+    listed = run_sweep([cfg], out_path=str(tmp_path / "list.csv"))
+    assert len(listed) == 1 and run_sweep(c for c in [cfg]) == listed
+    assert run_sweep((c for c in [cfg]), out_path=str(tmp_path / "generated.csv")) == listed
+    for suffix in ("", ".json"):
+        listed_text, generated_text = ((tmp_path / f"{stem}.csv{suffix}").read_text() for stem in ("list", "generated"))
+        assert [line for line in listed_text.splitlines() if "generated_at" not in line] == [
+            line for line in generated_text.splitlines() if "generated_at" not in line]
 
 
 def test_sweep_requires_configs():

@@ -149,6 +149,26 @@ def test_phase_rule_has_one_owner():
     assert grouse.harness._PhaseRule is _PhaseRule and "detect_phases" not in vars(grouse.harness)
 
 
+def test_each_fact_has_one_source():
+    """No public function takes a value that another of its arguments fixes.
+
+    A rate check reads the problem from its model, a phase split the noise from its params and a sweep summary its
+    ratios from its trials.  The four ``mc_*`` checks share the signature ``(model, basis, n_draws, rng)``.  No public
+    function or class takes both ``model`` and ``params``, or a ``noisy`` flag, and ``SweepConfigSummary`` stores
+    ``cfg``, ``results`` and ``errors`` only.
+    """
+    import dataclasses
+
+    public = {name: getattr(grouse, name) for module in SUBMODULES
+              for name in importlib.import_module(f"grouse.{module}").__all__}
+    signatures = {name: list(inspect.signature(value).parameters) for name, value in public.items() if callable(value)}
+    checks = {name: params for name, params in signatures.items() if name.startswith("mc_")}
+    assert len(checks) == 4 and all(names == ["model", "basis", "n_draws", "rng"] for names in checks.values()), checks
+    twice = [name for name, params in signatures.items() if {"model", "params"} <= set(params) or "noisy" in params]
+    assert twice == [], twice
+    assert [f.name for f in dataclasses.fields(grouse.SweepConfigSummary)] == ["cfg", "results", "errors"]
+
+
 def test_trial_loop_has_one_owner():
     """The harness steps and draws only in its lock-step engine.
 

@@ -260,7 +260,7 @@ def _reference_trial(cfg, trial_id, initial_basis=None):
             rows.append((_reference_metric(t, basis, model.ubar), theta, alpha, float(p @ p), float(r @ r), skipped))
     samples = [row[0] for row in rows]
     result = TrialResult(trial_id=trial_id, derived_seed=derived_seed,
-                         phase=detect_phases(samples, cfg.bound_params(), noisy=cfg.sigma_sq > 0),
+                         phase=detect_phases(samples, cfg.bound_params()),
                          final_zeta=samples[-1].zeta, final_eps=samples[-1].epsilon,
                          iters_run=t, skipped_steps=t - nonskipped)
     return result, rows
