@@ -63,13 +63,20 @@ def _inf_basis():
 
 
 def _inf_step(cfg, rows=0):
-    """The step of a basis with an inf entry: ``Tracker.update``'s, or with ``rows`` the first row's of a stack."""
+    """The step of a basis with an inf entry: ``Tracker.update``'s, or with ``rows`` the first row's of a stack.
+
+    ``Tracker.update`` raises and leaves the basis object and both counts as they were.
+    """
     u, x = _observation()
     tracker = Tracker(np.stack([u] * rows) if rows else u, cfg)
     tracker.basis[..., 3, 1] = np.inf
-    if not rows:
-        return tracker.update(x)
-    raise tracker._update_rows(np.stack([x] * rows))[-1][0]
+    if rows:
+        raise tracker._update_rows(np.stack([x] * rows))[-1][0]
+    basis = tracker.basis
+    with pytest.raises(ValueError) as failed:
+        tracker.update(x)
+    assert (tracker.steps, tracker.skipped_steps) == (0, 0) and tracker.basis is basis
+    raise failed.value
 
 
 def _unit(*shape):

@@ -405,6 +405,7 @@ def test_tracker_counts_only_non_skipped_steps_for_reorth():
     assert not np.array_equal(last.updated, grouse_step(first.updated, x2, cfg).updated)
     assert tracker.basis is last.updated
     assert (tracker.steps, tracker.skipped_steps) == (3, 1)
+    assert type(tracker.steps) is type(tracker.skipped_steps) is int  # a one-stream tracker counts in Python ints
 
 
 def test_tracker_rejects_bad_input():
