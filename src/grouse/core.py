@@ -27,7 +27,7 @@ noise level, the oracle schedule uses the true out-of-span signal energy
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -292,7 +292,8 @@ def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None) ->
     p_sq, r_sq = np.vecdot(p, p), np.vecdot(r, r)
     w_norm, p_norm, r_norm = np.sqrt(np.vecdot(w, w)), np.sqrt(p_sq), np.sqrt(r_sq)
     skipped = (w_norm <= _SKIP_NORM_TOL) | (p_norm <= _SKIP_NORM_TOL) | (r_norm <= _SKIP_NORM_TOL)
-    if skipped.all():
+    n_skipped = np.count_nonzero(skipped)  # a numpy scalar's any() and all() cost twice a count
+    if n_skipped == skipped.size:
         return w, p, r, p_sq, r_sq, 0.0, 0.0, U, skipped, np.zeros_like(skipped)
     # a skipped row's zero norms and a non-finite basis's inf / inf make NaNs, not warnings; skipped rows get U's
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -306,7 +307,7 @@ def _step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, v_perp_norm_sq=None) ->
         # (a non-finite x or U makes w_hat NaN).  Their entries are at most 1 and theta < 2, so a row's one sum of them
         # is finite iff they are: O(n + d) per row, where a test of U' is O(nd)
         failed = ~skipped & ~np.isfinite(theta + sum(np.add.reduce(a, axis=-1) for a in factors))
-    if skipped.any():
+    if n_skipped:
         np.copyto(updated, U, where=skipped[..., None, None])
         alpha, theta = np.where(skipped, 0.0, alpha), np.where(skipped, 0.0, theta)
     return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped, failed
@@ -341,11 +342,10 @@ def grouse_step(U: np.ndarray, x: np.ndarray, cfg: StepConfig, oracle: OracleInf
 class Tracker:
     """One stream's estimate, or a stack of lock-step streams: ``basis``, ``steps`` taken, ``skipped_steps`` among them.
 
-    The start basis must be an orthonormal (n, d) basis with 0 < d < n
-    (``check_orthonormal``), or a (b, n, d) stack of them with one count of
-    skipped steps per row; it is kept column-major.  ``update(x)`` is
-    ``grouse_step`` on the current basis, and it re-orthonormalizes every
-    ``cfg.reorth_period``-th non-skipped step, as the stacked update does.
+    The start basis must be an orthonormal (n, d) basis with 0 < d < n (``check_orthonormal``), or a (b, n, d) stack
+    of them with one count of skipped steps per row; it is kept column-major.  One method, ``_update_rows``, steps
+    every stream and re-orthonormalizes it every ``cfg.reorth_period``-th non-skipped step: ``update(x)`` runs it on
+    one stream, the sweep engine on a stack.
     """
 
     def __init__(self, basis: np.ndarray, cfg: StepConfig = StepConfig()) -> None:
@@ -357,37 +357,42 @@ class Tracker:
         self.cfg = cfg
         self.steps, self.skipped_steps = 0, np.zeros(len(basis), dtype=int) if stacked else 0
 
-    def _due(self):
-        """Whether each stream's next non-skipped step is its ``cfg.reorth_period``-th: one flag, or one per row."""
-        reorth_period = self.cfg.reorth_period
-        return reorth_period is not None and (self.steps - self.skipped_steps) % reorth_period == reorth_period - 1
-
     def update(self, x: np.ndarray, oracle: OracleInfo | None = None) -> StepOutcome:
         """Step the basis with observation ``x`` and, under the oracle schedule only, its ``oracle``.
 
-        An invalid ``x`` or ``oracle`` raises ``grouse_step``'s error and counts no step.
+        An invalid ``x`` or ``oracle`` or a failed update raises ``grouse_step``'s error and changes no state.
         """
-        out = grouse_step(self.basis, x, self.cfg, oracle)
-        if not out.skipped and self._due():
-            out = replace(out, updated=reorthonormalize(out.updated))
-        self.basis, self.steps, self.skipped_steps = out.updated, self.steps + 1, self.skipped_steps + out.skipped
-        return out
+        energy = _step_inputs(self.cfg, oracle)
+        w, p, r, _, _, alpha, theta, updated, skipped, errors = self._update_rows(_checked(self.basis, x)[1], energy)
+        if errors:
+            raise errors[()]
+        return StepOutcome(w, p, r, float(alpha), float(theta), updated, bool(skipped))
 
     def _update_rows(self, x: np.ndarray, energy=None) -> tuple:
-        """``update`` of each row of a stack with its row of ``x`` and of the oracle ``energy``: the bits it gets alone.
+        """The step of each stream with its row of ``x`` (``(n,)`` for one stream) and of the oracle ``energy``.
 
-        Returns ``_step``'s values with ``{row: exception}`` for ``failed``: a
-        failed row's ``grouse_step`` error, or its re-orthonormalization's.
-        Every row advances; the caller drops the failed rows.
+        Each row gets the bits it gets alone.  Returns ``_step``'s values with ``{index: error}`` for ``failed``, an
+        index being ``()`` or ``(row,)``: the error that ``grouse_step`` raises for the row alone, or its
+        re-orthonormalization's.  The caller drops failed rows (``_keep``); a step that fails every row changes nothing.
         """
-        *values, updated, skipped, failed = _step(self.basis, x, self.cfg, energy)
-        errors = {}
-        for i in np.flatnonzero(failed | (~skipped & self._due())):
+        w, p, r, p_sq, r_sq, alpha, theta, updated, skipped, failed = _step(self.basis, x, self.cfg, energy)
+        reorth_period = self.cfg.reorth_period  # a stream is due at its reorth_period-th non-skipped step
+        due = reorth_period is not None and (self.steps - self.skipped_steps) % reorth_period == reorth_period - 1
+        errors, rows = {}, failed | due  # a count of the rows costs a seventh of np.argwhere, so it comes first
+        for i in map(tuple, np.argwhere(rows)) if np.count_nonzero(rows) else ():
             try:
-                if failed[i]:  # the row alone raises grouse_step's error: an input check's, else the update's
-                    grouse_step(self.basis[i], x[i], self.cfg, None if energy is None else OracleInfo(energy[i]))
-                updated[i] = reorthonormalize(updated[i])
+                if failed[i]:  # grouse_step's checks in its order: the oracle energy's, the inputs', the update's
+                    _step_inputs(self.cfg, None if energy is None else OracleInfo(np.asarray(energy)[i]))
+                    _checked(self.basis[i], x[i])
+                    _finite(True)
+                if not skipped[i]:
+                    updated[i] = reorthonormalize(updated[i])
             except Exception as exc:  # the row's stream ends; the others go on
                 errors[i] = exc
-        self.basis, self.steps, self.skipped_steps = updated, self.steps + 1, self.skipped_steps + skipped
-        return *values, updated, skipped, errors
+        if len(errors) < skipped.size:  # tolist() keeps one stream's count an int
+            self.basis, self.steps, self.skipped_steps = updated, self.steps + 1, self.skipped_steps + skipped.tolist()
+        return w, p, r, p_sq, r_sq, alpha, theta, updated, skipped, errors
+
+    def _keep(self, keep: np.ndarray) -> None:
+        """Drop the streams of a stack where ``keep`` is False."""
+        self.basis, self.skipped_steps = self.basis[keep], self.skipped_steps[keep]

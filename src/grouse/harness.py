@@ -232,7 +232,7 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     def leave(keep):  # the trials where keep is False end: drop them from every per-trial array
         nonlocal ids, seeds, rngs, ubars, k1, k2
         ids, seeds, rngs, ubars, k1, k2 = (column[keep] for column in (ids, seeds, rngs, ubars, k1, k2))
-        tracker.basis, tracker.skipped_steps = tracker.basis[keep], tracker.skipped_steps[keep]
+        tracker._keep(keep)
 
     rule = _PhaseRule.of(cfg.bound_params())
     record_every = cfg.resolved_record_every()

@@ -71,7 +71,7 @@ def _inf_step(cfg, rows=0):
     tracker = Tracker(np.stack([u] * rows) if rows else u, cfg)
     tracker.basis[..., 3, 1] = np.inf
     if rows:
-        raise tracker._update_rows(np.stack([x] * rows))[-1][0]
+        raise tracker._update_rows(np.stack([x] * rows))[-1][(0,)]
     basis = tracker.basis
     with pytest.raises(ValueError) as failed:
         tracker.update(x)

@@ -34,8 +34,8 @@ SWEEP = [  # the two configs of the benchmark's sweep_small workload, less its "
 
 
 def _fingerprint() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}", "machine": platform.machine()}
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}", "machine": platform.machine()}
 
 
 def _cases(seed: int, workdir: Path):

@@ -170,10 +170,12 @@ def test_each_fact_has_one_source():
 
 
 def test_trial_loop_has_one_owner():
-    """The harness steps and draws only in its lock-step engine.
+    """The harness steps and draws only in its lock-step engine, and only the tracker writes the tracker's state.
 
-    It binds neither ``grouse_step`` nor ``draw_sample`` nor ``core._step``, and keeps no step wrapper, private row
-    layout or one-trial fallback: its one step is the stacked ``Tracker``'s, taken in ``_run_stack``.
+    The harness binds neither ``grouse_step`` nor ``draw_sample`` nor ``core._step``, and keeps no step wrapper,
+    private row layout or one-trial fallback: its one step is the stacked ``Tracker``'s, taken in ``_run_stack``.
+    No package module assigns a ``basis``, ``steps`` or ``skipped_steps`` attribute outside ``Tracker``, and there
+    only ``__init__``, the step (``_update_rows``) and the row drop (``_keep``) do.
     """
     import grouse.harness
 
@@ -183,6 +185,21 @@ def test_trial_loop_has_one_owner():
     calls = re.compile(r"\b_update_rows\(")
     assert len(calls.findall(source)) == 1 and calls.search(inspect.getsource(grouse.harness._run_stack))
     assert not re.search(r"\b_step\(", source)
+
+    def writers(tree):  # the name of the function around each assignment to a state attribute
+        for function in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(function):
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+                        isinstance(part, ast.Attribute) and part.attr in {"basis", "steps", "skipped_steps"}
+                        for target in targets for part in ast.walk(target)):
+                    yield function.name
+
+    package = Path(grouse.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    (tracker,) = (node for node in ast.walk(trees["core.py"]) if getattr(node, "name", None) == "Tracker")
+    assert sorted(set(writers(tracker))) == ["__init__", "_keep", "_update_rows"]
+    assert sum(1 for tree in trees.values() for _ in writers(tree)) == sum(1 for _ in writers(tracker))
 
 
 def test_field_types_have_one_owner():
@@ -262,8 +279,9 @@ def test_reorth_rule_has_one_owner():
     """Whether a step re-orthonormalizes is decided once, in ``Tracker``; what a skipped row reports, in ``core._step``.
 
     ``_step`` takes no count.  The harness binds no ``reorthonormalize`` and zeroes no skipped row's angles.  In
-    ``grouse.core`` only ``grouse_step`` and the tracker's stacked update call ``_step``, and ``Tracker.update`` steps
-    through ``grouse_step``.  No ``nonskipped`` count, ``_outcome`` helper or ``_step_alone`` is left in the package.
+    ``grouse.core`` only ``grouse_step`` and the tracker's one step method, ``_update_rows``, call ``_step``;
+    ``Tracker.update`` calls that method, and ``Tracker`` calls no ``grouse_step``.  No ``nonskipped`` count,
+    ``_outcome`` helper or ``_step_alone`` is left in the package.
     """
     import grouse.core
     import grouse.harness
@@ -281,7 +299,8 @@ def test_reorth_rule_has_one_owner():
     calls = re.compile(r"(?<!def )\b_step\(")
     assert len(calls.findall(inspect.getsource(grouse.core))) == 2
     assert all(calls.search(inspect.getsource(caller)) for caller in (grouse_step, Tracker._update_rows))
-    assert "grouse_step(" in inspect.getsource(Tracker.update)
+    assert "grouse_step(" not in inspect.getsource(Tracker)
+    assert re.search(r"\bself\._update_rows\(", inspect.getsource(Tracker.update))
     assert [name for name, text in sources.items() if re.search(r"nonskipped|\b_outcome\b|_step_alone", text)] == []
 
 
