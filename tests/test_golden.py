@@ -38,17 +38,20 @@ def _fingerprint() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}", "machine": platform.machine()}
 
 
-def _cases(seed: int, workdir: Path):
-    """``(name, argv, files)`` of each case at ``seed``: the CLI arguments and the output files they write."""
-    run = ["run", "--n", "200", "--d", "5", "--seed", str(seed)]
-    yield f"run-greedy-{seed}", [*run, "--out", str(workdir / "greedy.csv")], ["greedy.csv"]
-    noisy = ["--sigma2", "1e-3", "--mode", "practical", "--max-iters", "2000"]
-    yield f"run-practical-{seed}", [*run, *noisy, "--out", str(workdir / "noisy.csv")], ["noisy.csv"]
-    config = workdir / f"sweep-{seed}.json"
-    config.write_text(json.dumps([{**cfg, "seed": seed} for cfg in SWEEP]), encoding="utf-8")
-    yield (f"sweep-{seed}", ["sweep", "--config", str(config), "--out", str(workdir / "sweep.csv")],
-           ["sweep.csv", "sweep.csv.json"])
-    yield (f"verify-{seed}", ["verify", "--suite", "all", "--intensity", "quick", "--seed", str(seed)], [])
+def _cases(workdir: Path):
+    """``(name, argv, files)`` of each case: the CLI arguments and the output files they write in ``workdir``."""
+    bounds = ["bounds", "--n", "200", "--d", "5", "--rho", "0.1", "--rho-prime", "0.1", "--eps-star", "1e-4"]
+    yield "bounds", [*bounds, "--out", str(workdir / "bounds.csv")], ["bounds.csv"]
+    for seed in SEEDS:
+        run = ["run", "--n", "200", "--d", "5", "--seed", str(seed)]
+        yield f"run-greedy-{seed}", [*run, "--out", str(workdir / "greedy.csv")], ["greedy.csv"]
+        noisy = ["--sigma2", "1e-3", "--mode", "practical", "--max-iters", "2000"]
+        yield f"run-practical-{seed}", [*run, *noisy, "--out", str(workdir / "noisy.csv")], ["noisy.csv"]
+        config = workdir / f"sweep-{seed}.json"
+        config.write_text(json.dumps([{**cfg, "seed": seed} for cfg in SWEEP]), encoding="utf-8")
+        yield (f"sweep-{seed}", ["sweep", "--config", str(config), "--out", str(workdir / "sweep.csv")],
+               ["sweep.csv", "sweep.csv.json"])
+        yield f"verify-{seed}", ["verify", "--suite", "all", "--intensity", "quick", "--seed", str(seed)], []
 
 
 def _stable(text: str, workdir: Path) -> str:
@@ -59,10 +62,8 @@ def _stable(text: str, workdir: Path) -> str:
 
 def _digests(workdir: Path) -> dict:
     """The SHA-256 of every output of every case: its exit code and stdout, and each file it writes."""
-    bounds = ["bounds", "--n", "200", "--d", "5", "--rho", "0.1", "--rho-prime", "0.1", "--eps-star", "1e-4"]
-    cases = [("bounds", [*bounds, "--out", str(workdir / "bounds.csv")], ["bounds.csv"])]
     texts = {}
-    for name, argv, files in [*cases, *(case for seed in SEEDS for case in _cases(seed, workdir))]:
+    for name, argv, files in _cases(workdir):
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
             code = main(argv)
         texts[f"{name}.stdout"] = f"exit={code}\n{stdout.getvalue()}"
