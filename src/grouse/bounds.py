@@ -166,32 +166,33 @@ def noisy_eps_target(params: BoundParams) -> float:
     return max(p.sigma_sq, p.tau1 * p.d**2 / p.n * p.sigma_sq)
 
 
-@dataclass(frozen=True)
-class _PhaseRule:
-    """The phase targets and the K1/K2 update of ``detect_phases``, one recorded iterate at a time.
+class _Phases:
+    """The phase targets and each trajectory's ``K1`` and ``K2`` so far, one recorded iterate at a time.
 
-    ``k1`` and ``k2`` are integer arrays, one entry per trajectory (a
-    stack of trials in the harness), and hold -1 while unmet.
+    ``count`` trajectories (a stack of trials in the harness) advance together and ``keep`` drops some; each split
+    is held here only and read through ``report``.
     """
 
-    target_zeta: float
-    target_eps: float
+    def __init__(self, params: BoundParams, count: int = 1) -> None:
+        noisy = params.sigma_sq > 0
+        self.target_zeta = noisy_zeta_target(params) if noisy else 0.5
+        self.target_eps = noisy_eps_target(params) if noisy else params.eps_star
+        self._k1, self._k2 = np.full(count, -1), np.full(count, -1)  # -1 while unmet
 
-    @classmethod
-    def of(cls, params: BoundParams) -> "_PhaseRule":
-        if params.sigma_sq > 0:
-            return cls(noisy_zeta_target(params), noisy_eps_target(params))
-        return cls(0.5, params.eps_star)
-
-    def advance(self, k1, k2, t: int, zeta, eps):
-        """``k1`` and ``k2`` after the iterate recorded at step ``t`` (a NaN ``zeta`` never meets the target)."""
+    def advance(self, t: int, zeta, eps) -> None:
+        """Take the iterates recorded at step ``t`` (a NaN ``zeta`` never meets the target)."""
+        k1, k2 = self._k1, self._k2
         if (k2 >= 0).all():  # a split that is complete never changes
-            return k1, k2
+            return
         k1 = np.where((k1 < 0) & (zeta >= self.target_zeta), t, k1)
-        k2 = np.where((k1 >= 0) & (k2 < 0) & (eps <= self.target_eps), t - k1, k2)
-        return k1, k2
+        self._k1, self._k2 = k1, np.where((k1 >= 0) & (k2 < 0) & (eps <= self.target_eps), t - k1, k2)
 
-    def report(self, k1, k2) -> PhaseReport:
+    def keep(self, keep: np.ndarray) -> None:
+        """Drop the trajectories where ``keep`` is False."""
+        self._k1, self._k2 = self._k1[keep], self._k2[keep]
+
+    def report(self, i: int = 0) -> PhaseReport:
+        k1, k2 = self._k1[i], self._k2[i]
         return PhaseReport(k1=None if k1 < 0 else int(k1), k2=None if k2 < 0 else int(k2),
                            target_zeta=self.target_zeta, target_eps=self.target_eps)
 
@@ -207,7 +208,7 @@ def detect_phases(trajectory: Iterable[MetricSample], params: BoundParams) -> Ph
     Iteration indices must be strictly increasing.  ``trajectory`` is read
     once, so an iterator gives the split its list gives.  The rows of
     ``run_trajectory`` are ``MetricSample``s and pass as they are.  The
-    harness applies the same ``_PhaseRule`` while a trial runs.
+    harness advances the same ``_Phases`` while a trial runs.
     """
     trajectory = list(trajectory)
     if not trajectory:
@@ -215,11 +216,10 @@ def detect_phases(trajectory: Iterable[MetricSample], params: BoundParams) -> Ph
     ts = [s.t for s in trajectory]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("iteration indices must be strictly increasing")
-    rule = _PhaseRule.of(params)
-    k1, k2 = np.full(1, -1), np.full(1, -1)
+    phases = _Phases(params)
     for sample in trajectory:
-        k1, k2 = rule.advance(k1, k2, sample.t, sample.zeta, sample.epsilon)
-    return rule.report(k1[0], k2[0])
+        phases.advance(sample.t, sample.zeta, sample.epsilon)
+    return phases.report()
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _PhaseRule, k1_bound, k2_bound, k_total_bound, mu0
+from .bounds import _CHUNK_ELEMENTS, BoundParams, PhaseReport, _Phases, k1_bound, k2_bound, k_total_bound, mu0
 from .core import StepConfig, StepMode, Tracker, _energy_outside
 from .data import PlantedModel, _draw_each, make_planted
 from .subspaces import (MetricSample, _at_least, _column_major, _cosines, _discrepancy, _own_fields, _shaped,
@@ -204,7 +204,7 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     whatever the stack holds.  At each recorded step one stacked Gram
     ``Ubar^T U`` gives every running trial's discrepancy, which decides
     stopping and ``K2``, and its similarity (one LU determinant, no SVD),
-    which decides ``K1``; ``bounds._PhaseRule`` advances both.  With ``row`` the stack's one trial
+    which decides ``K1``; a ``bounds._Phases`` keeps both.  With ``row`` the stack's one trial
     hands each recorded iterate to it when it is recorded, as
     ``row(gram, t, zeta, epsilon, theta, alpha, p_norm_sq, r_norm_sq, skipped)``
     with the (1, d, d) Gram and Python scalars in ``TRAJECTORY_HEADER``
@@ -227,14 +227,17 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     ubars = _column_major(np.stack([model.ubar for model in models]))
     normalize_signal = models[0].normalize_signal
     del trials, models, starts  # the tracker and the stack hold the bases and ground truths from here on
-    k1, k2 = np.full(len(ids), -1), np.full(len(ids), -1)  # each trial's phase split so far, -1 while unmet
+    phases = _Phases(cfg.bound_params(), len(ids))
 
-    def leave(keep):  # the trials where keep is False end: drop them from every per-trial array
-        nonlocal ids, seeds, rngs, ubars, k1, k2
-        ids, seeds, rngs, ubars, k1, k2 = (column[keep] for column in (ids, seeds, rngs, ubars, k1, k2))
+    def end(outcomes):  # {row: outcome} of the trials that end: yield each, then drop their rows everywhere
+        nonlocal ids, seeds, rngs, ubars
+        for i, outcome in outcomes.items():
+            yield ids[i], outcome
+        keep = ~np.isin(np.arange(len(ids)), list(outcomes))
+        ids, seeds, rngs, ubars = (column[keep] for column in (ids, seeds, rngs, ubars))
         tracker._keep(keep)
+        phases.keep(keep)
 
-    rule = _PhaseRule.of(cfg.bound_params())
     record_every = cfg.resolved_record_every()
     max_iters = cfg.resolved_max_iters()
     # (theta, alpha, ||p||^2, ||r||^2, skipped) of the step that reached t, as _step returns them for one trial:
@@ -250,14 +253,12 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
                 done[:] = True
             if row is not None:
                 row(gram, t, float(zeta[0]), float(eps[0]), *(np.asarray(value).item() for value in step))
-            k1, k2 = rule.advance(k1, k2, t, zeta, eps)
+            phases.advance(t, zeta, eps)
             if done.any():
-                for i in np.flatnonzero(done):
-                    result = TrialResult(trial_id=ids[i], derived_seed=seeds[i], phase=rule.report(k1[i], k2[i]),
-                                         final_zeta=float(zeta[i]), final_eps=float(eps[i]), iters_run=t,
-                                         skipped_steps=int(tracker.skipped_steps[i]))
-                    yield ids[i], result
-                leave(~done)
+                yield from end({i: TrialResult(trial_id=ids[i], derived_seed=seeds[i], phase=phases.report(i),
+                                               final_zeta=float(zeta[i]), final_eps=float(eps[i]), iters_run=t,
+                                               skipped_steps=int(tracker.skipped_steps[i]))
+                                for i in np.flatnonzero(done)})
                 if not len(ids):
                     return
         sample = _draw_each(ubars, cfg.sigma_sq, normalize_signal, rngs)
@@ -265,10 +266,8 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
         _, _, _, p_sq, r_sq, alpha, theta, _, skipped, errors = tracker._update_rows(sample.x, energy)
         step = theta, alpha, p_sq, r_sq, skipped
         record = tracker.steps % record_every == 0 or tracker.steps == max_iters
-        if errors:
-            for i, exc in errors.items():
-                yield ids[i], exc
-            leave(~np.isin(np.arange(len(ids)), list(errors)))
+        if errors:  # dropping no row would still copy every array
+            yield from end(errors)
 
 
 def _one_trial(cfg: ExperimentConfig, trial_id: int, initial_basis: np.ndarray | None, row) -> TrialResult:
@@ -329,17 +328,14 @@ def _output(path: str):
         raise
 
 
-def _metadata_lines(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]:
-    meta = {"config": cfg.to_dict(), "master_seed": cfg.seed}
-    if extra:
-        meta.update(extra)
+def _metadata_lines(meta: dict) -> list[str]:
     lines = [f"# {key}={json.dumps(value, sort_keys=True)}" for key, value in meta.items()]
     lines.append(f"# generated_at={time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
     return lines
 
 
 def _trajectory_head(cfg: ExperimentConfig) -> str:
-    return "\n".join([*_metadata_lines(cfg), TRAJECTORY_HEADER, ""])
+    return "\n".join([*_metadata_lines({"config": cfg.to_dict(), "master_seed": cfg.seed}), TRAJECTORY_HEADER, ""])
 
 
 def _trajectory_line(t, zeta, epsilon, theta, alpha, p_norm_sq, r_norm_sq, skipped) -> str:
@@ -461,7 +457,7 @@ def run_sweep(
 
 def write_sweep_csv(fh: TextIO, summaries: Sequence[SweepConfigSummary]) -> None:
     """Write the summary table, with its metadata header, to the open text file ``fh``."""
-    lines = _metadata_lines(summaries[0].cfg, extra={"configs": len(summaries)})
+    lines = _metadata_lines({"configs": [summary.cfg.to_dict() for summary in summaries]})
     lines.append(SWEEP_HEADER)
     lines.extend(summary.csv_row() for summary in summaries)
     fh.write("\n".join(lines) + "\n")

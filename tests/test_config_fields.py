@@ -96,7 +96,7 @@ def test_numpy_and_path_values_serialize_and_round_trip(tmp_path):
     cfg = ExperimentConfig(n=np.int64(30), d=np.int32(2), sigma_sq=np.float32(0.5), seed=np.int64(3),
                            sparse_ubar=np.bool_(False), mode="practical", max_iters=np.int64(5),
                            out_path=tmp_path / "traj.csv")
-    assert json.loads(_metadata_lines(cfg)[0][len("# config="):]) == cfg.to_dict()
+    assert json.loads(_metadata_lines({"config": cfg.to_dict()})[0][len("# config="):]) == cfg.to_dict()
     assert config_from_dict(cfg.to_dict()) == cfg
     assert cfg.out_path == str(tmp_path / "traj.csv")
     run_single(cfg)

@@ -556,6 +556,17 @@ def test_sweep_json_detail(tmp_path):
     assert trials[0]["derived_seed"] == derive_trial_seed(17, 0)[1]
 
 
+def test_sweep_csv_header_rebuilds_every_config(tmp_path):
+    """The summary CSV's ``# configs=`` line holds each config whole, so the second config comes back as well."""
+    out = tmp_path / "sweep.csv"
+    cfgs = [ExperimentConfig(n=60, d=3, seed=3, trials=2, sparse_ubar=True),
+            ExperimentConfig(n=50, d=2, seed=9, trials=1, c=0.5, max_iters=40, record_every=4,
+                             sigma_sq=1e-3, mode=StepMode.PRACTICAL_NOISY)]
+    run_sweep(cfgs, out_path=str(out))
+    (line,) = [line for line in out.read_text().splitlines() if line.startswith("# configs=")]
+    assert [config_from_dict(raw) for raw in json.loads(line.removeprefix("# configs="))] == cfgs
+
+
 def test_sweep_reads_a_generator_of_configs_once(tmp_path):
     """A generator of configs runs the sweep its list runs, and writes the same outputs."""
     cfg = ExperimentConfig(n=60, d=3, seed=17, trials=2, sparse_ubar=True)

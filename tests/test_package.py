@@ -132,21 +132,31 @@ def test_no_case_rule_has_one_owner():
 
 
 def test_phase_rule_has_one_owner():
-    """The phase targets and the K1/K2 update are written once, in ``bounds._PhaseRule``.
+    """The phase targets, each trajectory's K1 and K2 and their update are written once, in ``bounds._Phases``.
 
-    ``detect_phases`` and the harness's trial engine both apply it; the harness binds no ``detect_phases``.
+    ``detect_phases`` and the harness's trial engine each advance one and hold no K1/K2 of their own: the engine
+    names no ``k1`` or ``k2``, builds no ``-1`` array, and ends every trial by one path, the one call that drops
+    rows from its ``Tracker``.  The harness binds no ``detect_phases``.
     """
     import grouse.harness
-    from grouse.bounds import _PhaseRule
+    from grouse.bounds import _Phases, detect_phases
 
     package = Path(grouse.__file__).parent
     hits = [(path.name, line) for path in sorted(package.glob("*.py"))
             for line in path.read_text(encoding="utf-8").splitlines()
             if not line.lstrip().startswith("def ")
             and ("_target(" in line or ">= self.target_zeta" in line or "<= self.target_eps" in line)]
-    source = inspect.getsource(_PhaseRule)
-    assert len(hits) == 3 and all(line.strip() in source for _, line in hits), hits
-    assert grouse.harness._PhaseRule is _PhaseRule and "detect_phases" not in vars(grouse.harness)
+    source = inspect.getsource(_Phases)
+    assert len(hits) == 4 and all(line.strip() in source for _, line in hits), hits
+    for function in detect_phases, grouse.harness._run_stack:
+        tree = ast.parse(inspect.getsource(function))
+        names = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                 | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+        assert not [name for name in names if re.search("k[12]", name, re.IGNORECASE)], function.__name__
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                    and isinstance(node.operand, ast.Constant)], function.__name__
+    assert Path(grouse.harness.__file__).read_text(encoding="utf-8").count("._keep(") == 1
+    assert "detect_phases" not in vars(grouse.harness)
 
 
 def test_each_fact_has_one_source():

@@ -350,15 +350,15 @@ class _NaNAfter:
         return out if self._calls >= 0 else np.full_like(out, np.nan)
 
 
-def _poison_second_trial(monkeypatch):
-    """Trial 1's 31st draw turns NaN."""
+def _poison_trial(monkeypatch, poisoned=1, calls=30):
+    """Trial ``poisoned``'s draws turn NaN after its first ``calls`` (by default trial 1's 31st draw is NaN)."""
     original = grouse.harness._start_trial
 
-    def poisoned_second(cfg, trial_id, *args, **kwargs):
+    def poisoned_start(cfg, trial_id, *args, **kwargs):
         derived_seed, rng, model, basis = original(cfg, trial_id, *args, **kwargs)
-        return derived_seed, (_NaNAfter(rng, 30) if trial_id == 1 else rng), model, basis
+        return derived_seed, (_NaNAfter(rng, calls) if trial_id == poisoned else rng), model, basis
 
-    monkeypatch.setattr(grouse.harness, "_start_trial", poisoned_second)
+    monkeypatch.setattr(grouse.harness, "_start_trial", poisoned_start)
 
 
 _POISONED = ExperimentConfig(n=80, d=4, sigma_sq=1e-3, seed=5, trials=4, max_iters=120, mode=StepMode.PRACTICAL_NOISY)
@@ -366,7 +366,7 @@ _POISONED = ExperimentConfig(n=80, d=4, sigma_sq=1e-3, seed=5, trials=4, max_ite
 
 def test_trial_failing_mid_stack_leaves_the_others_equal_to_reference(monkeypatch):
     """Trial 1's 31st draw is NaN: it ends with the error of a single step, and trials 0, 2 and 3 run on."""
-    _poison_second_trial(monkeypatch)
+    _poison_trial(monkeypatch)
     cfg = _POISONED
     summary = run_sweep([cfg])[0]
     assert summary.errors == {1: "ValueError: observation contains non-finite entries"}
@@ -375,9 +375,24 @@ def test_trial_failing_mid_stack_leaves_the_others_equal_to_reference(monkeypatc
         run_trajectory(cfg, 1)
 
 
+def test_trial_failing_after_lower_rows_left_ends_alone(monkeypatch):
+    """Trials end both ways in one stack: trial 5 fails at step 27, after trials 1-4 and 6 have converged.
+
+    Alone, the trials stop at steps 29, 25, 23, 23, 23, 30 and 20, so at step 27 trial 5 sits in row 1 of the
+    stack, below trial 0; it ends with the error of a single step, and trial 0 runs on to its reference.
+    """
+    cfg = ExperimentConfig(n=60, d=3, seed=23, trials=7, sparse_ubar=True)
+    expected = [_reference_trial(cfg, trial_id)[0] for trial_id in range(cfg.trials)]
+    assert [result.iters_run for result in expected] == [29, 25, 23, 23, 23, 30, 20]
+    _poison_trial(monkeypatch, poisoned=5, calls=26)
+    summary = run_sweep([cfg])[0]
+    assert summary.errors == {5: "ValueError: observation contains non-finite entries"}
+    assert summary.results == expected[:5] + expected[6:]
+
+
 def test_oracle_trial_failing_mid_stack_fails_its_oracle_check(monkeypatch):
     """In oracle mode trial 1's NaN draw fails ``grouse_step``'s first input check, the oracle energy's."""
-    _poison_second_trial(monkeypatch)
+    _poison_trial(monkeypatch)
     cfg = dataclasses.replace(_POISONED, mode=StepMode.ORACLE_NOISY)
     summary = run_sweep([cfg])[0]
     assert summary.errors == {1: "ValueError: v_perp_norm_sq is non-finite: nan"}
@@ -386,7 +401,7 @@ def test_oracle_trial_failing_mid_stack_fails_its_oracle_check(monkeypatch):
 
 def test_failed_trajectory_leaves_no_csv(monkeypatch, tmp_path):
     """Trial 1 fails mid-run while its CSV streams: ``run_single`` raises and leaves neither the CSV nor its partial file."""
-    _poison_second_trial(monkeypatch)
+    _poison_trial(monkeypatch)
     cfg = dataclasses.replace(_POISONED, out_path=str(tmp_path / "traj.csv"))
     with pytest.raises(ValueError, match="observation contains non-finite entries"):
         run_single(cfg, 1)
@@ -407,7 +422,7 @@ def test_engine_steps_column_major_stacks(monkeypatch):
     results = run_sweep([ExperimentConfig(n=60, d=3, seed=23, trials=7, sparse_ubar=True)])[0].results
     assert len({result.iters_run for result in results}) > 2 and len(set(widths)) > 2
     widths.clear()
-    _poison_second_trial(monkeypatch)
+    _poison_trial(monkeypatch)
     assert run_sweep([_POISONED])[0].errors.keys() == {1}
     # step 31 fails trial 1 at width 4, which leaves the stack; trials 0, 2 and 3 step on at width 3
     assert widths[:35] == [4] * 31 + [3] * 4
