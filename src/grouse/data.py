@@ -167,16 +167,17 @@ def _draw(model: PlantedModel, rows: tuple[int, ...], rng: np.random.Generator) 
 
 
 def _draw_each(ubars: np.ndarray, sigma_sq: float, normalize_signal: bool,
-               rngs: Sequence[np.random.Generator]) -> Sample:
-    """One draw from each generator, stacked in rows: row ``i`` from the ground truth ``ubars[i]``.
+               rngs: Sequence[np.random.Generator], steps: int) -> Sample:
+    """``steps`` successive draws from each generator, in ``(steps, b, ...)`` arrays: column ``i`` from ``ubars[i]``.
 
-    Each generator makes the ``standard_normal`` call of one ``draw_sample``,
-    and row ``i`` equals ``draw_sample`` of a model with ground truth
-    ``ubars[i]`` (and the given noise level and scaling) on ``rngs[i]``, bit
-    for bit.
+    Each generator makes one ``standard_normal`` call for its ``steps``
+    draws, and row ``[k, i]`` equals the ``k``-th of ``steps`` successive
+    ``draw_sample`` calls of a model with ground truth ``ubars[i]`` (and the
+    given noise level and scaling) on ``rngs[i]``, bit for bit: a generator's
+    stream does not depend on how its normals are split into calls.
     """
     count = _normal_count(*ubars.shape[-2:], sigma_sq)
-    normals = np.array([rng.standard_normal(count) for rng in rngs])
+    normals = np.stack([rng.standard_normal((steps, count)) for rng in rngs], axis=1)
     return _from_normals(ubars, sigma_sq, normalize_signal, normals)
 
 

@@ -194,6 +194,14 @@ def _start_trial(
     return derived_seed, rng, model, basis
 
 
+# The lock-step engine draws ahead in blocks.  A block holds at most 2**14 entries per array, which caps its
+# memory at 128 KiB of float64 an array; a bound of 2**15 entries ran slower on the sweep_small benchmark.
+_BLOCK_ENTRIES = 2**14
+# A block holds at most 16 steps, so a small problem buffers no hundreds of steps: by the entry bound alone a
+# (20, 2) trial would draw 819 steps at once, and a streamed trajectory's memory would grow with its horizon.
+_BLOCK_STEPS = 16
+
+
 def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: np.ndarray | None, row=None):
     """Run trials of ``cfg`` in one lock-step stack; yield ``(trial_id, result)`` as each ends.
 
@@ -204,7 +212,11 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     whatever the stack holds.  At each recorded step one stacked Gram
     ``Ubar^T U`` gives every running trial's discrepancy, which decides
     stopping and ``K2``, and its similarity (one LU determinant, no SVD),
-    which decides ``K1``; a ``bounds._Phases`` keeps both.  With ``row`` the stack's one trial
+    which decides ``K1``; a ``bounds._Phases`` keeps both.  Observations are drawn
+    ahead in blocks of at most ``_BLOCK_STEPS`` steps and ``_BLOCK_ENTRIES``
+    entries per array, one generator call per trial and block, and one row
+    is taken per step; a trial that ends mid-block leaves unread normals in a
+    generator that nothing reads again, so no output changes.  With ``row`` the stack's one trial
     hands each recorded iterate to it when it is recorded, as
     ``row(gram, t, zeta, epsilon, theta, alpha, p_norm_sq, r_norm_sq, skipped)``
     with the (1, d, d) Gram and Python scalars in ``TRAJECTORY_HEADER``
@@ -229,12 +241,17 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
     del trials, models, starts  # the tracker and the stack hold the bases and ground truths from here on
     phases = _Phases(cfg.bound_params(), len(ids))
 
+    oracle = cfg.mode is StepMode.ORACLE_NOISY
+    # the block's draws that no step has taken yet, each (steps, b, n): x, and v under the oracle schedule
+    xs = vs = np.empty((0, len(ids), cfg.n))
+
     def end(outcomes):  # {row: outcome} of the trials that end: yield each, then drop their rows everywhere
-        nonlocal ids, seeds, rngs, ubars
+        nonlocal ids, seeds, rngs, ubars, xs, vs
         for i, outcome in outcomes.items():
             yield ids[i], outcome
         keep = ~np.isin(np.arange(len(ids)), list(outcomes))
         ids, seeds, rngs, ubars = (column[keep] for column in (ids, seeds, rngs, ubars))
+        xs, vs = xs[:, keep], vs[:, keep] if oracle else None
         tracker._keep(keep)
         phases.keep(keep)
 
@@ -261,9 +278,14 @@ def _run_stack(cfg: ExperimentConfig, trial_ids: Sequence[int], initial_basis: n
                                 for i in np.flatnonzero(done)})
                 if not len(ids):
                     return
-        sample = _draw_each(ubars, cfg.sigma_sq, normalize_signal, rngs)
-        energy = _energy_outside(tracker.basis, sample.v) if cfg.mode is StepMode.ORACLE_NOISY else None
-        _, _, _, p_sq, r_sq, alpha, theta, _, skipped, errors = tracker._update_rows(sample.x, energy)
+        if not len(xs):  # the block is used up: draw the next, which ends at the horizon at the latest
+            steps = min(_BLOCK_STEPS, max(1, _BLOCK_ENTRIES // (len(ids) * cfg.n)), max_iters - tracker.steps)
+            block = _draw_each(ubars, cfg.sigma_sq, normalize_signal, rngs, steps)
+            xs, vs = block.x, block.v if oracle else None
+            del block  # keep no s or xi
+        energy = _energy_outside(tracker.basis, vs[0]) if oracle else None
+        _, _, _, p_sq, r_sq, alpha, theta, _, skipped, errors = tracker._update_rows(xs[0], energy)
+        xs, vs = xs[1:], vs[1:] if oracle else None
         step = theta, alpha, p_sq, r_sq, skipped
         record = tracker.steps % record_every == 0 or tracker.steps == max_iters
         if errors:  # dropping no row would still copy every array

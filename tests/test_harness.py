@@ -9,7 +9,8 @@ import pytest
 
 import grouse.core
 import grouse.harness
-from grouse.bounds import BoundParams, k1_bound, k2_bound
+from grouse.bounds import BoundParams, detect_phases, k1_bound, k2_bound
+from grouse.cli import main
 from grouse.core import StepMode
 from grouse.harness import (
     ExperimentConfig,
@@ -22,12 +23,19 @@ from grouse.harness import (
     write_trajectory_csv,
     TRAJECTORY_HEADER,
 )
+from grouse.subspaces import MetricSample
 
 
 def csv_body(path):
     """Data lines of a CSV file, skipping the # metadata header."""
     with open(path, encoding="utf-8") as fh:
         return [line for line in fh.read().splitlines() if not line.startswith("#")]
+
+
+def csv_meta(path, key):
+    """The JSON value of a CSV file's ``# key=`` metadata line."""
+    (line,) = [line for line in path.read_text().splitlines() if line.startswith(f"# {key}=")]
+    return json.loads(line.removeprefix(f"# {key}="))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +249,40 @@ def test_trajectory_csv_reproducible_body(tmp_path):
                                mode=StepMode.PRACTICAL_NOISY, out_path=str(path))
         run_single(cfg)
     assert csv_body(a) == csv_body(b)
+
+
+def test_trajectory_record_reruns_to_its_run(tmp_path, capsys):
+    """A run's ``# config=`` line reruns to the same CSV body and result, and its rows split at the printed K1, K2."""
+    out = tmp_path / "a.csv"
+    assert main(["run", "--n", "200", "--d", "5", "--seed", "7", "--sigma2", "1e-3", "--mode", "practical",
+                 "--eps-star", "1e-3", "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    cfg = config_from_dict(csv_meta(out, "config"))
+    again = tmp_path / "b.csv"
+    result = run_single(dataclasses.replace(cfg, out_path=str(again)))
+    assert csv_body(again) == csv_body(out)
+    assert json.loads(json.dumps(result.to_dict())) == printed
+    rows = [line.split(",") for line in csv_body(out)[1:]]
+    phase = detect_phases([MetricSample(int(t), float(zeta), float(eps), cos_angles=None)
+                           for t, zeta, eps, *_ in rows], cfg.bound_params())
+    assert (printed["k1"], printed["k2"]) == (phase.k1, phase.k2) == (30, 44)
+
+
+def test_sweep_record_reruns_to_its_trials(tmp_path):
+    """Each config of a sweep CSV's ``# configs=`` line reruns to its trial records in the sweep JSON."""
+    grid = [
+        {"n": 80, "d": 4, "sigma_sq": 1e-3, "mode": "practical", "trials": 3, "seed": 3, "sparse_ubar": True,
+         "eps_star": 1e-2, "max_iters": 300},
+        {"n": 60, "d": 3, "trials": 2, "seed": 9, "record_every": 5},
+    ]
+    config_path, out = tmp_path / "grid.json", tmp_path / "sweep.csv"
+    config_path.write_text(json.dumps(grid))
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+    configs = [config_from_dict(entry) for entry in csv_meta(out, "configs")]
+    recorded = [entry["trials"] for entry in json.loads((tmp_path / "sweep.csv.json").read_text())["configs"]]
+    rerun = [[result.to_dict() for result in summary.results] for summary in run_sweep(configs)]
+    assert [len(trials) for trials in recorded] == [3, 2]
+    assert json.loads(json.dumps(rerun)) == recorded
 
 
 def _without_timestamp(path):

@@ -17,9 +17,9 @@ import grouse.harness
 from grouse import core
 from grouse.bounds import detect_phases
 from grouse.core import OracleInfo, StepConfig, StepMode, Tracker, grouse_step
-from grouse.data import draw_batch, draw_sample, make_planted
+from grouse.data import _draw_each, draw_batch, draw_sample, make_planted
 from grouse.harness import ExperimentConfig, TrialResult, derive_trial_seed, run_single, run_sweep, run_trajectory
-from grouse.subspaces import MetricSample, basis_with_angles, basis_with_similarity, random_orthonormal
+from grouse.subspaces import MetricSample, _column_major, basis_with_angles, basis_with_similarity, random_orthonormal
 
 
 def _reference_reorth(U):
@@ -172,6 +172,24 @@ def test_draw_batch_rows_equal_successive_draws(sigma_sq, normalize_signal):
         for got, want in zip((batch.x, batch.v, batch.s, batch.xi), (sample.x, sample.v, sample.s, sample.xi)):
             assert np.array_equal(got[i], want)
     assert rng.bit_generator.state == one_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+@pytest.mark.parametrize("sigma_sq, normalize_signal", [(1e-3, True), (1e-3, False), (0.0, True), (0.0, False)])
+def test_draw_each_block_rows_equal_successive_draws(sigma_sq, normalize_signal, steps):
+    """Row ``[k, i]`` of a block is the ``k``-th of ``steps`` draws of model ``i`` on its own generator's twin."""
+    models = [make_planted(60, 4, sigma_sq, sparse=False, rng=np.random.default_rng(seed),
+                           normalize_signal=normalize_signal) for seed in (8, 9, 10)]
+    rngs, twins = ([np.random.default_rng(seed) for seed in (11, 12, 13)] for _ in range(2))
+    block = _draw_each(_column_major(np.stack([model.ubar for model in models])), sigma_sq, normalize_signal, rngs,
+                       steps=steps)
+    assert block.x.shape == (steps, 3, 60)
+    for i, (model, twin) in enumerate(zip(models, twins)):
+        for k in range(steps):
+            sample = draw_sample(model, twin)
+            for got, want in zip((block.x, block.v, block.s, block.xi), (sample.x, sample.v, sample.s, sample.xi)):
+                assert np.array_equal(got[k, i], want)
+    assert [rng.bit_generator.state for rng in rngs] == [twin.bit_generator.state for twin in twins]
 
 
 @pytest.mark.parametrize("schedule", sorted(_CONFIGS))
@@ -339,26 +357,63 @@ def test_skipped_steps_equal_reference():
 
 
 class _NaNAfter:
-    """A generator whose ``standard_normal`` draws turn NaN after ``calls`` more calls."""
+    """A generator whose ``standard_normal`` draws turn NaN after the first ``draws``.
 
-    def __init__(self, rng, calls):
-        self._rng, self._calls = rng, calls
+    A draw is a row of normals: a ``(count,)`` call is one draw and a ``(k, count)`` call ``k`` draws, so the
+    same draw turns NaN however the draws are split into calls.
+    """
 
-    def standard_normal(self, *args, **kwargs):
-        out = self._rng.standard_normal(*args, **kwargs)
-        self._calls -= 1
-        return out if self._calls >= 0 else np.full_like(out, np.nan)
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
+        rows = out.reshape(-1, out.shape[-1])  # a view: one draw per row
+        rows[max(self._draws, 0):] = np.nan
+        self._draws -= len(rows)
+        return out
 
 
-def _poison_trial(monkeypatch, poisoned=1, calls=30):
-    """Trial ``poisoned``'s draws turn NaN after its first ``calls`` (by default trial 1's 31st draw is NaN)."""
+def _wrap_generators(monkeypatch, wrap):
+    """Each trial the harness starts steps on ``wrap(trial_id, rng)`` for its generator ``rng``."""
     original = grouse.harness._start_trial
 
-    def poisoned_start(cfg, trial_id, *args, **kwargs):
+    def wrapped_start(cfg, trial_id, *args, **kwargs):
         derived_seed, rng, model, basis = original(cfg, trial_id, *args, **kwargs)
-        return derived_seed, (_NaNAfter(rng, calls) if trial_id == poisoned else rng), model, basis
+        return derived_seed, wrap(trial_id, rng), model, basis
 
-    monkeypatch.setattr(grouse.harness, "_start_trial", poisoned_start)
+    monkeypatch.setattr(grouse.harness, "_start_trial", wrapped_start)
+
+
+def _poison_trial(monkeypatch, poisoned=1, draws=30):
+    """Trial ``poisoned``'s draws turn NaN after its first ``draws`` (by default trial 1's 31st draw is NaN)."""
+    _wrap_generators(monkeypatch, lambda trial_id, rng: _NaNAfter(rng, draws) if trial_id == poisoned else rng)
+
+
+class _CountedCalls:
+    """A generator that counts its ``standard_normal`` calls."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        return self._rng.standard_normal(size)
+
+
+def test_engine_draws_each_trial_in_blocks_of_sixteen_steps(monkeypatch):
+    """A stack of four trials at n = 60 draws 16 steps per generator call: 7 calls for 100 steps, not 100.
+
+    The trials still equal their references, which draw one observation per call.
+    """
+    generators = {}
+    _wrap_generators(monkeypatch, lambda trial_id, rng: generators.setdefault(trial_id, _CountedCalls(rng)))
+    cfg = ExperimentConfig(n=60, d=3, sigma_sq=1e-3, seed=5, trials=4, max_iters=100, eps_star=1e-12,
+                           mode=StepMode.PRACTICAL_NOISY)
+    summary = run_sweep([cfg])[0]
+    assert [result.iters_run for result in summary.results] == [100] * 4
+    assert {trial_id: generator.calls for trial_id, generator in generators.items()} == {i: 7 for i in range(4)}
+    assert summary.results == [_reference_trial(cfg, trial_id)[0] for trial_id in range(4)]
 
 
 _POISONED = ExperimentConfig(n=80, d=4, sigma_sq=1e-3, seed=5, trials=4, max_iters=120, mode=StepMode.PRACTICAL_NOISY)
@@ -384,7 +439,7 @@ def test_trial_failing_after_lower_rows_left_ends_alone(monkeypatch):
     cfg = ExperimentConfig(n=60, d=3, seed=23, trials=7, sparse_ubar=True)
     expected = [_reference_trial(cfg, trial_id)[0] for trial_id in range(cfg.trials)]
     assert [result.iters_run for result in expected] == [29, 25, 23, 23, 23, 30, 20]
-    _poison_trial(monkeypatch, poisoned=5, calls=26)
+    _poison_trial(monkeypatch, poisoned=5, draws=26)
     summary = run_sweep([cfg])[0]
     assert summary.errors == {5: "ValueError: observation contains non-finite entries"}
     assert summary.results == expected[:5] + expected[6:]
