@@ -584,3 +584,43 @@ def test_rotate_update_keeps_its_contract():
     out = grouse_step(u, v, GREEDY)
     assert np.array_equal(rotate_update(u, out.w, out.p, out.r, out.theta), out.updated)
     assert np.isnan(rotate_update(u, out.w, out.p, out.r, np.nan)).all()
+
+
+# ---------------------------------------------------------------------------
+# the ufunc buffer
+
+
+def test_step_scopes_its_ufunc_buffer(monkeypatch):
+    """The update runs under ``core._UFUNC_BUFSIZE``, and the caller's buffer size is back after every step.
+
+    A caller that set its own size inside ``np.errstate`` reads it again after a stacked step with a non-finite row,
+    a ``Tracker.update`` that raises, a ``grouse_step`` and each ``next()`` of a two-trial lock-step stack.
+    """
+    import grouse.harness
+    from grouse.harness import ExperimentConfig
+
+    seen = []
+    rotate = core._rotate
+    monkeypatch.setattr(core, "_rotate", lambda *args: seen.append(np.getbufsize()) or rotate(*args))
+    rng = np.random.default_rng(44)
+    u, x = random_orthonormal(20, 2, rng), rng.standard_normal((2, 20))
+    bases = np.stack([u, u])
+    bases[1, 3, 1] = np.inf
+    tracker = Tracker(u.copy(), GREEDY)
+    tracker.basis[3, 1] = np.inf
+    stack = grouse.harness._run_stack(ExperimentConfig(n=20, d=2, trials=2, seed=4, max_iters=30), [0, 1], None)
+    with np.errstate():
+        np.setbufsize(4096)
+        assert core._step(bases, x, GREEDY)[-1].tolist() == [False, True]
+        assert np.getbufsize() == 4096
+        with pytest.raises(ValueError, match="^update produced non-finite entries$"):
+            tracker.update(x[0])
+        assert np.getbufsize() == 4096
+        grouse_step(u, x[0], GREEDY)
+        assert np.getbufsize() == 4096
+        ended = []
+        for trial_id, _ in stack:  # each next() of the stack
+            assert np.getbufsize() == 4096
+            ended.append(trial_id)
+        assert sorted(ended) == [0, 1] and np.getbufsize() == 4096
+    assert np.getbufsize() == 8192 and len(seen) > 3 and set(seen) == {core._UFUNC_BUFSIZE}

@@ -131,6 +131,22 @@ def test_no_case_rule_has_one_owner():
         assert by_hand == [], (name, by_hand)
 
 
+def test_ufunc_buffer_has_one_owner():
+    """The ufunc buffer size is set once, in ``core._step``, inside the ``np.errstate`` block that restores it.
+
+    ``np.setbufsize`` appears once in the package, so no other code changes a size that a caller would see.
+    """
+    from grouse import core
+
+    package = Path(grouse.__file__).parent
+    hits = [(path.name, line.strip()) for path in sorted(package.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines() if "setbufsize" in line]
+    assert hits == [("core.py", "np.setbufsize(_UFUNC_BUFSIZE)")], hits
+    scopes = [node for node in ast.walk(ast.parse(inspect.getsource(core._step))) if isinstance(node, ast.With)
+              and any(ast.unparse(item.context_expr).startswith("np.errstate(") for item in node.items)]
+    assert len(scopes) == 1 and "np.setbufsize(" in ast.unparse(scopes[0])
+
+
 def test_phase_rule_has_one_owner():
     """The phase targets, each trajectory's K1 and K2 and their update are written once, in ``bounds._Phases``.
 

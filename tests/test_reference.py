@@ -248,6 +248,30 @@ def test_stacked_step_with_exactly_zero_norms_raises_no_warning():
         assert np.array_equal(updated[i], grouse_step(basis, x[i], cfg).updated)
 
 
+def test_update_keeps_the_sign_of_its_zeros():
+    """The update has the bytes of ``U[:, i] + w_hat[i] * direction`` per column, negative zeros included.
+
+    ``np.array_equal`` reads -0.0 as 0.0; the bytes and ``np.signbit`` do not.  The basis holds -0.0 entries and one
+    coefficient of each row's ``w`` is exactly zero, so the update holds negative zeros that an outer product
+    accumulated into a zeroed array (``np.einsum``) would turn positive.
+    """
+    basis = np.asfortranarray(-np.eye(6)[:, :2])
+    x = np.array([[1, 0, 2, -3, .5, -1], [0, 2, -1, 1, 1, 2]], dtype=float)
+    w_rows, *_, updated, skipped, failed = core._step(basis, x, StepConfig())
+    assert not skipped.any() and not failed.any() and np.count_nonzero(w_rows == 0) == 2
+    for i in range(2):
+        w, p, r, _, theta, _, _ = _reference_step(basis, x[i], StepConfig())
+        half = np.sin(theta / 2)
+        direction = -2.0 * half * half * (p / np.linalg.norm(p)) + np.sin(theta) * (r / np.linalg.norm(r))
+        w_hat = w / np.linalg.norm(w)
+        expected = np.empty((6, 2), order="F")
+        for column in range(2):
+            expected[:, column] = basis[:, column] + w_hat[column] * direction
+        assert updated[i].tobytes() == expected.tobytes()
+        assert np.array_equal(np.signbit(updated[i]), np.signbit(expected))
+    assert np.count_nonzero(np.signbit(updated) & (updated == 0)) == 7
+
+
 def _reference_metric(t, U, ubar):
     gram = ubar.T @ U
     cosines = np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0)
